@@ -364,7 +364,10 @@ def phase_diagram_cmd(**kwargs):
         lam, eta = float(axis1_values[0]), kwargs["eta"]
     if len(axis1_values) < 2 or len(k_values) < 2:
         raise click.UsageError("phase diagrams need at least a 2x2 grid")
-    jobs = kwargs["jobs"] if kwargs["jobs"] else default_jobs()
+    try:
+        jobs = kwargs["jobs"] if kwargs["jobs"] else default_jobs()
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     params = {
         "axis1_name": axis1_name,
         "axis1_values": [float(v) for v in axis1_values],

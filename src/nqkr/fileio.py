@@ -18,16 +18,19 @@ from .phases import PhaseDiagram
 from .spectrum import FidelityRecord, QuasiSpectrum
 
 
+_FLOAT_FORMAT = "{:.15g}"
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.15g}"
+    return _FLOAT_FORMAT.format(x)
 
 
 def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0]) if columns else 0
+    values = [np.asarray(col, dtype=float).tolist() for col in columns]
+    row_format = ",".join([_FLOAT_FORMAT] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(float(col[i])) for col in columns) + "\n")
+        fh.writelines(row_format.format(*row) for row in zip(*values))
 
 
 def write_distribution_csv(path: str | Path, dist: MomentumDistribution) -> None:

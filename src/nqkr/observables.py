@@ -3,20 +3,28 @@
 The rescaled OTOC is recorded from the renormalized state. That is exact, not
 an approximation: with A = e^(-i*eps*p) diagonal in the momentum basis,
 C(t) = 1 - |<psi|A|psi>|^2 / N^2 and both the overlap and N carry the same
-exp(log_norm) factor, which cancels. So C(t) = 1 - |sum_n e^(-i*eps*p_n)
-|psi_n|^2|^2 on unit-norm amplitudes.
+exp(log_norm) factor, which cancels. So C(t) = 1 - |sum_n w_n e^(-i*eps*p_n)|^2
+with w_n = |psi_n|^2 / sum|psi|^2.
+
+Early in a run C is ~1e-9, so that form would subtract two numbers equal to
+about nine digits and keep only the last seven. It is evaluated instead as
+C = 2a - a^2 - b^2 with a = sum_n w_n * 2 sin^2(eps*p_n/2) and
+b = sum_n w_n sin(eps*p_n), which is the same quantity (the overlap is
+1 - a - i*b) with no cancellation and no complex exponential.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .lattice import (
     MomentumDistribution,
+    MomentumLattice,
     WaveFunction,
     _check_norm,
     expectation_p,
@@ -77,15 +85,40 @@ class NormGrowthFit:
     r_squared: float
 
 
+@lru_cache(maxsize=32)
+def _observable_table(lattice: MomentumLattice, epsilon_shift: float) -> np.ndarray:
+    """Rows 2 sin^2(eps*p/2), sin(eps*p), p and p^2 over the lattice sites."""
+    p = lattice.momenta
+    table = np.stack([
+        2.0 * np.sin(0.5 * epsilon_shift * p) ** 2,
+        np.sin(epsilon_shift * p),
+        p,
+        p * p,
+    ])
+    table.flags.writeable = False
+    return table
+
+
+def _moments(table: np.ndarray, psi: WaveFunction) -> tuple[np.ndarray, np.ndarray, float]:
+    """(table @ w, |psi_n|^2, sum_n |psi_n|^2) with w_n the normalized |psi_n|^2.
+
+    On _observable_table rows, table @ w is (a, b, <p>, <p^2>).
+    """
+    prob = psi.amps.real ** 2 + psi.amps.imag ** 2
+    s = _check_norm(float(prob.sum()))
+    return table @ prob / s, prob, s
+
+
+def _otoc(a: float, b: float) -> float:
+    """1 - |1 - a - i*b|^2 without cancellation; see the module docstring."""
+    # C >= 0 exactly; the max() only absorbs float roundoff.
+    return max(0.0, float(2.0 * a - a * a - b * b))
+
+
 def otoc_exact(psi: WaveFunction, epsilon_shift: float) -> float:
     """Rescaled OTOC 1 - |<e^(-i*eps*p)>|^2 of the normalized state."""
-    prob = np.abs(psi.amps) ** 2
-    s = _check_norm(float(prob.sum()))
-    if epsilon_shift == 0.0:
-        return 0.0  # identity operator, exactly
-    overlap = np.sum(np.exp(-1j * epsilon_shift * psi.lattice.momenta) * prob) / s
-    # |overlap| <= 1 exactly; the max() only absorbs float roundoff.
-    return max(0.0, 1.0 - float(np.abs(overlap) ** 2))
+    (a, b, _, _), _, _ = _moments(_observable_table(psi.lattice, epsilon_shift), psi)
+    return _otoc(a, b)
 
 
 def otoc_approx(psi: WaveFunction, epsilon_shift: float) -> float:
@@ -117,19 +150,13 @@ def record_series(
     snap_at = set(snapshot_times)
     snapshots: dict[int, MomentumDistribution] = {}
     rows: list[tuple[int, float, float, float, float, float]] = []
+    table = _observable_table(config.lattice, eps)
 
     def observer(t: int, psi: WaveFunction) -> None:
-        prob = np.abs(psi.amps) ** 2
-        s = _check_norm(float(prob.sum()))
-        prob /= s
-        p = psi.lattice.momenta
-        overlap = np.sum(np.exp(-1j * eps * p) * prob)
-        c_exact = max(0.0, 1.0 - float(np.abs(overlap) ** 2))
-        mp = float(np.dot(p, prob))
-        mp2 = float(np.dot(p * p, prob))
-        rows.append((t, c_exact, eps**2 * (mp2 - mp * mp), psi.log_norm, mp, mp2))
+        (a, b, mp, mp2), prob, s = _moments(table, psi)
+        rows.append((t, _otoc(a, b), eps**2 * (mp2 - mp * mp), psi.log_norm, mp, mp2))
         if t in snap_at:
-            snapshots[t] = MomentumDistribution(p.copy(), prob.copy())
+            snapshots[t] = MomentumDistribution(table[2].copy(), prob / s)
 
     final = evolve(config, observers=[observer])
     cols = list(zip(*rows)) if rows else [[]] * 6

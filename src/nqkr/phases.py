@@ -208,5 +208,8 @@ def default_jobs() -> int:
     """Worker count: NQKR_JOBS environment override, else the CPU count."""
     env = os.environ.get("NQKR_JOBS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"NQKR_JOBS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1

@@ -6,9 +6,13 @@ representation, with f(t) = 1 + eta*cos(omega1*t)*cos(omega2*t) sampled at the
 integer kick time t. Conventions:
 
 * angle grid theta_m = 2*pi*m/M, m = 0..M-1;
-* DFT pairing psi(theta_m) = sum_n psi_n e^(i*n*theta_m)/sqrt(M), so the
-  momentum-to-angle map is sqrt(M)*ifft on ifftshift-ed storage order and the
-  round trip is the identity to machine precision;
+* DFT pairing psi(theta_m) = sum_n psi_n e^(i*n*theta_m)/sqrt(M). Amplitudes
+  stay in centered storage order n = -M/2 .. M/2-1, and the kick is
+  fft(kick * ifft(amps)) on that order with no shifts. On centered storage an
+  ifftshift before ifft multiplies each angle sample by (-1)^m, and the
+  fftshift after fft multiplies by (-1)^m again, so the two factors cancel
+  across the pointwise kick. numpy's ifft carries 1/M, which equals the
+  1/sqrt(M) * 1/sqrt(M) of the unitary pair, so no extra scaling is needed;
 * the kick's maximal amplitude gain exp(|lam|*f/(d*hbar)) is factored out
   analytically before exponentiation, so the pointwise factors never exceed 1
   in magnitude, and the stored amplitudes are renormalized to unit norm after
@@ -102,10 +106,10 @@ def modulation_factor(schedule: KickSchedule, t: int) -> float:
 
 
 @lru_cache(maxsize=32)
-def _theta_grid(size: int) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(size) / size
-    theta.flags.writeable = False
-    return theta
+def _cos_theta(size: int) -> np.ndarray:
+    cos_theta = np.cos(2.0 * np.pi * np.arange(size) / size)
+    cos_theta.flags.writeable = False
+    return cos_theta
 
 
 @lru_cache(maxsize=32)
@@ -116,47 +120,25 @@ def _free_phases(size: int, hbar: float) -> np.ndarray:
     return phases
 
 
-@lru_cache(maxsize=32)
-def _momentum_indices(size: int) -> np.ndarray:
-    n = np.arange(-size // 2, size // 2)
-    n.flags.writeable = False
-    return n
-
-
 def apply_kick(
     psi: WaveFunction,
     schedule: KickSchedule,
     t: int,
     divisor: float = 1.0,
-    theta_origin: float = 0.0,
 ) -> WaveFunction:
     """Apply the kick at time t in place, renormalize, and return psi.
 
     The removed squared-norm factor (including the analytically factored
-    maximal gain) is added to psi.log_norm. theta_origin shifts the angle-grid
-    origin; it is a gauge choice that must leave all |psi_n| unchanged.
+    maximal gain) is added to psi.log_norm.
     """
-    m_size = psi.lattice.size
-    hbar = psi.lattice.hbar_eff
-    theta = _theta_grid(m_size)
-    f = modulation_factor(schedule, t)
-    a = f / (divisor * hbar)
+    a = modulation_factor(schedule, t) / (divisor * psi.lattice.hbar_eff)
     gain_shift = abs(schedule.lam) * abs(a)
 
-    amps = psi.amps
-    if theta_origin != 0.0:
-        n = _momentum_indices(m_size)
-        amps = amps * np.exp(1j * theta_origin * n)
-
-    angle = np.fft.ifft(np.fft.ifftshift(amps)) * math.sqrt(m_size)
+    angle = np.fft.ifft(psi.amps)
     angle *= np.exp(
-        (schedule.lam - 1j * schedule.K) * (a * np.cos(theta + theta_origin))
-        - gain_shift
+        ((schedule.lam - 1j * schedule.K) * a) * _cos_theta(psi.lattice.size) - gain_shift
     )
-    amps = np.fft.fftshift(np.fft.fft(angle)) / math.sqrt(m_size)
-
-    if theta_origin != 0.0:
-        amps *= np.exp(-1j * theta_origin * _momentum_indices(m_size))
+    amps = np.fft.fft(angle)
 
     norm_sq = float(np.vdot(amps, amps).real)
     if not math.isfinite(norm_sq):
@@ -165,7 +147,8 @@ def apply_kick(
             "amplification (smaller lam or larger hbar/divisor)"
         )
     _check_norm(norm_sq)
-    psi.amps = amps / math.sqrt(norm_sq)
+    amps *= 1.0 / math.sqrt(norm_sq)
+    psi.amps = amps
     psi.log_norm += math.log(norm_sq) + 2.0 * gain_shift
     return psi
 

@@ -152,6 +152,18 @@ class TestPhaseDiagramCommand:
         )
         assert result.exit_code == 2
 
+    def test_non_integer_jobs_env_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["phase-diagram", "--plane", "lambda-K", "--lambda-range", "0:3:2",
+             "--k-range", "4:8:2", "--kicks", "500", "--lattice", "64",
+             "--outdir", str(tmp_path)],
+            env={"NQKR_JOBS": "two"},
+        )
+        assert result.exit_code == 2
+        assert "NQKR_JOBS" in result.output and "'two'" in result.output
+        assert not list(tmp_path.iterdir())
+
 
 class TestNormScanCommand:
     def test_unitary_point_reports_unity(self, runner, tmp_path):

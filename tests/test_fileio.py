@@ -12,6 +12,8 @@ from nqkr import (
     ProfileFit,
 )
 from nqkr.fileio import (
+    _fmt,
+    _write_table,
     norm_growth_fit_dict,
     profile_fit_dict,
     read_distribution_csv,
@@ -86,6 +88,39 @@ class TestCsvRoundTrips:
         row = lines[1].split(",")
         assert float(row[0]) == pytest.approx(0.3)
         assert float(row[1]) == pytest.approx(0.2)
+
+
+def row_loop_table(path, header, columns):
+    """The cell-by-cell writer that _write_table must reproduce byte for byte."""
+    rows = len(columns[0]) if columns else 0
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(rows):
+            fh.write(",".join(_fmt(float(col[i])) for col in columns) + "\n")
+
+
+class TestTableBytes:
+    def test_edge_values_match_row_loop(self, tmp_path):
+        t = np.arange(1, 7, dtype=np.int64)
+        values = np.array([1e-300, -0.0, 1e15 + 1, np.nan, 0.1 + 0.2, -2.5e-17])
+        columns = [t, values, values[::-1].copy()]
+        header = ["t", "x", "y"]
+        _write_table(tmp_path / "new.csv", header, columns)
+        row_loop_table(tmp_path / "old.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_distribution_matches_row_loop(self, tmp_path):
+        rng = np.random.default_rng(3)
+        prob = rng.random(4096) ** 40
+        prob /= prob.sum()
+        p = np.arange(-2048, 2048) * 2.89
+        _write_table(tmp_path / "new.csv", ["p", "prob"], [p, prob])
+        row_loop_table(tmp_path / "old.csv", ["p", "prob"], [p, prob])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_empty_table_is_header_only(self, tmp_path):
+        _write_table(tmp_path / "e.csv", ["a", "b"], [np.array([]), np.array([])])
+        assert (tmp_path / "e.csv").read_text() == "a,b\n"
 
 
 class TestJsonPayloads:

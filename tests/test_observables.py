@@ -75,6 +75,38 @@ class TestOtocExact:
         )
 
 
+def otoc_longdouble(psi, eps):
+    """2a - a^2 - b^2 with the sums a, b taken in np.longdouble."""
+    ld = np.longdouble
+    prob = psi.amps.real.astype(ld) ** 2 + psi.amps.imag.astype(ld) ** 2
+    w = prob / prob.sum()
+    n = np.arange(-psi.lattice.size // 2, psi.lattice.size // 2)
+    p = n.astype(ld) * ld(psi.lattice.hbar_eff)
+    a = np.sum(w * 2 * np.sin(ld(eps) * p / 2) ** 2)
+    b = np.sum(w * np.sin(ld(eps) * p))
+    return 2 * a - a * a - b * b
+
+
+class TestOtocPrecision:
+    """The frozen state's C ~ 2e-9: 1 - |overlap|^2 in doubles keeps ~7 digits."""
+
+    def test_early_frozen_state_matches_longdouble(self):
+        cfg = SimConfig(MomentumLattice(4096, HBAR), KickSchedule(K=10.0, lam=5.0), 3)
+        final = record_series(cfg).final
+        c = otoc_exact(final, 1e-5)
+        assert c == pytest.approx(1.7e-9, rel=0.05)
+        assert abs(c - otoc_longdouble(final, 1e-5)) <= 1e-12 * c
+
+    def test_late_frozen_state_matches_longdouble(self, record_k10_l5):
+        c = otoc_exact(record_k10_l5.final, 1e-5)
+        assert c == pytest.approx(1.9e-9, rel=0.05)
+        assert abs(c - otoc_longdouble(record_k10_l5.final, 1e-5)) <= 1e-12 * c
+
+    def test_series_records_otoc_exact(self, record_k10_l5):
+        c = otoc_exact(record_k10_l5.final, 1e-5)
+        assert abs(record_k10_l5.series.c_exact[-1] - c) <= 1e-14 * c
+
+
 class TestOtocApprox:
     def test_ground_state_zero(self):
         psi = ground_state(MomentumLattice(16, HBAR))

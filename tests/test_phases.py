@@ -191,3 +191,9 @@ def test_default_jobs_env_override(monkeypatch):
     assert default_jobs() == 3
     monkeypatch.delenv("NQKR_JOBS")
     assert default_jobs() >= 1
+
+
+def test_default_jobs_names_a_bad_env_value(monkeypatch):
+    monkeypatch.setenv("NQKR_JOBS", "two")
+    with pytest.raises(ValueError, match="NQKR_JOBS"):
+        default_jobs()

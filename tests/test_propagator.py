@@ -64,6 +64,29 @@ class TestModulationFactor:
         assert max(vals) <= 1.75 + 1e-12
 
 
+def shifted_kick(psi, schedule, t, divisor=1.0, theta_origin=0.0):
+    """Kick with explicit shifts, sqrt(M) scaling and a shifted angle origin.
+
+    Returns the renormalized amplitudes and log-norm without touching psi:
+    the reference formulation that apply_kick must reproduce. theta_origin
+    conjugates the kick by e^(i*theta_origin*n), a gauge choice.
+    """
+    m = psi.lattice.size
+    n = np.arange(-m // 2, m // 2)
+    theta = 2.0 * np.pi * np.arange(m) / m
+    a = modulation_factor(schedule, t) / (divisor * psi.lattice.hbar_eff)
+    gain_shift = schedule.lam * a
+    amps = psi.amps * np.exp(1j * theta_origin * n)
+    angle = np.fft.ifft(np.fft.ifftshift(amps)) * math.sqrt(m)
+    angle *= np.exp(
+        (schedule.lam - 1j * schedule.K) * (a * np.cos(theta + theta_origin)) - gain_shift
+    )
+    amps = np.fft.fftshift(np.fft.fft(angle)) / math.sqrt(m)
+    amps *= np.exp(-1j * theta_origin * n)
+    norm_sq = float(np.vdot(amps, amps).real)
+    return amps / math.sqrt(norm_sq), psi.log_norm + math.log(norm_sq) + 2.0 * gain_shift
+
+
 class TestApplyKick:
     def test_zero_potential_is_identity(self):
         psi = ground_state(MomentumLattice(32, HBAR))
@@ -103,14 +126,30 @@ class TestApplyKick:
         rng = np.random.default_rng(5)
         sched = KickSchedule(4.0, 0.7)
         for origin in (2 * math.pi, 3 * (2 * math.pi / 16), -2 * math.pi):
-            psi_a = ground_state(MomentumLattice(16, HBAR))
-            psi_a.amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-            psi_a.amps /= np.linalg.norm(psi_a.amps)
-            psi_b = psi_a.copy()
-            apply_kick(psi_a, sched, t=2)
-            apply_kick(psi_b, sched, t=2, theta_origin=origin)
-            assert np.max(np.abs(np.abs(psi_a.amps) - np.abs(psi_b.amps))) < 1e-12
-            assert psi_a.log_norm == pytest.approx(psi_b.log_norm, abs=1e-12)
+            psi = ground_state(MomentumLattice(16, HBAR))
+            psi.amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+            psi.amps /= np.linalg.norm(psi.amps)
+            shifted, shifted_log_norm = shifted_kick(psi, sched, 2, theta_origin=origin)
+            apply_kick(psi, sched, t=2)
+            assert np.max(np.abs(np.abs(psi.amps) - np.abs(shifted))) < 1e-12
+            assert psi.log_norm == pytest.approx(shifted_log_norm, abs=1e-12)
+
+    # bounds set beforehand from complex128 roundoff over one FFT pair
+    # on unit-norm amplitudes
+    @pytest.mark.parametrize("m", [16, 64, 4096])
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 5.0])
+    @pytest.mark.parametrize("t", [1, 7, 200])
+    @pytest.mark.parametrize("divisor", [1.0, 2.0])
+    def test_matches_shifted_formulation(self, m, lam, t, divisor):
+        rng = np.random.default_rng(m + t)
+        psi = ground_state(MomentumLattice(m, HBAR))
+        psi.amps = rng.normal(size=m) + 1j * rng.normal(size=m)
+        psi.amps /= np.linalg.norm(psi.amps)
+        sched = KickSchedule(10.0, lam)
+        expected, expected_log_norm = shifted_kick(psi, sched, t, divisor)
+        apply_kick(psi, sched, t, divisor)
+        assert np.max(np.abs(psi.amps - expected)) <= 1e-13
+        assert abs(psi.log_norm - expected_log_norm) <= 1e-12
 
     def test_nonfinite_amplitudes_raise(self):
         psi = ground_state(MomentumLattice(8, HBAR))
