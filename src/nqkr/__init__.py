@@ -30,7 +30,6 @@ from .observables import (
     fit_gaussian_profile,
     fit_norm_growth,
     log_mean_norm,
-    norm_scan,
     otoc_approx,
     otoc_exact,
     record_series,
@@ -43,6 +42,7 @@ from .phases import (
     PhasePoint,
     classify,
     extract_features,
+    norm_scan,
     phase_diagram,
 )
 from .propagator import (

@@ -24,6 +24,7 @@ from .constants import (
     SPECTRUM_DIM_DEFAULT,
 )
 from .fileio import (
+    _write_table,
     norm_growth_fit_dict,
     write_diagram_csv,
     write_diagram_gnuplot,
@@ -36,8 +37,8 @@ from .fileio import (
 )
 from .lattice import MomentumLattice, NormCollapseError, momentum_distribution
 from .manifest import RunManifest, config_snapshot, load_manifest, utc_now, write_manifest
-from .observables import norm_scan, record_series
-from .phases import AxisSpec, default_jobs, phase_diagram
+from .observables import record_series
+from .phases import AxisSpec, default_jobs, norm_scan, phase_diagram
 from .propagator import AmplitudeOverflowError, KickSchedule, SimConfig
 from .recipes import FIGURE_IDS, run_recipe
 from .spectrum import SpectrumError, fidelity_profile, spectrum_at
@@ -79,7 +80,7 @@ def _make_run_dir(outdir: str, command: str) -> Path:
 
 
 def _finish(
-    run_dir: Path, command: str, params: dict, config: SimConfig, started: float
+    run_dir: Path, command: str, params: dict, config: SimConfig | None, started: float
 ) -> Path:
     outputs = sorted(
         str(p.relative_to(run_dir)) for p in run_dir.iterdir() if p.is_file()
@@ -87,7 +88,7 @@ def _finish(
     manifest = RunManifest(
         command=command,
         params=params,
-        config=config_snapshot(config),
+        config=None if config is None else config_snapshot(config),
         tool_version=__version__,
         timestamp_utc=utc_now(),
         duration_seconds=time.monotonic() - started,
@@ -197,13 +198,13 @@ def run_norm_scan(params: dict, outdir: str) -> Path:
         ],
     }
     write_json(run_dir / "norm_scan.json", payload)
-    with open(run_dir / "norm_scan.csv", "w", encoding="utf-8") as fh:
-        fh.write("hbar,lambda,mu,r_squared,log_mean_norm\n")
-        for row in result.rows:
-            fh.write(
-                f"{row.hbar:.15g},{row.lam:.15g},{row.fit.mu:.15g},"
-                f"{row.fit.r_squared:.15g},{row.log_mean_norm:.15g}\n"
-            )
+    rows = result.rows
+    _write_table(
+        run_dir / "norm_scan.csv",
+        ["hbar", "lambda", "mu", "r_squared", "log_mean_norm"],
+        [[r.hbar for r in rows], [r.lam for r in rows], [r.fit.mu for r in rows],
+         [r.fit.r_squared for r in rows], [r.log_mean_norm for r in rows]],
+    )
     _finish(run_dir, "norm-scan", params, base, started)
     return run_dir
 
@@ -220,12 +221,8 @@ def run_reproduce(params: dict, outdir: str, echo=None) -> Path:
         if echo is not None:
             echo(line)
     (run_dir / "checks.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    config = SimConfig(
-        lattice=MomentumLattice(LATTICE_DEFAULT, HBAR_DEFAULT),
-        schedule=KickSchedule(K=10.0, lam=0.0),
-        kick_count=1000,
-    )
-    _finish(run_dir, "reproduce", params, config, started)
+    # the figure id in params pins every run of the recipe; no single config does
+    _finish(run_dir, "reproduce", params, None, started)
     return run_dir
 
 
@@ -275,28 +272,12 @@ def main():
 @click.option("--outdir", default="runs", show_default=True,
               help="Parent directory for run output.")
 @_common_physics_options
-def evolve(**kwargs):
+def evolve(outdir, **kwargs):
     """Evolve the rotor and write the OTOC time series."""
     if kwargs["lattice"] % 2 != 0 or kwargs["lattice"] < 2:
         raise click.UsageError(f"--lattice must be even and >= 2, got {kwargs['lattice']}")
-    params = _evolve_params(kwargs)
-    _guarded(run_evolve, params, kwargs["outdir"])
-
-
-def _evolve_params(kwargs) -> dict:
-    snapshot_times = [int(v) for v in kwargs["snapshot_times"].split(",") if v.strip()] \
-        if isinstance(kwargs["snapshot_times"], str) else list(kwargs["snapshot_times"])
-    return {
-        "K": kwargs["K"],
-        "lam": kwargs["lam"],
-        "kicks": kwargs["kicks"],
-        "eta": kwargs["eta"],
-        "hbar": kwargs["hbar"],
-        "epsilon": kwargs["epsilon"],
-        "lattice": kwargs["lattice"],
-        "kick_divisor": kwargs["kick_divisor"],
-        "snapshot_times": snapshot_times,
-    }
+    snapshot_times = [int(v) for v in kwargs["snapshot_times"].split(",") if v.strip()]
+    _guarded(run_evolve, {**kwargs, "snapshot_times": snapshot_times}, outdir)
 
 
 def _guarded(runner, params, outdir, **extra):
@@ -318,24 +299,13 @@ def _guarded(runner, params, outdir, **extra):
               help="Also evolve to t and record fidelities against eigenstates.")
 @click.option("--outdir", default="runs", show_default=True)
 @_common_physics_options
-def spectrum(**kwargs):
+def spectrum(outdir, **kwargs):
     """Quasienergy spectrum of the instantaneous Floquet operator U(t)."""
     if kwargs["dim"] % 2 != 0 or kwargs["dim"] < 2:
         raise click.UsageError(f"--dim must be even and >= 2, got {kwargs['dim']}")
     if kwargs["t"] < 0:
         raise click.UsageError("--t must be >= 0")
-    params = {
-        "K": kwargs["K"],
-        "lam": kwargs["lam"],
-        "t": kwargs["t"],
-        "dim": kwargs["dim"],
-        "with_fidelity": kwargs["with_fidelity"],
-        "eta": kwargs["eta"],
-        "hbar": kwargs["hbar"],
-        "epsilon": kwargs["epsilon"],
-        "kick_divisor": kwargs["kick_divisor"],
-    }
-    _guarded(run_spectrum, params, kwargs["outdir"])
+    _guarded(run_spectrum, kwargs, outdir)
 
 
 @main.command("phase-diagram")
@@ -403,29 +373,16 @@ def phase_diagram_cmd(**kwargs):
 @click.option("--lattice", default=LATTICE_DEFAULT, show_default=True)
 @click.option("--outdir", default="runs", show_default=True)
 @_common_physics_options
-def norm_scan_cmd(**kwargs):
+def norm_scan_cmd(outdir, lambda_list, lambda_range, hbar_list, **kwargs):
     """Norm-growth fits over a lambda ladder, with a threshold estimate."""
-    if kwargs["lambda_list"]:
-        lambdas = _parse_float_list(kwargs["lambda_list"])
-    elif kwargs["lambda_range"]:
-        lambdas = [float(v) for v in parse_range(kwargs["lambda_range"])]
+    if lambda_list:
+        lambdas = _parse_float_list(lambda_list)
+    elif lambda_range:
+        lambdas = [float(v) for v in parse_range(lambda_range)]
     else:
         raise click.UsageError("provide --lambda-list or --lambda-range")
-    hbars = _parse_float_list(kwargs["hbar_list"]) if kwargs["hbar_list"] \
-        else [kwargs["hbar"]]
-    params = {
-        "K": kwargs["K"],
-        "lambdas": lambdas,
-        "hbars": hbars,
-        "kicks": kwargs["kicks"],
-        "tolerance": kwargs["tolerance"],
-        "eta": kwargs["eta"],
-        "hbar": kwargs["hbar"],
-        "epsilon": kwargs["epsilon"],
-        "lattice": kwargs["lattice"],
-        "kick_divisor": kwargs["kick_divisor"],
-    }
-    _guarded(run_norm_scan, params, kwargs["outdir"])
+    hbars = _parse_float_list(hbar_list) if hbar_list else [kwargs["hbar"]]
+    _guarded(run_norm_scan, {**kwargs, "lambdas": lambdas, "hbars": hbars}, outdir)
 
 
 @main.command()

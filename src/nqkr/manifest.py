@@ -22,7 +22,7 @@ SCHEMA = "nqkr.run-manifest/1"
 class RunManifest:
     command: str
     params: dict
-    config: dict
+    config: dict | None  # None where no one SimConfig describes the run
     tool_version: str
     timestamp_utc: str
     duration_seconds: float

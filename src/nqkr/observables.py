@@ -15,10 +15,8 @@ b = sum_n w_n sin(eps*p_n), which is the same quantity (the overlap is
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -331,55 +329,3 @@ def log_mean_norm(series: OtocSeries) -> float:
         return 0.0
     peak = float(logs.max())
     return peak + float(np.log(np.mean(np.exp(logs - peak))))
-
-
-@dataclass(frozen=True)
-class NormScanRow:
-    hbar: float
-    lam: float
-    fit: NormGrowthFit
-    log_mean_norm: float
-
-
-@dataclass
-class NormScanResult:
-    """Growth-rate fits and time-averaged norms over a (hbar, lambda) grid.
-
-    lambda_c maps each hbar to the first scanned lambda whose time-averaged
-    norm exceeds 1 + tolerance (None if none does).
-    """
-
-    rows: list[NormScanRow]
-    lambda_c: dict[float, float | None]
-    tolerance: float
-
-
-def norm_scan(
-    base_config: SimConfig,
-    lambdas: Sequence[float],
-    hbars: Sequence[float] | None = None,
-    tolerance: float = 0.05,
-) -> NormScanResult:
-    """Per-(hbar, lambda) norm-growth fits plus a threshold estimate.
-
-    lambdas are scanned in ascending order per hbar; the threshold estimate
-    is the first value whose long-time mean norm exceeds 1 + tolerance.
-    """
-    if hbars is None:
-        hbars = [base_config.lattice.hbar_eff]
-    rows: list[NormScanRow] = []
-    lambda_c: dict[float, float | None] = {}
-    for hbar in hbars:
-        lattice = replace(base_config.lattice, hbar_eff=float(hbar))
-        crossing = None
-        for lam in sorted(float(v) for v in lambdas):
-            schedule = replace(base_config.schedule, lam=lam)
-            config = replace(base_config, lattice=lattice, schedule=schedule)
-            series = record_series(config).series
-            fit = fit_norm_growth(series)
-            lmn = log_mean_norm(series)
-            rows.append(NormScanRow(float(hbar), lam, fit, lmn))
-            if crossing is None and lmn > math.log1p(tolerance):
-                crossing = lam
-        lambda_c[float(hbar)] = crossing
-    return NormScanResult(rows, lambda_c, tolerance)

@@ -1,6 +1,11 @@
-"""Freezing-vs-scrambling classification and 2-D phase-diagram assembly.
+"""The sweep engine, with the phase diagrams and norm scans built on it.
 
-A learned sequence model is deliberately not used here: three deterministic,
+`sweep` evaluates independent tasks in order, serially or in a process pool.
+`phase_diagram` classifies one OTOC series per grid point as freezing or
+scrambling; `norm_scan` fits norm growth over a (hbar, lambda) ladder and
+estimates the non-Hermitian threshold lambda_c per hbar.
+
+The classifier deliberately uses no learned sequence model: three deterministic,
 scale-free features of the OTOC series feed a fixed logistic score, giving a
 reproducible rho in [0, 1] with documented calibration anchors (exact
 saturation -> rho < 0.05, exact linear growth -> rho > 0.95). The classifier
@@ -13,12 +18,20 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .observables import OtocSeries, _linear_fit, record_series
+from .observables import (
+    NormGrowthFit,
+    OtocSeries,
+    _linear_fit,
+    fit_norm_growth,
+    log_mean_norm,
+    record_series,
+)
 from .propagator import SimConfig
 
 MIN_SERIES_LENGTH = 200
@@ -122,11 +135,29 @@ def _config_at(
     return replace(base, schedule=schedule, kick_count=kicks)
 
 
-def _evaluate_point(args) -> tuple[int, int, float, Features]:
-    i, j, config, v1, v2 = args
-    record = record_series(config)
-    features = extract_features(record.series)
-    return i, j, classify(features), features
+def sweep(
+    evaluate: Callable,
+    tasks: Sequence,
+    jobs: int = 1,
+    progress: Callable[[int, int], None] | None = None,
+) -> list:
+    """evaluate(task) for every task, in task order; jobs > 1 uses a process pool.
+
+    With a pool, evaluate and the tasks must pickle. progress(done, total) is
+    called after each result.
+    """
+    results = []
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for result in (map if pool is None else pool.map)(evaluate, tasks):
+            results.append(result)
+            if progress is not None:
+                progress(len(results), len(tasks))
+    return results
+
+
+def _evaluate_point(config: SimConfig) -> tuple[float, Features]:
+    features = extract_features(record_series(config).series)
+    return classify(features), features
 
 
 def phase_diagram(
@@ -139,8 +170,9 @@ def phase_diagram(
 ) -> PhaseDiagram:
     """One simulation per grid point, classified and assembled row-major.
 
-    Points are independent work items; results land in the pre-sized grid by
-    index, so the outcome does not depend on evaluation order or worker count.
+    The grid points are swept as one flat row-major task list (axis1 outer,
+    axis2 inner) and the results are reshaped into rows, so the outcome does
+    not depend on the worker count.
     """
     for axis in (axis1, axis2):
         if axis.name not in AXIS_FIELDS:
@@ -151,32 +183,15 @@ def phase_diagram(
         raise ValueError(f"phase diagrams need at least {MIN_PHASE_KICKS} kicks")
 
     tasks = [
-        (i, j, _config_at(base_config, axis1, axis2, v1, v2, kicks), float(v1), float(v2))
-        for i, v1 in enumerate(axis1.values)
-        for j, v2 in enumerate(axis2.values)
+        _config_at(base_config, axis1, axis2, v1, v2, kicks)
+        for v1 in axis1.values
+        for v2 in axis2.values
     ]
-    grid: list[list[PhasePoint | None]] = [
-        [None] * len(axis2.values) for _ in axis1.values
+    results = iter(sweep(_evaluate_point, tasks, jobs, progress))
+    points = [
+        [PhasePoint((float(v1), float(v2)), *next(results)) for v2 in axis2.values]
+        for v1 in axis1.values
     ]
-    done = 0
-    if jobs <= 1:
-        results = map(_evaluate_point, tasks)
-        for i, j, rho, features in results:
-            grid[i][j] = PhasePoint((float(axis1.values[i]), float(axis2.values[j])), rho, features)
-            done += 1
-            if progress is not None:
-                progress(done, len(tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, j, rho, features in pool.map(_evaluate_point, tasks):
-                grid[i][j] = PhasePoint(
-                    (float(axis1.values[i]), float(axis2.values[j])), rho, features
-                )
-                done += 1
-                if progress is not None:
-                    progress(done, len(tasks))
-
-    points = [[pt for pt in row] for row in grid]
     boundary = _boundary_per_column(axis1, axis2, points)
     return PhaseDiagram(axis1, axis2, points, boundary)
 
@@ -202,6 +217,65 @@ def _boundary_per_column(
                 break
         boundary.append((float(v2), crossing))
     return boundary
+
+
+@dataclass(frozen=True)
+class NormScanRow:
+    hbar: float
+    lam: float
+    fit: NormGrowthFit
+    log_mean_norm: float
+
+
+@dataclass
+class NormScanResult:
+    """Growth-rate fits and time-averaged norms over a (hbar, lambda) grid.
+
+    lambda_c maps each hbar to the first scanned lambda whose time-averaged
+    norm exceeds 1 + tolerance (None if none does).
+    """
+
+    rows: list[NormScanRow]
+    lambda_c: dict[float, float | None]
+    tolerance: float
+
+
+def _norm_point(config: SimConfig) -> tuple[NormGrowthFit, float]:
+    series = record_series(config).series
+    return fit_norm_growth(series), log_mean_norm(series)
+
+
+def norm_scan(
+    base_config: SimConfig,
+    lambdas: Sequence[float],
+    hbars: Sequence[float] | None = None,
+    tolerance: float = 0.05,
+) -> NormScanResult:
+    """Per-(hbar, lambda) norm-growth fits plus a threshold estimate.
+
+    Rows run hbar-major with lambdas in ascending order per hbar; the
+    threshold estimate is the first value whose long-time mean norm exceeds
+    1 + tolerance.
+    """
+    if hbars is None:
+        hbars = [base_config.lattice.hbar_eff]
+    hbars = [float(h) for h in hbars]
+    grid = [(hbar, lam) for hbar in hbars for lam in sorted(float(v) for v in lambdas)]
+    tasks = [
+        replace(
+            base_config,
+            lattice=replace(base_config.lattice, hbar_eff=hbar),
+            schedule=replace(base_config.schedule, lam=lam),
+        )
+        for hbar, lam in grid
+    ]
+    rows = [
+        NormScanRow(hbar, lam, fit, lmn)
+        for (hbar, lam), (fit, lmn) in zip(grid, sweep(_norm_point, tasks))
+    ]
+    crossings = [r for r in rows if r.log_mean_norm > math.log1p(tolerance)]
+    lambda_c = {h: next((r.lam for r in crossings if r.hbar == h), None) for h in hbars}
+    return NormScanResult(rows, lambda_c, tolerance)
 
 
 def default_jobs() -> int:

@@ -26,6 +26,7 @@ from .constants import (
     SPECTRUM_DIM_DEFAULT,
 )
 from .fileio import (
+    _write_table,
     write_distribution_csv,
     write_fidelity_json,
     write_json,
@@ -34,13 +35,14 @@ from .fileio import (
 )
 from .lattice import MomentumLattice, WaveFunction, momentum_distribution
 from .observables import (
+    _linear_fit,
     compare_profiles,
     fit_exponential_profile,
     fit_norm_growth,
-    norm_scan,
     record_series,
     scrambling_rate,
 )
+from .phases import extract_features, norm_scan
 from .propagator import KickSchedule, SimConfig
 from .spectrum import fidelity_profile, spectrum_at
 
@@ -82,14 +84,6 @@ def base_config(
 
 def _within(value: float, target: float, rel: float) -> bool:
     return abs(value - target) <= rel * abs(target)
-
-
-def _doubling_ratio(series) -> float:
-    t = series.t.astype(float)
-    t_max = t[-1]
-    early = series.c_exact[(t >= t_max / 4) & (t <= t_max / 2)].mean()
-    late = series.c_exact[t >= 3 * t_max / 4].mean()
-    return float(late / max(early, 1e-300))
 
 
 def _emit_plot_script(path: Path, body: str) -> None:
@@ -175,10 +169,7 @@ def recipe_fig1d(outdir: Path) -> list[Check]:
                 f"D={d:.3e}, theory={theory:.3e}, ratio={d / theory:.3f}",
             )
         )
-    with open(outdir / "d_vs_k.csv", "w", encoding="utf-8") as fh:
-        fh.write("K,D,theory\n")
-        for K, d, theory in rows:
-            fh.write(f"{K:.15g},{d:.15g},{theory:.15g}\n")
+    _write_table(outdir / "d_vs_k.csv", ["K", "D", "theory"], list(zip(*rows)))
     _emit_plot_script(
         outdir / "plot_fig1d.py",
         "d = np.loadtxt('d_vs_k.csv', delimiter=',', skiprows=1)\n"
@@ -196,7 +187,7 @@ def recipe_fig2a(outdir: Path) -> list[Check]:
     for lam in (0.0, 1.5, 2.0, 5.0):
         series = record_series(base_config(10, lam, 1000)).series
         write_series_csv(outdir / f"otoc_lam{lam:g}.csv", series)
-        ratios[lam] = _doubling_ratio(series)
+        ratios[lam] = extract_features(series).doubling_ratio
     checks.append(
         Check(
             "lambda=0 series keeps growing (doubling ratio > 1.8)",
@@ -260,10 +251,9 @@ def recipe_fig3a(outdir: Path) -> list[Check]:
         series = record_series(base_config(10, lam, 1000)).series
         write_series_csv(outdir / f"norm_lam{lam:g}.csv", series)
         mus[lam] = fit_norm_growth(series).mu
-    with open(outdir / "mu_vs_lambda.csv", "w", encoding="utf-8") as fh:
-        fh.write("lambda,mu\n")
-        for lam, mu in sorted(mus.items()):
-            fh.write(f"{lam:.15g},{mu:.15g}\n")
+    _write_table(
+        outdir / "mu_vs_lambda.csv", ["lambda", "mu"], list(zip(*sorted(mus.items())))
+    )
     checks.append(
         Check(
             "mu < 1e-4 for lambda <= 0.5",
@@ -279,12 +269,7 @@ def recipe_fig3a(outdir: Path) -> list[Check]:
             f"mu={growing}",
         )
     )
-    lam_arr = np.array([1.0, 1.5, 2.0])
-    mu_arr = np.array(growing)
-    design = np.column_stack([lam_arr, np.ones(3)])
-    coef, *_ = np.linalg.lstsq(design, mu_arr, rcond=None)
-    resid = mu_arr - design @ coef
-    r2 = 1.0 - float(np.sum(resid**2) / np.sum((mu_arr - mu_arr.mean()) ** 2))
+    r2 = _linear_fit(np.array([1.0, 1.5, 2.0]), np.array(growing))[2]
     checks.append(
         Check("mu vs lambda linear on the growing branch (r^2 > 0.9)",
               r2 > 0.9, f"r2={r2:.4f}")
@@ -304,13 +289,13 @@ def recipe_fig3c(outdir: Path) -> list[Check]:
     hbars = (0.5, 1.5, 2.89)
     lambdas = np.linspace(0.0, 0.15, 16)
     result = norm_scan(base_config(10, 0.0, 500), lambdas, hbars)
-    with open(outdir / "nbar_vs_lambda.csv", "w", encoding="utf-8") as fh:
-        fh.write("hbar,lambda,mu,log_mean_norm\n")
-        for row in result.rows:
-            fh.write(
-                f"{row.hbar:.15g},{row.lam:.15g},{row.fit.mu:.15g},"
-                f"{row.log_mean_norm:.15g}\n"
-            )
+    rows = result.rows
+    _write_table(
+        outdir / "nbar_vs_lambda.csv",
+        ["hbar", "lambda", "mu", "log_mean_norm"],
+        [[r.hbar for r in rows], [r.lam for r in rows], [r.fit.mu for r in rows],
+         [r.log_mean_norm for r in rows]],
+    )
     write_json(
         outdir / "lambda_c.json",
         {"tolerance": result.tolerance,

@@ -165,6 +165,10 @@ class TestPhaseDiagramCommand:
         assert not list(tmp_path.iterdir())
 
 
+NORM_SCAN_ARGS = ["norm-scan", "--K", "5", "--lambda-list", "0.3,0,0.1",
+                  "--hbar-list", "2.89,1.5", "--kicks", "40", "--lattice", "256"]
+
+
 class TestNormScanCommand:
     def test_unitary_point_reports_unity(self, runner, tmp_path):
         result = runner.invoke(
@@ -185,6 +189,54 @@ class TestNormScanCommand:
             main, ["norm-scan", "--K", "5", "--kicks", "50"]
         )
         assert result.exit_code == 2
+
+    def test_csv_matches_json_rows(self, runner, tmp_path):
+        result = runner.invoke(main, NORM_SCAN_ARGS + ["--outdir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        run_dir = only_run_dir(tmp_path)
+        rows = json.loads((run_dir / "norm_scan.json").read_text())["rows"]
+        expected = "hbar,lambda,mu,r_squared,log_mean_norm\n" + "".join(
+            f"{r['hbar']:.15g},{r['lambda']:.15g},{r['fit']['mu']:.15g},"
+            f"{r['fit']['r_squared']:.15g},{r['log_mean_norm']:.15g}\n"
+            for r in rows
+        )
+        assert len(rows) == 6
+        assert (run_dir / "norm_scan.csv").read_bytes() == expected.encode()
+
+    def test_manifest_reruns_byte_identical(self, runner, tmp_path):
+        result = runner.invoke(main, NORM_SCAN_ARGS + ["--outdir", str(tmp_path / "orig")])
+        assert result.exit_code == 0, result.output
+        orig = only_run_dir(tmp_path / "orig")
+        again = rerun_manifest(orig / "manifest.json", str(tmp_path / "again"))
+        for name in ("norm_scan.csv", "norm_scan.json"):
+            assert (orig / name).read_bytes() == (again / name).read_bytes()
+        params = [json.loads((d / "manifest.json").read_text())["params"] for d in (orig, again)]
+        assert params[0] == params[1]
+
+
+# The manifest params of each command: rerun_manifest feeds them back to the
+# runner, so a changed key set would stop existing manifests from rerunning.
+MANIFEST_PARAM_KEYS = [
+    (["evolve", "--K", "3", "--lambda", "0.5", "--kicks", "5", "--lattice", "32",
+      "--snapshot-times", "5"],
+     {"K", "lam", "kicks", "eta", "hbar", "epsilon", "lattice", "kick_divisor",
+      "snapshot_times"}),
+    (["spectrum", "--K", "3", "--lambda", "0.5", "--t", "2", "--dim", "16"],
+     {"K", "lam", "t", "dim", "with_fidelity", "eta", "hbar", "epsilon", "kick_divisor"}),
+    (["norm-scan", "--K", "3", "--lambda-list", "0,0.2", "--kicks", "20", "--lattice", "64"],
+     {"K", "lambdas", "hbars", "kicks", "tolerance", "eta", "hbar", "epsilon", "lattice",
+      "kick_divisor"}),
+]
+
+
+@pytest.mark.parametrize(
+    "args,keys", MANIFEST_PARAM_KEYS, ids=[args[0] for args, _ in MANIFEST_PARAM_KEYS]
+)
+def test_manifest_param_keys(runner, tmp_path, args, keys):
+    result = runner.invoke(main, args + ["--outdir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((only_run_dir(tmp_path) / "manifest.json").read_text())
+    assert set(manifest["params"]) == keys
 
 
 class TestReproduceCommand:

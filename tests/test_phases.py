@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from nqkr import (
     phase_diagram,
     record_series,
 )
-from nqkr.phases import _boundary_per_column, default_jobs
+from nqkr.phases import _boundary_per_column, default_jobs, norm_scan, sweep
 
 HBAR = 2.89
 
@@ -184,6 +186,29 @@ class TestPhaseDiagram:
         assert boundary[0][0] == 1.0
         assert boundary[0][1] == pytest.approx(0.3)
         assert boundary[1][1] is None  # never crosses 0.5
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_keeps_task_order_and_reports_progress(jobs):
+    calls = []
+    results = sweep(abs, [-3, 1, -2], jobs=jobs, progress=lambda *a: calls.append(a))
+    assert results == [3, 1, 2]
+    assert calls == [(1, 3), (2, 3), (3, 3)]
+
+
+def test_norm_scan_rows_are_hbar_major_with_lambda_ascending():
+    # M=512: at M=256 the hbar=1.5 runs wrap around at t=65-71
+    base = SimConfig(MomentumLattice(512, HBAR), KickSchedule(K=5.0, lam=0.0), 120)
+    result = norm_scan(base, lambdas=[0.5, 0.0, 0.2], hbars=(2.89, 1.5))
+    assert [(r.hbar, r.lam) for r in result.rows] == [
+        (2.89, 0.0), (2.89, 0.2), (2.89, 0.5), (1.5, 0.0), (1.5, 0.2), (1.5, 0.5)
+    ]
+    assert list(result.lambda_c) == [2.89, 1.5]
+    for hbar, crossing in result.lambda_c.items():
+        above = [r.lam for r in result.rows
+                 if r.hbar == hbar and r.log_mean_norm > math.log1p(result.tolerance)]
+        assert crossing == (above[0] if above else None)
+    assert result.lambda_c[2.89] == 0.2
 
 
 def test_default_jobs_env_override(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,8 +241,11 @@ class TestStep:
         assert np.max(np.abs(np.abs(psi.amps) - np.abs(amps))) < 1e-12
 
     def test_unitary_run_keeps_norm(self):
-        cfg = config(10.0, 0.0, 1000, m=512)
-        final = evolve(cfg)
+        # M=2048 keeps the K=10 state tail-safe to t=1000 (M=512 wraps at t=215)
+        cfg = config(10.0, 0.0, 1000, m=2048)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", WrapAroundWarning)
+            final = evolve(cfg)
         assert abs(math.exp(final.log_norm) - 1.0) < 1e-10
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -35,4 +37,6 @@ def test_reproduce_cli_prints_verdicts(tmp_path):
     assert "[PASS]" in result.output
     run_dir = next(p for p in tmp_path.iterdir() if p.is_dir())
     assert (run_dir / "checks.txt").exists()
-    assert (run_dir / "manifest.json").exists()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["params"] == {"figure_id": "fig1b"}
+    assert manifest["config"] is None
