@@ -160,14 +160,16 @@ def run_spectrum(params: dict, outdir: str) -> Path:
     return run_dir
 
 
-def run_phase_diagram(params: dict, outdir: str, progress=None) -> Path:
+def run_phase_diagram(params: dict, outdir: str, jobs: int | None = None, progress=None) -> Path:
+    # jobs is not in params: the worker count never changes a result
     run_dir = _make_run_dir(outdir, "phase-diagram")
     started = time.monotonic()
     axis1 = AxisSpec(params["axis1_name"], np.asarray(params["axis1_values"]))
     axis2 = AxisSpec(params["axis2_name"], np.asarray(params["axis2_values"]))
-    base = _build_config({**params, "kicks": params["kicks"]})
+    base = _build_config(params)
     diagram = phase_diagram(
-        axis1, axis2, base, params["kicks"], jobs=params["jobs"], progress=progress
+        axis1, axis2, base, params["kicks"],
+        jobs=default_jobs() if jobs is None else jobs, progress=progress,
     )
     write_diagram_csv(run_dir / "phase_diagram.csv", diagram)
     write_diagram_json(run_dir / "phase_diagram.json", diagram)
@@ -317,7 +319,7 @@ def spectrum(outdir, **kwargs):
 @click.option("--k-range", default="1:10:10", show_default=True,
               help="K grid as start:stop:count.")
 @click.option("--kicks", type=int, required=True)
-@click.option("--jobs", type=int, default=None,
+@click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="Worker count [default: NQKR_JOBS or CPU count].")
 @click.option("--lattice", default=LATTICE_DEFAULT, show_default=True)
 @click.option("--gnuplot", is_flag=True, help="Also emit a gnuplot matrix file.")
@@ -335,7 +337,7 @@ def phase_diagram_cmd(**kwargs):
     if len(axis1_values) < 2 or len(k_values) < 2:
         raise click.UsageError("phase diagrams need at least a 2x2 grid")
     try:
-        jobs = kwargs["jobs"] if kwargs["jobs"] else default_jobs()
+        jobs = kwargs["jobs"] or default_jobs()
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     params = {
@@ -344,7 +346,6 @@ def phase_diagram_cmd(**kwargs):
         "axis2_name": "K",
         "axis2_values": [float(v) for v in k_values],
         "kicks": kwargs["kicks"],
-        "jobs": jobs,
         "gnuplot": kwargs["gnuplot"],
         "K": float(k_values[0]),
         "lam": lam,
@@ -358,7 +359,7 @@ def phase_diagram_cmd(**kwargs):
     def progress(done, total):
         click.echo(f"point {done}/{total} done", err=True)
 
-    _guarded(run_phase_diagram, params, kwargs["outdir"], progress=progress)
+    _guarded(run_phase_diagram, params, kwargs["outdir"], jobs=jobs, progress=progress)
 
 
 @main.command("norm-scan")

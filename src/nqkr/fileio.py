@@ -106,15 +106,7 @@ def write_diagram_json(path: str | Path, diagram: PhaseDiagram) -> None:
                   "values": [float(v) for v in diagram.axis2.values]},
         "points": [
             [
-                {
-                    "params": list(pt.params),
-                    "rho": pt.rho,
-                    "features": {
-                        "late_slope_normalized": pt.features.late_slope_normalized,
-                        "doubling_ratio": pt.features.doubling_ratio,
-                        "saturation_r2": pt.features.saturation_r2,
-                    },
-                }
+                {"params": list(pt.params), "rho": pt.rho, "features": pt.features._asdict()}
                 for pt in row
             ]
             for row in diagram.points

@@ -3,6 +3,10 @@
 Amplitudes are stored in increasing momentum-index order n = -M/2 .. M/2-1,
 with site momentum p_n = n*hbar. Any FFT-layout reshuffling is the
 propagator's business; nothing in this module depends on it.
+
+Every expectation value, distribution and OTOC reads |psi_n|^2 from one
+probability pass here, and the propagator's tail check and the spectrum's
+eigenstate tail weights share one edge band, `edge_sites`.
 """
 
 from __future__ import annotations
@@ -95,6 +99,17 @@ def _check_norm(norm_sq: float) -> float:
     return norm_sq
 
 
+def edge_sites(size: int) -> int:
+    """Sites in each edge band: the outer 2 * edge_sites hold 5% of the lattice."""
+    return max(1, size // 40)
+
+
+def _probabilities(psi: WaveFunction) -> tuple[np.ndarray, float]:
+    """(|psi_n|^2, sum_n |psi_n|^2), the sum checked against norm collapse."""
+    prob = psi.amps.real ** 2 + psi.amps.imag ** 2
+    return prob, _check_norm(float(prob.sum()))
+
+
 def ground_state(lattice: MomentumLattice) -> WaveFunction:
     """Zero-momentum eigenstate: amplitude 1 at n=0, the flat state in angle."""
     amps = np.zeros(lattice.size, dtype=np.complex128)
@@ -104,20 +119,17 @@ def ground_state(lattice: MomentumLattice) -> WaveFunction:
 
 def expectation_p(psi: WaveFunction) -> float:
     """Normalized <p>; insensitive to log_norm and any global rescaling."""
-    prob = np.abs(psi.amps) ** 2
-    s = _check_norm(float(prob.sum()))
+    prob, s = _probabilities(psi)
     return float(np.dot(psi.lattice.momenta, prob) / s)
 
 
 def expectation_p2(psi: WaveFunction) -> float:
     """Normalized <p^2>."""
-    prob = np.abs(psi.amps) ** 2
-    s = _check_norm(float(prob.sum()))
+    prob, s = _probabilities(psi)
     return float(np.dot(psi.lattice.momenta**2, prob) / s)
 
 
 def momentum_distribution(psi: WaveFunction) -> MomentumDistribution:
     """Normalized |psi_n|^2 paired with p_n, ready for fitting or file output."""
-    prob = np.abs(psi.amps) ** 2
-    s = _check_norm(float(prob.sum()))
+    prob, s = _probabilities(psi)
     return MomentumDistribution(psi.lattice.momenta.copy(), prob / s)

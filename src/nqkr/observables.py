@@ -11,6 +11,10 @@ about nine digits and keep only the last seven. It is evaluated instead as
 C = 2a - a^2 - b^2 with a = sum_n w_n * 2 sin^2(eps*p_n/2) and
 b = sum_n w_n sin(eps*p_n), which is the same quantity (the overlap is
 1 - a - i*b) with no cancellation and no complex exponential.
+
+`observables` evaluates C, its small-shift form and <p>, <p^2> in one pass;
+the per-kick series, `otoc_exact` and `otoc_approx` all call it, so a run's
+last record equals the functions applied to its final state bit for bit.
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ from .lattice import (
     MomentumDistribution,
     MomentumLattice,
     WaveFunction,
-    _check_norm,
-    expectation_p,
-    expectation_p2,
+    _probabilities,
+    momentum_distribution,
 )
 from .propagator import SimConfig, evolve
 
@@ -97,33 +100,27 @@ def _observable_table(lattice: MomentumLattice, epsilon_shift: float) -> np.ndar
     return table
 
 
-def _moments(table: np.ndarray, psi: WaveFunction) -> tuple[np.ndarray, np.ndarray, float]:
-    """(table @ w, |psi_n|^2, sum_n |psi_n|^2) with w_n the normalized |psi_n|^2.
+def observables(psi: WaveFunction, epsilon_shift: float) -> tuple[float, float, float, float]:
+    """(C exact, C approx, <p>, <p^2>) of the normalized state in one pass.
 
-    On _observable_table rows, table @ w is (a, b, <p>, <p^2>).
+    C exact is 1 - |1 - a - i*b|^2 without cancellation (see the module
+    docstring); C approx is the small-shift form eps^2 * (<p^2> - <p>^2).
     """
-    prob = psi.amps.real ** 2 + psi.amps.imag ** 2
-    s = _check_norm(float(prob.sum()))
-    return table @ prob / s, prob, s
-
-
-def _otoc(a: float, b: float) -> float:
-    """1 - |1 - a - i*b|^2 without cancellation; see the module docstring."""
+    prob, s = _probabilities(psi)
+    a, b, mp, mp2 = _observable_table(psi.lattice, epsilon_shift) @ prob / s
     # C >= 0 exactly; the max() only absorbs float roundoff.
-    return max(0.0, float(2.0 * a - a * a - b * b))
+    c_exact = max(0.0, float(2.0 * a - a * a - b * b))
+    return c_exact, float(epsilon_shift**2 * (mp2 - mp * mp)), float(mp), float(mp2)
 
 
 def otoc_exact(psi: WaveFunction, epsilon_shift: float) -> float:
     """Rescaled OTOC 1 - |<e^(-i*eps*p)>|^2 of the normalized state."""
-    (a, b, _, _), _, _ = _moments(_observable_table(psi.lattice, epsilon_shift), psi)
-    return _otoc(a, b)
+    return observables(psi, epsilon_shift)[0]
 
 
 def otoc_approx(psi: WaveFunction, epsilon_shift: float) -> float:
     """Small-shift approximation eps^2 * (<p^2> - <p>^2)."""
-    mp = expectation_p(psi)
-    mp2 = expectation_p2(psi)
-    return epsilon_shift**2 * (mp2 - mp * mp)
+    return observables(psi, epsilon_shift)[1]
 
 
 @dataclass
@@ -144,17 +141,15 @@ def record_series(
     snapshot_times lists kick times at which the momentum distribution is
     captured (useful for profile fits and file output).
     """
-    eps = config.epsilon_shift
     snap_at = set(snapshot_times)
     snapshots: dict[int, MomentumDistribution] = {}
     rows: list[tuple[int, float, float, float, float, float]] = []
-    table = _observable_table(config.lattice, eps)
 
     def observer(t: int, psi: WaveFunction) -> None:
-        (a, b, mp, mp2), prob, s = _moments(table, psi)
-        rows.append((t, _otoc(a, b), eps**2 * (mp2 - mp * mp), psi.log_norm, mp, mp2))
+        c_exact, c_approx, mp, mp2 = observables(psi, config.epsilon_shift)
+        rows.append((t, c_exact, c_approx, psi.log_norm, mp, mp2))
         if t in snap_at:
-            snapshots[t] = MomentumDistribution(table[2].copy(), prob / s)
+            snapshots[t] = momentum_distribution(psi)
 
     final = evolve(config, observers=[observer])
     cols = list(zip(*rows)) if rows else [[]] * 6

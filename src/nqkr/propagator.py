@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import EPSILON_DEFAULT, ETA_DEFAULT, OMEGA1, OMEGA2
-from .lattice import WaveFunction, _check_norm, ground_state
+from .lattice import MomentumLattice, WaveFunction, _check_norm, edge_sites, ground_state
 
 # An evolution is declared tail-safe only while the outer 5% of lattice sites
 # hold less than this much probability; beyond it the periodic FFT lattice
@@ -167,7 +167,7 @@ def step(psi: WaveFunction, config: SimConfig, t: int) -> WaveFunction:
 
 def tail_probability(psi: WaveFunction) -> float:
     """Probability in the outer 5% of lattice sites (normalized)."""
-    edge = max(1, psi.lattice.size // 40)
+    edge = edge_sites(psi.lattice.size)
     prob_edge = (
         float(np.vdot(psi.amps[:edge], psi.amps[:edge]).real)
         + float(np.vdot(psi.amps[-edge:], psi.amps[-edge:]).real)

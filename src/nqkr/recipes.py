@@ -3,7 +3,7 @@
 Every recipe writes plain CSV data plus a small matplotlib script (data and
 script, never rendered images) and returns a list of threshold checks with
 pass/fail verdicts. Physical defaults: eta=0.75, epsilon=1e-5, hbar=2.89,
-kick divisor 1, lattice 4096.
+kick divisor 1, lattice 4096 (8192 for the fig3c norm scan).
 
 The diffusion-law fits use the early window t in [1, 75]: that window lies
 inside the normal-diffusion epoch for every K scanned here, whereas by the
@@ -64,21 +64,12 @@ class Check:
 
 
 def base_config(
-    K: float,
-    lam: float,
-    kicks: int,
-    eta: float = 0.75,
-    hbar: float = HBAR_DEFAULT,
-    lattice_size: int = LATTICE_DEFAULT,
-    epsilon: float = EPSILON_DEFAULT,
-    divisor: float = 1.0,
+    K: float, lam: float, kicks: int, lattice_size: int = LATTICE_DEFAULT
 ) -> SimConfig:
     return SimConfig(
-        lattice=MomentumLattice(lattice_size, hbar),
-        schedule=KickSchedule(K=K, lam=lam, eta=eta),
+        lattice=MomentumLattice(lattice_size, HBAR_DEFAULT),
+        schedule=KickSchedule(K=K, lam=lam),
         kick_count=kicks,
-        kick_phase_divisor=divisor,
-        epsilon_shift=epsilon,
     )
 
 
@@ -288,7 +279,8 @@ def recipe_fig3c(outdir: Path) -> list[Check]:
     """Threshold estimate lambda_c versus hbar via the mean-norm criterion."""
     hbars = (0.5, 1.5, 2.89)
     lambdas = np.linspace(0.0, 0.15, 16)
-    result = norm_scan(base_config(10, 0.0, 500), lambdas, hbars)
+    # hbar=0.5 outgrows 4096 sites before t=500; at 8192 no run wraps around
+    result = norm_scan(base_config(10, 0.0, 500, lattice_size=8192), lambdas, hbars)
     rows = result.rows
     _write_table(
         outdir / "nbar_vs_lambda.csv",

@@ -7,9 +7,10 @@ u = e^(-i*eps): eps_r = -arg(u) folded to (-pi, pi], eps_i = ln|u|.
 
 The FFT propagator makes momentum periodic, and the truncated ring supports
 eigenstates pinned to the n = +-M/2 seam whose eps_i can exceed every
-physical state's. Each eigenstate therefore carries its edge-tail weight
-(outer 5% of sites, same rule as the propagator's tail-safety check), and
-max-eps_i queries can be restricted to tail-safe states.
+physical state's. Each eigenstate therefore carries its edge-tail weight on
+the outer 5% of sites, the band `lattice.edge_sites` that the propagator's
+tail-safety check also uses, and max-eps_i queries can be restricted to
+tail-safe states.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import MomentumLattice, WaveFunction, ground_state
+from .lattice import MomentumLattice, WaveFunction, edge_sites, ground_state
 from .propagator import SimConfig, step
 
 SPECTRUM_DIM_BUDGET = 2048
@@ -170,7 +171,7 @@ def quasi_spectrum(
     vecs = vecs * np.exp(-1j * np.angle(lead_vals))[np.newaxis, :]
 
     residuals = np.linalg.norm(matrix @ vecs - vecs * eigvals[np.newaxis, :], axis=0)
-    edge = max(1, m // 40)
+    edge = edge_sites(m)
     prob = np.abs(vecs) ** 2
     tails = prob[:edge].sum(axis=0) + prob[-edge:].sum(axis=0)
 

@@ -3,9 +3,15 @@
 The heavyweight runs (1000-kick production series, the 1024-dim dense
 eigendecomposition) are session-scoped: everything is deterministic, so any
 test that needs the same configuration can reuse the same result.
+
+Every test in this directory fails on a WrapAroundWarning it does not expect
+(`pytest.warns` still catches the ones a test asks for): a wrapped state is
+not the physics a test means to check.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +25,15 @@ from nqkr import (
 )
 
 HBAR = 2.89
+
+
+def pytest_collection_modifyitems(items):
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(
+                pytest.mark.filterwarnings("error::nqkr.propagator.WrapAroundWarning")
+            )
 
 
 def production_config(K, lam, kicks, lattice_size=4096, hbar=HBAR):

@@ -126,14 +126,14 @@ class TestSpectrumCommand:
         assert result.exit_code == 2
 
 
+PHASE_DIAGRAM_ARGS = ["phase-diagram", "--plane", "lambda-K", "--lambda-range", "0:3:2",
+                      "--k-range", "4:8:2", "--kicks", "500", "--lattice", "1024"]
+
+
 class TestPhaseDiagramCommand:
     def test_tiny_grid_runs(self, runner, tmp_path):
         result = runner.invoke(
-            main,
-            ["phase-diagram", "--plane", "lambda-K",
-             "--lambda-range", "0:3:2", "--k-range", "4:8:2",
-             "--kicks", "500", "--lattice", "1024", "--jobs", "1",
-             "--gnuplot", "--outdir", str(tmp_path)],
+            main, PHASE_DIAGRAM_ARGS + ["--jobs", "1", "--gnuplot", "--outdir", str(tmp_path)]
         )
         assert result.exit_code == 0, result.output
         run_dir = only_run_dir(tmp_path)
@@ -163,6 +163,28 @@ class TestPhaseDiagramCommand:
         assert result.exit_code == 2
         assert "NQKR_JOBS" in result.output and "'two'" in result.output
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_is_usage_error(self, runner, tmp_path, jobs):
+        result = runner.invoke(
+            main, PHASE_DIAGRAM_ARGS + ["--jobs", jobs, "--outdir", str(tmp_path)]
+        )
+        assert result.exit_code == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_manifest_reruns_byte_identical(self, runner, tmp_path):
+        args = PHASE_DIAGRAM_ARGS + ["--jobs", "2", "--gnuplot"]
+        result = runner.invoke(main, args + ["--outdir", str(tmp_path / "orig")])
+        assert result.exit_code == 0, result.output
+        orig = only_run_dir(tmp_path / "orig")
+        # a manifest written before the worker count left params still reruns
+        old = json.loads((orig / "manifest.json").read_text())
+        old["params"]["jobs"] = 2
+        (tmp_path / "old.json").write_text(json.dumps(old))
+        for manifest, outdir in ((orig / "manifest.json", "again"), (tmp_path / "old.json", "old")):
+            again = rerun_manifest(manifest, str(tmp_path / outdir))
+            for name in ("phase_diagram.csv", "phase_diagram.json", "phase_diagram.matrix"):
+                assert (orig / name).read_bytes() == (again / name).read_bytes()
 
 
 NORM_SCAN_ARGS = ["norm-scan", "--K", "5", "--lambda-list", "0.3,0,0.1",
@@ -226,6 +248,9 @@ MANIFEST_PARAM_KEYS = [
     (["norm-scan", "--K", "3", "--lambda-list", "0,0.2", "--kicks", "20", "--lattice", "64"],
      {"K", "lambdas", "hbars", "kicks", "tolerance", "eta", "hbar", "epsilon", "lattice",
       "kick_divisor"}),
+    (PHASE_DIAGRAM_ARGS + ["--jobs", "1"],
+     {"axis1_name", "axis1_values", "axis2_name", "axis2_values", "kicks", "gnuplot", "K",
+      "lam", "eta", "hbar", "epsilon", "lattice", "kick_divisor"}),
 ]
 
 

@@ -12,10 +12,13 @@ from nqkr import (
     OtocSeries,
     SimConfig,
     WaveFunction,
+    expectation_p,
+    expectation_p2,
     fit_exponential_profile,
     fit_gaussian_profile,
     fit_norm_growth,
     log_mean_norm,
+    momentum_distribution,
     norm_scan,
     otoc_approx,
     otoc_exact,
@@ -305,6 +308,22 @@ class TestSeriesRecording:
         assert set(record.snapshots) == {25, 50}
         # c_exact tracks c_approx in the small-shift regime
         assert np.allclose(series.c_exact, series.c_approx, rtol=1e-3)
+
+    @pytest.mark.parametrize(
+        "fixture", ["record_k10_l0", "record_k10_l2", "record_k10_l5", "record_k4_l0"]
+    )
+    def test_last_record_is_the_final_state_observed(self, request, fixture):
+        """The per-kick observer and the per-state functions are one computation."""
+        record = request.getfixturevalue(fixture)
+        series, final = record.series, record.final
+        assert series.c_exact[-1] == otoc_exact(final, 1e-5)
+        assert series.c_approx[-1] == otoc_approx(final, 1e-5)
+        snapshot, dist = record.snapshots[1000], momentum_distribution(final)
+        assert np.array_equal(snapshot.prob, dist.prob)
+        assert np.array_equal(snapshot.p, dist.p)
+        p2 = expectation_p2(final)
+        assert abs(series.mean_p[-1] - expectation_p(final)) <= 1e-13 * math.sqrt(p2)
+        assert abs(series.mean_p2[-1] - p2) <= 1e-13 * p2
 
     def test_strict_ordering_enforced(self):
         with pytest.raises(ValueError):

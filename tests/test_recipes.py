@@ -1,9 +1,13 @@
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import nqkr.recipes
+from nqkr import WrapAroundWarning, record_series
 from nqkr.cli import main
 from nqkr.recipes import FIGURE_IDS, RECIPES, run_recipe
 
@@ -40,3 +44,30 @@ def test_reproduce_cli_prints_verdicts(tmp_path):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["params"] == {"figure_id": "fig1b"}
     assert manifest["config"] is None
+
+
+def test_fig3c_norm_scan_lattice_holds_hbar_half(monkeypatch, tmp_path):
+    """The recipe's own scan lattice keeps hbar=0.5 tail-safe at both lambda ends."""
+    captured = {}
+
+    class Captured(Exception):
+        pass
+
+    def capture(base, lambdas, hbars, **kwargs):
+        captured.update(base=base, lambdas=lambdas, hbars=hbars)
+        raise Captured
+
+    monkeypatch.setattr(nqkr.recipes, "norm_scan", capture)
+    with pytest.raises(Captured):
+        run_recipe("fig3c", tmp_path)
+    base = captured["base"]
+    assert 0.5 in captured["hbars"]
+    for lam in (min(captured["lambdas"]), max(captured["lambdas"])):
+        config = replace(
+            base,
+            lattice=replace(base.lattice, hbar_eff=0.5),
+            schedule=replace(base.schedule, lam=float(lam)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", WrapAroundWarning)
+            record_series(config)
