@@ -140,6 +140,8 @@ def run_spectrum(params: dict, outdir: str) -> Path:
         "max_eps_i_tail_weight": float(spec.tail_weights[int(np.argmax(spec.eps_i))]),
         "max_valid_eps_i": max_valid,
         "max_residual": float(spec.residuals.max()),
+        "tail_safe_states": int(np.count_nonzero(spec.valid_mask())),
+        "flagged_states": int(np.count_nonzero(spec.flagged_mask())),
     }
     if params.get("with_fidelity"):
         record = record_series(config)

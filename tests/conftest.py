@@ -1,6 +1,6 @@
 """Shared production-run fixtures.
 
-The heavyweight runs (1000-kick production series, the 1024-dim dense
+The heavyweight runs (1000-kick production series, the 1024-dim
 eigendecomposition) are session-scoped: everything is deterministic, so any
 test that needs the same configuration can reuse the same result.
 

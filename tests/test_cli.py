@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from nqkr import KickSchedule, MomentumLattice, SimConfig, spectrum_at
 from nqkr.cli import main, parse_range, rerun_manifest
 from nqkr.fileio import read_series_csv
 
@@ -124,6 +128,27 @@ class TestSpectrumCommand:
             ["spectrum", "--K", "10", "--lambda", "0", "--t", "1", "--dim", "7"],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("with_fidelity", [False, True])
+    def test_summary_keys_and_health_counts(self, runner, tmp_path, with_fidelity):
+        args = ["spectrum", "--K", "8", "--lambda", "2", "--t", "30", "--dim", "128",
+                "--outdir", str(tmp_path)]
+        result = runner.invoke(main, args + ["--with-fidelity"] * with_fidelity)
+        assert result.exit_code == 0, result.output
+        run_dir = only_run_dir(tmp_path)
+        summary = json.loads((run_dir / "summary.json").read_text())
+        keys = {"t", "dim", "max_eps_i", "max_eps_i_tail_weight", "max_valid_eps_i",
+                "max_residual", "tail_safe_states", "flagged_states"}
+        if with_fidelity:
+            keys |= {"best_fidelity", "best_fidelity_eps_i"}
+        assert set(summary) == keys
+        spec = spectrum_at(
+            SimConfig(MomentumLattice(128, 2.89), KickSchedule(K=8.0, lam=2.0), 30), 30, 128
+        )
+        assert summary["tail_safe_states"] == int(np.count_nonzero(spec.valid_mask()))
+        assert summary["flagged_states"] == int(np.count_nonzero(spec.flagged_mask()))
+        header = (run_dir / "spectrum.csv").read_text().splitlines()[0]
+        assert header == "eps_r,eps_i,residual"
 
 
 PHASE_DIAGRAM_ARGS = ["phase-diagram", "--plane", "lambda-K", "--lambda-range", "0:3:2",
@@ -268,3 +293,14 @@ class TestReproduceCommand:
     def test_unknown_figure_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["reproduce", "fig9z"])
         assert result.exit_code == 2
+
+
+def test_python_m_nqkr_runs_from_checkout():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-m", "nqkr", "--help"],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "Usage: python -m nqkr" in result.stdout
+    assert "spectrum" in result.stdout

@@ -1,7 +1,11 @@
+import functools
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from nqkr import (
     KickSchedule,
@@ -9,7 +13,9 @@ from nqkr import (
     SimConfig,
     SpectrumError,
     WaveFunction,
+    WrapAroundWarning,
     build_floquet_matrix,
+    evolve,
     fidelity_profile,
     ground_state,
     mean_abs_imag,
@@ -17,7 +23,9 @@ from nqkr import (
     spectrum_at,
     step,
 )
+from nqkr.lattice import edge_sites
 from nqkr.propagator import modulation_factor
+from nqkr.spectrum import EIGENSTATE_TAIL_LIMIT
 
 HBAR = 2.89
 
@@ -220,3 +228,197 @@ class TestConvergenceMechanism:
             f_b, mod_b = samples[b]
             if f_a > 0.9 and mod_a >= 0.6 and mod_b >= 0.6:
                 assert f_b >= f_a - 0.02, f"fidelity dropped {f_a}->{f_b} at t={b}"
+
+
+def parity_split(vecs):
+    """Columns of vecs that are exactly even and exactly odd in n, to 1e-13.
+
+    Storage row j is n = j - M/2: rows M/2+1.. hold n = 1..M/2-1, rows
+    M/2-1..1 their partners -n, and rows 0 and M/2 the fixed points n = -M/2
+    and n = 0, where an odd state must vanish.
+    """
+    h = vecs.shape[0] // 2
+    plus, minus = vecs[h + 1:], vecs[h - 1:0:-1]
+    fixed = np.abs(vecs[[0, h]]).max(axis=0)
+    even = np.abs(plus - minus).max(axis=0, initial=0.0) <= 1e-13
+    odd = (np.abs(plus + minus).max(axis=0, initial=0.0) <= 1e-13) & (fixed <= 1e-13)
+    return even, odd
+
+
+REFERENCE_T = 200
+REFERENCE_CASES = list(itertools.product((2, 8, 64, 256), (0.0, 0.9, 5.0), (1.0, 2.0), (2.89, 0.5)))
+
+
+def reference_id(case):
+    dim, lam, divisor, hbar = case
+    return f"dim{dim}-lam{lam:g}-d{divisor:g}-hbar{hbar:g}"
+
+
+REFERENCE_PARAMS = [pytest.param(*case, id=reference_id(case)) for case in REFERENCE_CASES]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_case(dim, lam, divisor, hbar):
+    """K=10 U(200) on dim sites, its quasi_spectrum, the warnings that call
+    raised, and the state evolved from |0> to t=200."""
+    cfg = SimConfig(
+        lattice=MomentumLattice(dim, hbar),
+        schedule=KickSchedule(K=10.0, lam=lam),
+        kick_count=REFERENCE_T,
+        kick_phase_divisor=divisor,
+    )
+    matrix = build_floquet_matrix(cfg, REFERENCE_T, dim)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = quasi_spectrum(matrix, REFERENCE_T, cfg.lattice)
+    with warnings.catch_warnings():
+        # most of these lattices are far too small for 200 kicks; the state
+        # only serves as a vector to take fidelities against
+        warnings.simplefilter("ignore", WrapAroundWarning)
+        psi = evolve(cfg)
+    return matrix, spec, caught, psi
+
+
+def residual_param(case):
+    dim, lam, divisor, hbar = case
+    marks = ()
+    if (lam, divisor, hbar) == (5.0, 1.0, 0.5) and dim > 2:
+        marks = pytest.mark.xfail(
+            strict=True,
+            reason="max|U| ~ e^(lam*f(200)/(d*hbar)) = e^17.3 ~ 3e7, so roundoff "
+            "in U alone (2.2e-16 * 3e7 ~ 7e-9) reaches the absolute 1e-8 limit; "
+            "dense eig of the same matrix gives 1.2e-8 (dim 8) to 4.6e-8 (dim 256)",
+        )
+    return pytest.param(*case, marks=marks, id=reference_id(case))
+
+
+class TestDenseReference:
+    """The parity-block solver against np.linalg.eig of the same matrix.
+
+    Eigenvalue sets are matched one to one and must agree to 1e-10 of the
+    spectral radius: backward-stable solvers are only accurate to that scale,
+    and at lam=5, hbar=0.5 the smallest |u| sit ~15 orders below it.
+    """
+
+    @pytest.mark.parametrize("dim,lam,divisor,hbar", REFERENCE_PARAMS)
+    def test_matches_dense_eig(self, dim, lam, divisor, hbar):
+        matrix, spec, _, psi = reference_case(dim, lam, divisor, hbar)
+        ref_vals, ref_vecs = np.linalg.eig(matrix)
+        ref_vecs = ref_vecs / np.linalg.norm(ref_vecs, axis=0)
+
+        vals = np.exp(-1j * spec.quasienergies)
+        cost = np.abs(vals[:, np.newaxis] - ref_vals[np.newaxis, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() <= 1e-10 * np.abs(ref_vals).max()
+
+        edge = edge_sites(dim)
+        prob = np.abs(ref_vecs) ** 2
+        ref_valid = prob[:edge].sum(axis=0) + prob[-edge:].sum(axis=0) < EIGENSTATE_TAIL_LIMIT
+        if ref_valid.any():
+            ref_top = float(np.log(np.abs(ref_vals[ref_valid])).max())
+            assert abs(spec.eps_i[spec.top_valid_index()] - ref_top) <= 1e-10
+        else:
+            with pytest.raises(SpectrumError):
+                spec.top_valid_index()
+
+        normed = psi.amps / np.linalg.norm(psi.amps)
+        ref_best = float(np.abs(ref_vecs.conj().T @ normed).max())
+        assert abs(fidelity_profile(psi, spec).best[1] - ref_best) <= 1e-10
+
+    @pytest.mark.parametrize("dim,lam,divisor,hbar", REFERENCE_PARAMS)
+    def test_eigenstates_have_definite_parity(self, dim, lam, divisor, hbar):
+        _, spec, _, _ = reference_case(dim, lam, divisor, hbar)
+        even, odd = parity_split(spec.eigenstates)
+        assert np.all(even ^ odd)
+        assert np.count_nonzero(even) == dim // 2 + 1
+        assert np.count_nonzero(odd) == dim // 2 - 1
+
+    @pytest.mark.parametrize("dim,lam,divisor,hbar", [residual_param(c) for c in REFERENCE_CASES])
+    def test_residuals_within_tolerance(self, dim, lam, divisor, hbar):
+        _, spec, caught, _ = reference_case(dim, lam, divisor, hbar)
+        # a pair above the limit is reported, never silently accepted
+        assert len(caught) == int(spec.flagged_mask().any())
+        assert float(spec.residuals.max()) <= 1e-8
+
+
+class TestParityBlocks:
+    def test_parity_breaking_matrix_rejected(self):
+        mat = build_floquet_matrix(config(10.0, 5.0, m=8), t=3, m_spec=8)
+        quasi_spectrum(mat)
+        mat[1, 2] += 1e-9 * np.abs(mat).max()
+        with pytest.raises(ValueError, match="parity"):
+            quasi_spectrum(mat)
+
+    def test_nonfinite_check_fires_first(self):
+        rng = np.random.default_rng(5)
+        bad = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        with pytest.raises(ValueError, match="parity"):
+            quasi_spectrum(bad)
+        bad[3, 3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            quasi_spectrum(bad)
+
+    def test_dim2_has_empty_odd_sector(self):
+        # at M = 2 parity fixes both sites: every 2x2 matrix commutes with
+        # it, the odd block is empty and the odd slice holds only padding
+        mat = np.array([[1.0, 2.0j], [0.5, -1.5]])
+        spec = quasi_spectrum(mat)
+        assert spec.eigenstates.shape == (2, 2)
+        assert np.sort_complex(np.exp(-1j * spec.quasienergies)) == pytest.approx(
+            np.sort_complex(np.linalg.eigvals(mat)), abs=1e-14
+        )
+        assert float(spec.residuals.max()) < 1e-14
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 64, 256])
+    def test_no_padding_pair_in_output(self, m):
+        spec = spectrum_at(config(10.0, 5.0, m=m), t=7, m_spec=m)
+        assert spec.quasienergies.shape == (m,)
+        assert spec.eigenstates.shape == (m, m)
+        assert np.all(np.isfinite(spec.eps_i))
+
+    def test_padding_dropped_by_support_not_value(self):
+        # U(+-2) = 0 gives each sector a zero eigenvalue, the same value the
+        # two padding pairs carry; exactly those two zeros must come out
+        n = np.arange(-4, 4)
+        diag = (1.0 + 0.1 * n**2).astype(complex)
+        diag[np.abs(n) == 2] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spec = quasi_spectrum(np.diag(diag))
+        assert np.sort(np.exp(spec.eps_i)) == pytest.approx(np.sort(diag.real), abs=1e-15)
+        zero = spec.eigenstates[:, np.isneginf(spec.eps_i)]
+        assert zero.shape == (8, 2)
+        assert np.abs(zero[[2, 6]]) == pytest.approx(np.full((2, 2), math.sqrt(0.5)))
+        even, odd = parity_split(zero)
+        assert even.tolist().count(True) == 1 and odd.tolist().count(True) == 1
+
+
+class TestParitySymmetry:
+    """Why the parity reduction loses nothing for the physics queries."""
+
+    @pytest.mark.parametrize("lam", [5.0, 0.0])
+    def test_state_from_zero_momentum_stays_even(self, lam):
+        # |0> is even and every U(t) commutes with parity, so the odd part
+        # of the evolved state is roundoff, and the best-fidelity state at
+        # t=200 comes from the even block
+        m = 1024
+        h = m // 2
+        cfg = SimConfig(
+            lattice=MomentumLattice(m, HBAR),
+            schedule=KickSchedule(K=10.0, lam=lam),
+            kick_count=200,
+        )
+        odd_parts = []
+
+        def record_odd_part(t, psi):
+            odd = (psi.amps[h + 1:] - psi.amps[h - 1:0:-1]) * math.sqrt(0.5)
+            odd_parts.append(np.linalg.norm(odd) / np.linalg.norm(psi.amps))
+
+        psi = evolve(cfg, [record_odd_part])
+        assert len(odd_parts) == 200
+        assert max(odd_parts) <= 1e-12
+
+        spec = spectrum_at(cfg, 200, m)
+        record = fidelity_profile(psi, spec)
+        even, odd = parity_split(spec.eigenstates)
+        assert even[record.best_index]
+        assert record.fidelity[odd].max() <= 1e-12
