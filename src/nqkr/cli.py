@@ -1,15 +1,22 @@
 """Command-line entry point: evolve, spectrum, phase-diagram, norm-scan, reproduce.
 
 Every command writes into a fresh runs/<timestamp>-<command>/ directory:
-the data files plus a schema-versioned manifest from which the run can be
-re-executed exactly. All numerical output is deterministic; only manifest
-timestamps differ between reruns.
+the data files plus a schema-versioned manifest.json, whose format lives
+here (`_run`), from which `nqkr rerun` re-executes the run exactly. The
+manifest's `config` is null for phase-diagram, norm-scan and reproduce,
+which run many configs. All numerical output is deterministic; only
+manifest timestamps and durations differ between reruns.
+
+Exit codes: 0 ok, 1 numerical failure, 2 invalid input. Input is rejected
+before any data file is written, and a rejected run leaves no directory.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from contextlib import contextmanager
+from datetime import datetime, timezone
 from pathlib import Path
 
 import click
@@ -21,11 +28,15 @@ from .constants import (
     ETA_DEFAULT,
     HBAR_DEFAULT,
     LATTICE_DEFAULT,
+    OMEGA1,
+    OMEGA2,
+    PLASTIC,
     SPECTRUM_DIM_DEFAULT,
 )
 from .fileio import (
     _write_table,
     norm_growth_fit_dict,
+    read_json,
     write_diagram_csv,
     write_diagram_gnuplot,
     write_diagram_json,
@@ -36,14 +47,14 @@ from .fileio import (
     write_spectrum_csv,
 )
 from .lattice import MomentumLattice, NormCollapseError, momentum_distribution
-from .manifest import RunManifest, config_snapshot, load_manifest, utc_now, write_manifest
 from .observables import record_series
-from .phases import AxisSpec, default_jobs, norm_scan, phase_diagram
+from .phases import AXIS_FIELDS, AxisSpec, default_jobs, norm_scan, phase_diagram
 from .propagator import AmplitudeOverflowError, KickSchedule, SimConfig
 from .recipes import FIGURE_IDS, run_recipe
 from .spectrum import SpectrumError, fidelity_profile, spectrum_at
 
 NUMERICAL_ERRORS = (NormCollapseError, AmplitudeOverflowError, SpectrumError)
+MANIFEST_SCHEMA = "nqkr.run-manifest/1"
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -60,43 +71,63 @@ def parse_range(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _parse_list(text: str, kind=float) -> list:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise click.BadParameter(f"cannot parse list {text!r}: {exc}") from exc
 
 
-def _make_run_dir(outdir: str, command: str) -> Path:
-    stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-    base = Path(outdir) / f"{stamp}-{command}"
-    run_dir = base
-    suffix = 1
+@contextmanager
+def _run(outdir: str, command: str, params: dict, config: SimConfig | None = None,
+         name: str | None = None):
+    """Fresh <stamp>-<name> run directory; manifest.json is written after the block.
+
+    config is None where no one SimConfig describes the run. A block that
+    raises before writing a file leaves no directory behind.
+    """
+    started = time.monotonic()
+    base = Path(outdir) / f"{time.strftime('%Y%m%dT%H%M%S', time.gmtime())}-{name or command}"
+    run_dir, suffix = base, 1
     while run_dir.exists():
-        run_dir = Path(f"{base}-{suffix}")
-        suffix += 1
+        run_dir, suffix = Path(f"{base}-{suffix}"), suffix + 1
+    created = [d for d in (run_dir, *run_dir.parents) if not d.exists()]
     run_dir.mkdir(parents=True)
-    return run_dir
+    try:
+        yield run_dir
+    except BaseException:
+        if not any(run_dir.iterdir()):
+            for d in created:
+                d.rmdir()
+        raise
+    write_json(run_dir / "manifest.json", {
+        "schema": MANIFEST_SCHEMA,
+        "command": command,
+        "params": params,
+        "config": None if config is None else config_snapshot(config),
+        "tool_version": __version__,
+        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+        "duration_seconds": time.monotonic() - started,
+        "outputs": sorted(p.name for p in run_dir.iterdir() if p.is_file()),
+    })
 
 
-def _finish(
-    run_dir: Path, command: str, params: dict, config: SimConfig | None, started: float
-) -> Path:
-    outputs = sorted(
-        str(p.relative_to(run_dir)) for p in run_dir.iterdir() if p.is_file()
-    )
-    manifest = RunManifest(
-        command=command,
-        params=params,
-        config=None if config is None else config_snapshot(config),
-        tool_version=__version__,
-        timestamp_utc=utc_now(),
-        duration_seconds=time.monotonic() - started,
-        outputs=outputs,
-    )
-    path = run_dir / "manifest.json"
-    write_manifest(path, manifest)
-    return path
+def config_snapshot(config: SimConfig) -> dict:
+    return {
+        "lattice": {"size": config.lattice.size, "hbar_eff": config.lattice.hbar_eff},
+        "schedule": {
+            "K": config.schedule.K,
+            "lambda": config.schedule.lam,
+            "eta": config.schedule.eta,
+            "omega1": config.schedule.omega1,
+            "omega2": config.schedule.omega2,
+        },
+        "kick_count": config.kick_count,
+        "kick_phase_divisor": config.kick_phase_divisor,
+        "epsilon_shift": config.epsilon_shift,
+        "kick_time_offset": config.kick_time_offset,
+        "derived": {"kappa": PLASTIC, "omega1": OMEGA1, "omega2": OMEGA2},
+    }
 
 
 def _build_config(params: dict) -> SimConfig:
@@ -110,123 +141,109 @@ def _build_config(params: dict) -> SimConfig:
 
 
 def run_evolve(params: dict, outdir: str) -> Path:
-    run_dir = _make_run_dir(outdir, "evolve")
-    started = time.monotonic()
     config = _build_config(params)
-    snapshot_times = tuple(params.get("snapshot_times") or ())
-    record = record_series(config, snapshot_times=snapshot_times)
-    write_series_csv(run_dir / "otoc_series.csv", record.series)
-    for t, dist in sorted(record.snapshots.items()):
-        write_distribution_csv(run_dir / f"momentum_t{t}.csv", dist)
-    _finish(run_dir, "evolve", params, config, started)
+    with _run(outdir, "evolve", params, config) as run_dir:
+        record = record_series(config, snapshot_times=params.get("snapshot_times") or ())
+        write_series_csv(run_dir / "otoc_series.csv", record.series)
+        for t, dist in sorted(record.snapshots.items()):
+            write_distribution_csv(run_dir / f"momentum_t{t}.csv", dist)
     return run_dir
 
 
 def run_spectrum(params: dict, outdir: str) -> Path:
-    run_dir = _make_run_dir(outdir, "spectrum")
-    started = time.monotonic()
     dim = params["dim"]
     config = _build_config({**params, "lattice": dim, "kicks": params["t"]})
-    spec = spectrum_at(config, params["t"], dim)
-    write_spectrum_csv(run_dir / "spectrum.csv", spec)
-    try:
-        max_valid = float(spec.eps_i[spec.top_valid_index()])
-    except SpectrumError:
-        max_valid = None  # every state leans on the truncation edge
-    summary = {
-        "t": params["t"],
-        "dim": dim,
-        "max_eps_i": float(spec.eps_i.max()),
-        "max_eps_i_tail_weight": float(spec.tail_weights[int(np.argmax(spec.eps_i))]),
-        "max_valid_eps_i": max_valid,
-        "max_residual": float(spec.residuals.max()),
-        "tail_safe_states": int(np.count_nonzero(spec.valid_mask())),
-        "flagged_states": int(np.count_nonzero(spec.flagged_mask())),
-    }
-    if params.get("with_fidelity"):
-        record = record_series(config)
-        fid = fidelity_profile(record.final, spec)
-        write_fidelity_json(run_dir / "fidelity.json", fid)
-        write_distribution_csv(
-            run_dir / "evolved_state.csv", momentum_distribution(record.final)
-        )
-        write_distribution_csv(
-            run_dir / "best_eigenstate.csv",
-            momentum_distribution(spec.state(fid.best_index)),
-        )
-        best_eps, best_f = fid.best
-        summary["best_fidelity"] = best_f
-        summary["best_fidelity_eps_i"] = best_eps
-    write_json(run_dir / "summary.json", summary)
-    _finish(run_dir, "spectrum", params, config, started)
+    with _run(outdir, "spectrum", params, config) as run_dir:
+        spec = spectrum_at(config, params["t"], dim)
+        write_spectrum_csv(run_dir / "spectrum.csv", spec)
+        try:
+            max_valid = float(spec.eps_i[spec.top_valid_index()])
+        except SpectrumError:
+            max_valid = None  # every state leans on the truncation edge
+        summary = {
+            "t": params["t"],
+            "dim": dim,
+            "max_eps_i": float(spec.eps_i.max()),
+            "max_eps_i_tail_weight": float(spec.tail_weights[int(np.argmax(spec.eps_i))]),
+            "max_valid_eps_i": max_valid,
+            "max_residual": float(spec.residuals.max()),
+            "tail_safe_states": int(np.count_nonzero(spec.valid_mask())),
+            "flagged_states": int(np.count_nonzero(spec.flagged_mask())),
+        }
+        if params.get("with_fidelity"):
+            record = record_series(config)
+            fid = fidelity_profile(record.final, spec)
+            write_fidelity_json(run_dir / "fidelity.json", fid)
+            write_distribution_csv(
+                run_dir / "evolved_state.csv", momentum_distribution(record.final)
+            )
+            write_distribution_csv(
+                run_dir / "best_eigenstate.csv",
+                momentum_distribution(spec.state(fid.best_index)),
+            )
+            best_eps, best_f = fid.best
+            summary["best_fidelity"] = best_f
+            summary["best_fidelity_eps_i"] = best_eps
+        write_json(run_dir / "summary.json", summary)
     return run_dir
 
 
 def run_phase_diagram(params: dict, outdir: str, jobs: int | None = None, progress=None) -> Path:
     # jobs is not in params: the worker count never changes a result
-    run_dir = _make_run_dir(outdir, "phase-diagram")
-    started = time.monotonic()
     axis1 = AxisSpec(params["axis1_name"], np.asarray(params["axis1_values"]))
     axis2 = AxisSpec(params["axis2_name"], np.asarray(params["axis2_values"]))
     base = _build_config(params)
-    diagram = phase_diagram(
-        axis1, axis2, base, params["kicks"],
-        jobs=default_jobs() if jobs is None else jobs, progress=progress,
-    )
-    write_diagram_csv(run_dir / "phase_diagram.csv", diagram)
-    write_diagram_json(run_dir / "phase_diagram.json", diagram)
-    if params.get("gnuplot"):
-        write_diagram_gnuplot(run_dir / "phase_diagram.matrix", diagram)
-    _finish(run_dir, "phase-diagram", params, base, started)
+    jobs = default_jobs() if jobs is None else jobs
+    with _run(outdir, "phase-diagram", params) as run_dir:
+        diagram = phase_diagram(axis1, axis2, base, params["kicks"], jobs=jobs, progress=progress)
+        write_diagram_csv(run_dir / "phase_diagram.csv", diagram)
+        write_diagram_json(run_dir / "phase_diagram.json", diagram)
+        if params.get("gnuplot"):
+            write_diagram_gnuplot(run_dir / "phase_diagram.matrix", diagram)
     return run_dir
 
 
 def run_norm_scan(params: dict, outdir: str) -> Path:
-    run_dir = _make_run_dir(outdir, "norm-scan")
-    started = time.monotonic()
     base = _build_config({**params, "lam": 0.0})
-    result = norm_scan(
-        base, params["lambdas"], params["hbars"], tolerance=params["tolerance"]
-    )
-    payload = {
-        "tolerance": result.tolerance,
-        "lambda_c": {f"{h:g}": result.lambda_c[h] for h in result.lambda_c},
-        "rows": [
-            {
-                "hbar": row.hbar,
-                "lambda": row.lam,
-                "log_mean_norm": row.log_mean_norm,
-                "fit": norm_growth_fit_dict(row.fit),
-            }
-            for row in result.rows
-        ],
-    }
-    write_json(run_dir / "norm_scan.json", payload)
-    rows = result.rows
-    _write_table(
-        run_dir / "norm_scan.csv",
-        ["hbar", "lambda", "mu", "r_squared", "log_mean_norm"],
-        [[r.hbar for r in rows], [r.lam for r in rows], [r.fit.mu for r in rows],
-         [r.fit.r_squared for r in rows], [r.log_mean_norm for r in rows]],
-    )
-    _finish(run_dir, "norm-scan", params, base, started)
+    with _run(outdir, "norm-scan", params) as run_dir:
+        result = norm_scan(
+            base, params["lambdas"], params["hbars"], tolerance=params["tolerance"]
+        )
+        payload = {
+            "tolerance": result.tolerance,
+            "lambda_c": {f"{h:g}": result.lambda_c[h] for h in result.lambda_c},
+            "rows": [
+                {
+                    "hbar": row.hbar,
+                    "lambda": row.lam,
+                    "log_mean_norm": row.log_mean_norm,
+                    "fit": norm_growth_fit_dict(row.fit),
+                }
+                for row in result.rows
+            ],
+        }
+        write_json(run_dir / "norm_scan.json", payload)
+        rows = result.rows
+        _write_table(
+            run_dir / "norm_scan.csv",
+            ["hbar", "lambda", "mu", "r_squared", "log_mean_norm"],
+            [[r.hbar for r in rows], [r.lam for r in rows], [r.fit.mu for r in rows],
+             [r.fit.r_squared for r in rows], [r.log_mean_norm for r in rows]],
+        )
     return run_dir
 
 
 def run_reproduce(params: dict, outdir: str, echo=None) -> Path:
-    run_dir = _make_run_dir(outdir, f"reproduce-{params['figure_id']}")
-    started = time.monotonic()
-    checks = run_recipe(params["figure_id"], run_dir)
-    lines = []
-    for check in checks:
-        verdict = "PASS" if check.passed else "FAIL"
-        line = f"[{verdict}] {check.name}: {check.detail}"
-        lines.append(line)
-        if echo is not None:
-            echo(line)
-    (run_dir / "checks.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    # the figure id in params pins every run of the recipe; no single config does
-    _finish(run_dir, "reproduce", params, None, started)
+    figure_id = params["figure_id"]
+    with _run(outdir, "reproduce", params, name=f"reproduce-{figure_id}") as run_dir:
+        lines = []
+        for check in run_recipe(figure_id, run_dir):
+            verdict = "PASS" if check.passed else "FAIL"
+            line = f"[{verdict}] {check.name}: {check.detail}"
+            lines.append(line)
+            if echo is not None:
+                echo(line)
+        (run_dir / "checks.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return run_dir
 
 
@@ -241,9 +258,12 @@ _RUNNERS = {
 
 def rerun_manifest(manifest_path: str | Path, outdir: str) -> Path:
     """Re-execute a recorded run from its manifest alone."""
-    manifest = load_manifest(manifest_path)
-    runner = _RUNNERS[manifest.command]
-    return runner(manifest.params, outdir)
+    manifest = read_json(manifest_path)
+    if manifest.get("schema") != MANIFEST_SCHEMA:
+        raise ValueError(f"unsupported manifest schema {manifest.get('schema')!r}")
+    if manifest.get("command") not in _RUNNERS:
+        raise ValueError(f"unknown manifest command {manifest.get('command')!r}")
+    return _RUNNERS[manifest["command"]](manifest["params"], outdir)
 
 
 def _common_physics_options(fn):
@@ -278,18 +298,19 @@ def main():
 @_common_physics_options
 def evolve(outdir, **kwargs):
     """Evolve the rotor and write the OTOC time series."""
-    if kwargs["lattice"] % 2 != 0 or kwargs["lattice"] < 2:
-        raise click.UsageError(f"--lattice must be even and >= 2, got {kwargs['lattice']}")
-    snapshot_times = [int(v) for v in kwargs["snapshot_times"].split(",") if v.strip()]
+    snapshot_times = _parse_list(kwargs["snapshot_times"], int)
     _guarded(run_evolve, {**kwargs, "snapshot_times": snapshot_times}, outdir)
 
 
-def _guarded(runner, params, outdir, **extra):
+def _guarded(runner, *args, **kwargs):
+    """Run a command: a bad argument (ValueError) exits 2, a numerical failure 1."""
     try:
-        run_dir = runner(params, outdir, **extra)
+        run_dir = runner(*args, **kwargs)
     except NUMERICAL_ERRORS as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(1)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     click.echo(f"wrote {run_dir}")
 
 
@@ -305,10 +326,6 @@ def _guarded(runner, params, outdir, **extra):
 @_common_physics_options
 def spectrum(outdir, **kwargs):
     """Quasienergy spectrum of the instantaneous Floquet operator U(t)."""
-    if kwargs["dim"] % 2 != 0 or kwargs["dim"] < 2:
-        raise click.UsageError(f"--dim must be even and >= 2, got {kwargs['dim']}")
-    if kwargs["t"] < 0:
-        raise click.UsageError("--t must be >= 0")
     _guarded(run_spectrum, kwargs, outdir)
 
 
@@ -327,41 +344,23 @@ def spectrum(outdir, **kwargs):
 @click.option("--gnuplot", is_flag=True, help="Also emit a gnuplot matrix file.")
 @click.option("--outdir", default="runs", show_default=True)
 @_common_physics_options
-def phase_diagram_cmd(**kwargs):
+def phase_diagram_cmd(outdir, plane, eta_range, lambda_range, k_range, jobs, **kwargs):
     """Sweep a 2-D parameter plane and classify each point."""
-    k_values = parse_range(kwargs["k_range"])
-    if kwargs["plane"] == "eta-K":
-        axis1_name, axis1_values = "eta", parse_range(kwargs["eta_range"])
-        lam, eta = 0.0, float(axis1_values[0])
-    else:
-        axis1_name, axis1_values = "lambda", parse_range(kwargs["lambda_range"])
-        lam, eta = float(axis1_values[0]), kwargs["eta"]
-    if len(axis1_values) < 2 or len(k_values) < 2:
-        raise click.UsageError("phase diagrams need at least a 2x2 grid")
-    try:
-        jobs = kwargs["jobs"] or default_jobs()
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    axis1_name, axis1_range = ("eta", eta_range) if plane == "eta-K" else ("lambda", lambda_range)
+    axis1_values = [float(v) for v in parse_range(axis1_range)]
+    k_values = [float(v) for v in parse_range(k_range)]
+    # the base config sits at the first grid point; the eta-K plane is unitary
     params = {
-        "axis1_name": axis1_name,
-        "axis1_values": [float(v) for v in axis1_values],
-        "axis2_name": "K",
-        "axis2_values": [float(v) for v in k_values],
-        "kicks": kwargs["kicks"],
-        "gnuplot": kwargs["gnuplot"],
-        "K": float(k_values[0]),
-        "lam": lam,
-        "eta": eta,
-        "hbar": kwargs["hbar"],
-        "epsilon": kwargs["epsilon"],
-        "lattice": kwargs["lattice"],
-        "kick_divisor": kwargs["kick_divisor"],
+        **kwargs, "lam": 0.0,
+        "axis1_name": axis1_name, "axis1_values": axis1_values,
+        "axis2_name": "K", "axis2_values": k_values, "K": k_values[0],
+        AXIS_FIELDS[axis1_name]: axis1_values[0],
     }
 
     def progress(done, total):
         click.echo(f"point {done}/{total} done", err=True)
 
-    _guarded(run_phase_diagram, params, kwargs["outdir"], jobs=jobs, progress=progress)
+    _guarded(run_phase_diagram, params, outdir, jobs=jobs, progress=progress)
 
 
 @main.command("norm-scan")
@@ -379,12 +378,12 @@ def phase_diagram_cmd(**kwargs):
 def norm_scan_cmd(outdir, lambda_list, lambda_range, hbar_list, **kwargs):
     """Norm-growth fits over a lambda ladder, with a threshold estimate."""
     if lambda_list:
-        lambdas = _parse_float_list(lambda_list)
+        lambdas = _parse_list(lambda_list)
     elif lambda_range:
         lambdas = [float(v) for v in parse_range(lambda_range)]
     else:
         raise click.UsageError("provide --lambda-list or --lambda-range")
-    hbars = _parse_float_list(hbar_list) if hbar_list else [kwargs["hbar"]]
+    hbars = _parse_list(hbar_list) if hbar_list else [kwargs["hbar"]]
     _guarded(run_norm_scan, {**kwargs, "lambdas": lambdas, "hbars": hbars}, outdir)
 
 
@@ -401,7 +400,7 @@ def reproduce(figure_id, outdir):
 @click.option("--outdir", default="runs", show_default=True)
 def rerun(manifest_path, outdir):
     """Re-execute a run exactly from its manifest."""
-    _guarded(lambda p, o: rerun_manifest(manifest_path, o), {}, outdir)
+    _guarded(rerun_manifest, manifest_path, outdir)
 
 
 if __name__ == "__main__":

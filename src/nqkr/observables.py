@@ -139,9 +139,14 @@ def record_series(
     """Evolve config from the ground state, recording observables each kick.
 
     snapshot_times lists kick times at which the momentum distribution is
-    captured (useful for profile fits and file output).
+    captured (useful for profile fits and file output); each must be one of
+    the run's kick times.
     """
     snap_at = set(snapshot_times)
+    first, last = config.kick_time_offset, config.kick_time_offset + config.kick_count - 1
+    outside = sorted(t for t in snap_at if not first <= t <= last)
+    if outside:
+        raise ValueError(f"snapshot times {outside} lie outside the kick times {first}..{last}")
     snapshots: dict[int, MomentumDistribution] = {}
     rows: list[tuple[int, float, float, float, float, float]] = []
 

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from nqkr import KickSchedule, MomentumLattice, SimConfig, spectrum_at
+from nqkr import cli
 from nqkr.cli import main, parse_range, rerun_manifest
 from nqkr.fileio import read_series_csv
 
@@ -87,6 +88,21 @@ class TestEvolveCommand:
     def test_missing_required_flag_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["evolve", "--K", "1", "--kicks", "5"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("times,message", [
+        ("x", "cannot parse list 'x'"),
+        ("9", "snapshot times [9] lie outside the kick times 1..5"),
+        ("0,5", "snapshot times [0] lie outside the kick times 1..5"),
+    ])
+    def test_bad_snapshot_times_exit_2_without_run_dir(self, runner, tmp_path, times, message):
+        result = runner.invoke(
+            main,
+            ["evolve", "--K", "1", "--lambda", "0", "--kicks", "5", "--lattice", "32",
+             "--snapshot-times", times, "--outdir", str(tmp_path)],
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not list(tmp_path.iterdir())
 
     def test_odd_lattice_rejected(self, runner, tmp_path):
         result = runner.invoke(
@@ -287,6 +303,101 @@ def test_manifest_param_keys(runner, tmp_path, args, keys):
     assert result.exit_code == 0, result.output
     manifest = json.loads((only_run_dir(tmp_path) / "manifest.json").read_text())
     assert set(manifest["params"]) == keys
+    # a sweep runs many configs, so no one config stands in for it
+    assert (manifest["config"] is None) == (args[0] in ("norm-scan", "phase-diagram"))
+
+
+class TestRerunCommand:
+    def rerun(self, runner, manifest, outdir):
+        result = runner.invoke(main, ["rerun", str(manifest), "--outdir", str(outdir)])
+        assert result.exit_code == 0, result.output
+        return only_run_dir(outdir)
+
+    def test_spectrum_with_fidelity_reruns_byte_identical(self, runner, tmp_path):
+        args = ["spectrum", "--K", "8", "--lambda", "2", "--t", "30", "--dim", "128",
+                "--with-fidelity", "--outdir", str(tmp_path / "orig")]
+        assert runner.invoke(main, args).exit_code == 0
+        orig = only_run_dir(tmp_path / "orig")
+        again = self.rerun(runner, orig / "manifest.json", tmp_path / "again")
+        for name in ("spectrum.csv", "summary.json", "fidelity.json", "evolved_state.csv",
+                     "best_eigenstate.csv"):
+            assert (orig / name).read_bytes() == (again / name).read_bytes()
+
+    def test_reproduce_reruns_byte_identical(self, runner, tmp_path):
+        args = ["reproduce", "fig1b", "--outdir", str(tmp_path / "orig")]
+        assert runner.invoke(main, args).exit_code == 0
+        orig = only_run_dir(tmp_path / "orig")
+        again = self.rerun(runner, orig / "manifest.json", tmp_path / "again")
+        assert again.name.endswith("-reproduce-fig1b")
+        for name in ("profile_K4_t1000.csv", "profile_K10_t1000.csv", "checks.txt"):
+            assert (orig / name).read_bytes() == (again / name).read_bytes()
+
+    @pytest.mark.parametrize("text,message", [
+        (json.dumps({"schema": "nqkr.run-manifest/1", "command": "teleport", "params": {}}),
+         "unknown manifest command 'teleport'"),
+        (json.dumps({"schema": "nqkr.run-manifest/0", "command": "evolve", "params": {}}),
+         "unsupported manifest schema 'nqkr.run-manifest/0'"),
+        ("not json {", "Expecting value"),
+    ], ids=["unknown-command", "wrong-schema", "not-json"])
+    def test_malformed_manifest_exits_2_without_run_dir(self, runner, tmp_path, text, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        result = runner.invoke(main, ["rerun", str(manifest), "--outdir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
+
+
+# One bad argument per command: the library validator's message reaches the
+# user as a usage error (exit 2), and no run directory is left behind.
+INVALID_INPUTS = [
+    (["phase-diagram", "--plane", "eta-K", "--eta-range", "0.1:1:2", "--k-range", "1:10:2",
+      "--kicks", "500", "--lattice", "33"], "lattice size must be even and >= 2, got 33"),
+    (["phase-diagram", "--plane", "eta-K", "--eta-range", "0.1:1:2", "--k-range", "1:10:2",
+      "--kicks", "100", "--lattice", "64"], "phase diagrams need at least 500 kicks"),
+    (["norm-scan", "--K", "5", "--lambda-list", "0.1", "--kicks", "50", "--lattice", "31"],
+     "lattice size must be even and >= 2, got 31"),
+    (["norm-scan", "--K", "5", "--lambda-list", "0.1", "--kicks", "5", "--lattice", "64"],
+     "holds fewer than 10 kicks"),
+    (["evolve", "--K", "1", "--lambda", "0", "--kicks", "-1", "--lattice", "32"],
+     "kick_count must be >= 0, got -1"),
+    (["evolve", "--K", "1", "--lambda", "0", "--kicks", "5", "--eta", "2"],
+     "eta must lie in [0, 1], got 2.0"),
+    (["evolve", "--K", "1", "--lambda", "0", "--kicks", "5", "--hbar", "0"],
+     "hbar_eff must be positive, got 0.0"),
+    (["spectrum", "--K", "1", "--lambda", "0", "--t", "1", "--dim", "16",
+      "--kick-divisor", "3"], "kick_phase_divisor must be 1 or 2, got 3.0"),
+    (["spectrum", "--K", "1", "--lambda", "0", "--t", "-1", "--dim", "16"],
+     "kick_count must be >= 0, got -1"),
+    (["spectrum", "--K", "1", "--lambda", "0", "--t", "1", "--dim", "16",
+      "--epsilon", "0.5"], "epsilon_shift must be a small positive number, got 0.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,message", INVALID_INPUTS,
+    ids=[f"{args[0]}-{i}" for i, (args, _) in enumerate(INVALID_INPUTS)],
+)
+def test_invalid_input_exits_2_without_run_dir(runner, tmp_path, args, message):
+    result = runner.invoke(main, args + ["--outdir", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not list(tmp_path.iterdir())
+
+
+def test_numerical_failure_exits_1_without_run_dir(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["spectrum", "--K", "1", "--lambda", "0", "--t", "1", "--dim", "4096",
+         "--outdir", str(tmp_path)],
+    )
+    assert result.exit_code == 1
+    assert "numerical failure: dimension 4096 exceeds" in result.output
+    assert not list(tmp_path.iterdir())
+
+
+def test_every_command_is_rerunnable():
+    assert set(main.commands) - {"rerun"} == set(cli._RUNNERS)
 
 
 class TestReproduceCommand:

@@ -335,3 +335,18 @@ class TestSeriesRecording:
         )
         record = record_series(cfg)
         assert len(record.series) == 0
+
+    @pytest.mark.parametrize("times,offset", [((0,), 1), ((6,), 1), ((2, 9), 1), ((3,), 4)])
+    def test_snapshot_outside_the_run_rejected(self, times, offset):
+        cfg = SimConfig(
+            MomentumLattice(64, HBAR), KickSchedule(K=3.0, lam=0.0), 5,
+            kick_time_offset=offset,
+        )
+        with pytest.raises(ValueError, match="outside the kick times"):
+            record_series(cfg, snapshot_times=times)
+
+    def test_snapshot_at_first_and_last_kick_recorded(self):
+        cfg = SimConfig(
+            MomentumLattice(64, HBAR), KickSchedule(K=3.0, lam=0.0), 5, kick_time_offset=4
+        )
+        assert set(record_series(cfg, snapshot_times=(4, 8)).snapshots) == {4, 8}
