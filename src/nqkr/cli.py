@@ -235,6 +235,8 @@ def run_norm_scan(params: dict, outdir: str) -> Path:
 
 def run_reproduce(params: dict, outdir: str, echo=None) -> Path:
     figure_id = params["figure_id"]
+    if figure_id not in FIGURE_IDS:
+        raise ValueError(f"unknown figure id {figure_id!r}")
     with _run(outdir, "reproduce", params, name=f"reproduce-{figure_id}") as run_dir:
         lines = []
         for check in run_recipe(figure_id, run_dir):
@@ -247,23 +249,42 @@ def run_reproduce(params: dict, outdir: str, echo=None) -> Path:
     return run_dir
 
 
+_PHYSICS_PARAMS = frozenset({"K", "eta", "hbar", "epsilon", "kick_divisor"})
+
+# Each command's runner and the params keys it reads unconditionally.
 _RUNNERS = {
-    "evolve": run_evolve,
-    "spectrum": run_spectrum,
-    "phase-diagram": run_phase_diagram,
-    "norm-scan": run_norm_scan,
-    "reproduce": run_reproduce,
+    "evolve": (run_evolve, _PHYSICS_PARAMS | {"lam", "kicks", "lattice"}),
+    "spectrum": (run_spectrum, _PHYSICS_PARAMS | {"lam", "t", "dim"}),
+    "phase-diagram": (run_phase_diagram, _PHYSICS_PARAMS | {
+        "lam", "kicks", "lattice", "axis1_name", "axis1_values", "axis2_name", "axis2_values"}),
+    "norm-scan": (run_norm_scan, _PHYSICS_PARAMS | {
+        "kicks", "lattice", "lambdas", "hbars", "tolerance"}),
+    "reproduce": (run_reproduce, frozenset({"figure_id"})),
 }
 
 
 def rerun_manifest(manifest_path: str | Path, outdir: str) -> Path:
-    """Re-execute a recorded run from its manifest alone."""
+    """Re-execute a recorded run from its manifest alone.
+
+    A manifest that is not a JSON object, or whose params lack a key the
+    command reads, is rejected with a ValueError before any run directory
+    is made.
+    """
     manifest = read_json(manifest_path)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("schema") != MANIFEST_SCHEMA:
         raise ValueError(f"unsupported manifest schema {manifest.get('schema')!r}")
     if manifest.get("command") not in _RUNNERS:
         raise ValueError(f"unknown manifest command {manifest.get('command')!r}")
-    return _RUNNERS[manifest["command"]](manifest["params"], outdir)
+    runner, required = _RUNNERS[manifest["command"]]
+    params = manifest.get("params")
+    if not isinstance(params, dict):
+        raise ValueError("manifest has no params object")
+    missing = sorted(required - params.keys())
+    if missing:
+        raise ValueError(f"manifest params lack {', '.join(map(repr, missing))}")
+    return runner(params, outdir)
 
 
 def _common_physics_options(fn):

@@ -13,10 +13,20 @@ integer kick time t. Conventions:
   fftshift after fft multiplies by (-1)^m again, so the two factors cancel
   across the pointwise kick. numpy's ifft carries 1/M, which equals the
   1/sqrt(M) * 1/sqrt(M) of the unitary pair, so no extra scaling is needed;
-* the kick's maximal amplitude gain exp(|lam|*f/(d*hbar)) is factored out
-  analytically before exponentiation, so the pointwise factors never exceed 1
-  in magnitude, and the stored amplitudes are renormalized to unit norm after
-  every kick with the removed growth accumulated in WaveFunction.log_norm.
+* the kick factor depends on the angle only through cos(theta_m), and for
+  every even M, cos(theta_(M-m)) = cos(theta_m) and
+  cos(theta_(M/2-q)) = -cos(theta_q). With r_q = lam*a*cos(theta_q) and
+  phi_q = K*a*cos(theta_q), a = f/(d*hbar), the factor at +cos(theta_q) is
+  e^(r_q-g)*e^(-i*phi_q) and at -cos(theta_q) it is e^(-r_q-g)*conj(e^(-i*phi_q)).
+  So each kick takes one complex exponential on the M//4+1 quarter-wave
+  points q = 0..M//4 (and two real ones) instead of one on M points, and the
+  factor on angles m > M/2 is the mirrored slice of angles 0..M/2. The factor
+  is therefore exactly parity-symmetric, F[m] == F[(M-m) % M];
+* the kick's maximal amplitude gain e^g, g = |lam|*a, is factored out
+  analytically before exponentiation (|r_q| <= g), so the pointwise factors
+  never exceed 1 in magnitude, and the stored amplitudes are renormalized to
+  unit norm after every kick with the removed growth accumulated in
+  WaveFunction.log_norm.
 
 Without that factoring and renormalization a lam=5 run would overflow doubles
 within a few hundred kicks.
@@ -106,10 +116,11 @@ def modulation_factor(schedule: KickSchedule, t: int) -> float:
 
 
 @lru_cache(maxsize=32)
-def _cos_theta(size: int) -> np.ndarray:
-    cos_theta = np.cos(2.0 * np.pi * np.arange(size) / size)
-    cos_theta.flags.writeable = False
-    return cos_theta
+def _quarter_cos(size: int) -> np.ndarray:
+    """cos(theta_q) for q = 0..size//4: every angle's cosine up to its sign."""
+    cos_q = np.cos(2.0 * np.pi * np.arange(size // 4 + 1) / size)
+    cos_q.flags.writeable = False
+    return cos_q
 
 
 @lru_cache(maxsize=32)
@@ -118,6 +129,31 @@ def _free_phases(size: int, hbar: float) -> np.ndarray:
     phases = np.exp(-0.5j * hbar * n * n)
     phases.flags.writeable = False
     return phases
+
+
+def _multiply_kick_factor(
+    angle: np.ndarray, lam_a: float, k_a: float, gain_shift: float
+) -> None:
+    """Multiply angle samples in place by exp((lam_a - i*k_a)*cos(theta_m) - gain_shift).
+
+    The factor is assembled for m = 0..M/2 in one buffer from the quarter-wave
+    table (m <= M//4 from +cos(theta_q), m >= M/2 - M//4 from -cos(theta_q);
+    the two ranges share m = M/4 when 4 divides M), and angles m > M/2 take
+    the mirrored slice.
+    """
+    half = angle.size // 2
+    cos_q = _quarter_cos(angle.size)
+    quarter = cos_q.size - 1
+    phase = np.exp((-1j * k_a) * cos_q)
+    factor = np.empty(half + 1, dtype=complex)
+    upper = factor[half - quarter:][::-1]  # upper[q] is the factor at m = M/2 - q
+    # (-lam_a) * cos_q equals -(lam_a * cos_q) bit for bit but skips numpy's
+    # unary-negative loop, whose code pages add 64 KB to a process's RSS
+    np.multiply(phase, np.exp((-lam_a) * cos_q - gain_shift), out=upper)
+    np.conjugate(upper, out=upper)
+    np.multiply(phase, np.exp(lam_a * cos_q - gain_shift), out=factor[: quarter + 1])
+    angle[: half + 1] *= factor
+    angle[half + 1 :] *= factor[half - 1 : 0 : -1]
 
 
 def apply_kick(
@@ -135,9 +171,7 @@ def apply_kick(
     gain_shift = abs(schedule.lam) * abs(a)
 
     angle = np.fft.ifft(psi.amps)
-    angle *= np.exp(
-        ((schedule.lam - 1j * schedule.K) * a) * _cos_theta(psi.lattice.size) - gain_shift
-    )
+    _multiply_kick_factor(angle, schedule.lam * a, schedule.K * a, gain_shift)
     amps = np.fft.fft(angle)
 
     norm_sq = float(np.vdot(amps, amps).real)

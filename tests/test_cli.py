@@ -303,6 +303,7 @@ def test_manifest_param_keys(runner, tmp_path, args, keys):
     assert result.exit_code == 0, result.output
     manifest = json.loads((only_run_dir(tmp_path) / "manifest.json").read_text())
     assert set(manifest["params"]) == keys
+    assert cli._RUNNERS[args[0]][1] <= keys
     # a sweep runs many configs, so no one config stands in for it
     assert (manifest["config"] is None) == (args[0] in ("norm-scan", "phase-diagram"))
 
@@ -338,7 +339,17 @@ class TestRerunCommand:
         (json.dumps({"schema": "nqkr.run-manifest/0", "command": "evolve", "params": {}}),
          "unsupported manifest schema 'nqkr.run-manifest/0'"),
         ("not json {", "Expecting value"),
-    ], ids=["unknown-command", "wrong-schema", "not-json"])
+        ("[1, 2]", "manifest must be a JSON object, got list"),
+        (json.dumps({"schema": "nqkr.run-manifest/1", "command": "evolve"}),
+         "manifest has no params object"),
+        (json.dumps({"schema": "nqkr.run-manifest/1", "command": "spectrum",
+                     "params": {"K": 1.0, "lam": 0.0, "t": 1}}),
+         "manifest params lack 'dim', 'epsilon', 'eta', 'hbar', 'kick_divisor'"),
+        (json.dumps({"schema": "nqkr.run-manifest/1", "command": "reproduce",
+                     "params": {"figure_id": "fig9z"}}),
+         "unknown figure id 'fig9z'"),
+    ], ids=["unknown-command", "wrong-schema", "not-json", "not-object", "no-params",
+            "partial-params", "unknown-figure"])
     def test_malformed_manifest_exits_2_without_run_dir(self, runner, tmp_path, text, message):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(text)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -19,8 +20,10 @@ from nqkr import (
     evolve,
     ground_state,
     modulation_factor,
+    record_series,
     step,
 )
+from nqkr import propagator
 
 HBAR = 2.89
 PLASTIC = 1.3247179572447460
@@ -136,14 +139,25 @@ class TestApplyKick:
             assert psi.log_norm == pytest.approx(shifted_log_norm, abs=1e-12)
 
     # bounds set beforehand from complex128 roundoff over one FFT pair
-    # on unit-norm amplitudes
-    @pytest.mark.parametrize("m", [16, 64, 4096])
+    # on unit-norm amplitudes; M in {2, 6, 10, 14} has M = 2 mod 4
+    @pytest.mark.parametrize("m", [2, 6, 10, 14, 16, 64, 4096])
     @pytest.mark.parametrize("lam", [0.0, 2.0, 5.0])
     @pytest.mark.parametrize("t", [1, 7, 200])
     @pytest.mark.parametrize("divisor", [1.0, 2.0])
     def test_matches_shifted_formulation(self, m, lam, t, divisor):
+        self.check_against_shifted(m, HBAR, lam, t, divisor)
+
+    @pytest.mark.parametrize("m", [2, 6, 10, 14, 16, 64, 4096])
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 5.0])
+    @pytest.mark.parametrize("t", [1, 7, 200])
+    @pytest.mark.parametrize("divisor", [1.0, 2.0])
+    def test_matches_shifted_formulation_small_hbar(self, m, lam, t, divisor):
+        self.check_against_shifted(m, 0.5, lam, t, divisor)
+
+    @staticmethod
+    def check_against_shifted(m, hbar, lam, t, divisor):
         rng = np.random.default_rng(m + t)
-        psi = ground_state(MomentumLattice(m, HBAR))
+        psi = ground_state(MomentumLattice(m, hbar))
         psi.amps = rng.normal(size=m) + 1j * rng.normal(size=m)
         psi.amps /= np.linalg.norm(psi.amps)
         sched = KickSchedule(10.0, lam)
@@ -157,6 +171,55 @@ class TestApplyKick:
         psi.amps[0] = np.inf
         with pytest.raises(AmplitudeOverflowError):
             apply_kick(psi, KickSchedule(1.0, 0.0), t=1)
+
+
+def direct_multiply_kick_factor(angle, lam_a, k_a, gain_shift):
+    """Reference kick: exp((lam_a - i*k_a)*cos(theta_m) - gain_shift) on all M angles."""
+    theta = 2.0 * np.pi * np.arange(angle.size) / angle.size
+    angle *= np.exp((lam_a - 1j * k_a) * np.cos(theta) - gain_shift)
+
+
+def kick_factor(multiply, m, sched, t, divisor, hbar):
+    """The kick factor as one kick multiplies it onto the angle samples."""
+    a = modulation_factor(sched, t) / (divisor * hbar)
+    factor = np.ones(m, dtype=complex)
+    multiply(factor, sched.lam * a, sched.K * a, sched.lam * a)
+    return factor
+
+
+class TestKickFactor:
+    # bounds fixed beforehand: roundoff of one complex exponential relative
+    # to the largest factor; M = 2 and both residues mod 4 are covered
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 14, 64, 1024, 4096])
+    @pytest.mark.parametrize("hbar", [0.5, HBAR])
+    def test_matches_direct_formula(self, m, hbar):
+        mirror = (m - np.arange(m)) % m
+        for lam, K, divisor, t in itertools.product(
+            (0.0, 2.0, 5.0), (0.0, 4.0, 10.0), (1.0, 2.0), (1, 7, 200)
+        ):
+            sched = KickSchedule(K, lam)
+            factor = kick_factor(propagator._multiply_kick_factor, m, sched, t, divisor, hbar)
+            direct = kick_factor(direct_multiply_kick_factor, m, sched, t, divisor, hbar)
+            peak = np.max(np.abs(factor))
+            assert np.max(np.abs(factor - direct)) <= 1e-13 * peak
+            assert np.array_equal(factor, factor[mirror])
+            # |e^(-i*phi)| = hypot(cos, sin) rounds to at most one ulp above 1
+            assert peak <= 1.0 + np.finfo(float).eps
+
+
+class TestEvolutionAgainstDirectKick:
+    # bounds fixed beforehand: per-kick roundoff accumulated over 200 kicks
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    @pytest.mark.parametrize("divisor", [1.0, 2.0])
+    def test_record_series_matches(self, monkeypatch, lam, divisor):
+        cfg = config(10.0, lam, 200, m=1024, divisor=divisor)
+        series = record_series(cfg).series
+        monkeypatch.setattr(propagator, "_multiply_kick_factor", direct_multiply_kick_factor)
+        reference = record_series(cfg).series
+        for name in ("c_exact", "mean_p2"):
+            new, ref = getattr(series, name), getattr(reference, name)
+            assert np.all(np.abs(new - ref) <= 1e-12 * np.abs(ref)), name
+        assert np.max(np.abs(series.norm_log - reference.norm_log)) <= 1e-11
 
 
 class TestApplyFree:
