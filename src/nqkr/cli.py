@@ -34,15 +34,16 @@ from .constants import (
     SPECTRUM_DIM_DEFAULT,
 )
 from .fileio import (
-    _write_table,
-    norm_growth_fit_dict,
+    norm_scan_dict,
     read_json,
+    spectrum_summary,
     write_diagram_csv,
     write_diagram_gnuplot,
     write_diagram_json,
     write_distribution_csv,
     write_fidelity_json,
     write_json,
+    write_norm_scan_csv,
     write_series_csv,
     write_spectrum_csv,
 )
@@ -156,20 +157,7 @@ def run_spectrum(params: dict, outdir: str) -> Path:
     with _run(outdir, "spectrum", params, config) as run_dir:
         spec = spectrum_at(config, params["t"], dim)
         write_spectrum_csv(run_dir / "spectrum.csv", spec)
-        try:
-            max_valid = float(spec.eps_i[spec.top_valid_index()])
-        except SpectrumError:
-            max_valid = None  # every state leans on the truncation edge
-        summary = {
-            "t": params["t"],
-            "dim": dim,
-            "max_eps_i": float(spec.eps_i.max()),
-            "max_eps_i_tail_weight": float(spec.tail_weights[int(np.argmax(spec.eps_i))]),
-            "max_valid_eps_i": max_valid,
-            "max_residual": float(spec.residuals.max()),
-            "tail_safe_states": int(np.count_nonzero(spec.valid_mask())),
-            "flagged_states": int(np.count_nonzero(spec.flagged_mask())),
-        }
+        fid = None
         if params.get("with_fidelity"):
             record = record_series(config)
             fid = fidelity_profile(record.final, spec)
@@ -181,10 +169,7 @@ def run_spectrum(params: dict, outdir: str) -> Path:
                 run_dir / "best_eigenstate.csv",
                 momentum_distribution(spec.state(fid.best_index)),
             )
-            best_eps, best_f = fid.best
-            summary["best_fidelity"] = best_f
-            summary["best_fidelity_eps_i"] = best_eps
-        write_json(run_dir / "summary.json", summary)
+        write_json(run_dir / "summary.json", spectrum_summary(spec, fid))
     return run_dir
 
 
@@ -209,27 +194,8 @@ def run_norm_scan(params: dict, outdir: str) -> Path:
         result = norm_scan(
             base, params["lambdas"], params["hbars"], tolerance=params["tolerance"]
         )
-        payload = {
-            "tolerance": result.tolerance,
-            "lambda_c": {f"{h:g}": result.lambda_c[h] for h in result.lambda_c},
-            "rows": [
-                {
-                    "hbar": row.hbar,
-                    "lambda": row.lam,
-                    "log_mean_norm": row.log_mean_norm,
-                    "fit": norm_growth_fit_dict(row.fit),
-                }
-                for row in result.rows
-            ],
-        }
-        write_json(run_dir / "norm_scan.json", payload)
-        rows = result.rows
-        _write_table(
-            run_dir / "norm_scan.csv",
-            ["hbar", "lambda", "mu", "r_squared", "log_mean_norm"],
-            [[r.hbar for r in rows], [r.lam for r in rows], [r.fit.mu for r in rows],
-             [r.fit.r_squared for r in rows], [r.log_mean_norm for r in rows]],
-        )
+        write_json(run_dir / "norm_scan.json", norm_scan_dict(result))
+        write_norm_scan_csv(run_dir / "norm_scan.csv", result)
     return run_dir
 
 

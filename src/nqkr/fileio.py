@@ -14,8 +14,8 @@ import numpy as np
 
 from .lattice import MomentumDistribution
 from .observables import NormGrowthFit, OtocSeries, ProfileFit
-from .phases import PhaseDiagram
-from .spectrum import FidelityRecord, QuasiSpectrum
+from .phases import NormScanResult, PhaseDiagram
+from .spectrum import FidelityRecord, QuasiSpectrum, SpectrumError
 
 
 _FLOAT_FORMAT = "{:.15g}"
@@ -69,6 +69,32 @@ def write_spectrum_csv(path: str | Path, spec: QuasiSpectrum) -> None:
     )
 
 
+def spectrum_summary(spec: QuasiSpectrum, fid: FidelityRecord | None = None) -> dict:
+    """The summary.json payload of one spectrum, plus the best fidelity if fid is given.
+
+    max_valid_eps_i is None when every state leans on the truncation edge.
+    """
+    try:
+        max_valid = float(spec.eps_i[spec.top_valid_index()])
+    except SpectrumError:
+        max_valid = None
+    summary = {
+        "t": spec.t,
+        "dim": spec.lattice.size,
+        "max_eps_i": float(spec.eps_i.max()),
+        "max_eps_i_tail_weight": float(spec.tail_weights[int(np.argmax(spec.eps_i))]),
+        "max_valid_eps_i": max_valid,
+        "max_residual": float(spec.residuals.max()),
+        "tail_safe_states": int(np.count_nonzero(spec.valid_mask())),
+        "flagged_states": int(np.count_nonzero(spec.flagged_mask())),
+    }
+    if fid is not None:
+        best_eps, best_f = fid.best
+        summary["best_fidelity"] = best_f
+        summary["best_fidelity_eps_i"] = best_eps
+    return summary
+
+
 def write_fidelity_json(path: str | Path, record: FidelityRecord) -> None:
     best_eps, best_f = record.best
     payload = {
@@ -89,6 +115,32 @@ def profile_fit_dict(fit: ProfileFit) -> dict:
 
 def norm_growth_fit_dict(fit: NormGrowthFit) -> dict:
     return asdict(fit)
+
+
+def norm_scan_dict(result: NormScanResult) -> dict:
+    return {
+        "tolerance": result.tolerance,
+        "lambda_c": {f"{h:g}": lc for h, lc in result.lambda_c.items()},
+        "rows": [
+            {
+                "hbar": row.hbar,
+                "lambda": row.lam,
+                "log_mean_norm": row.log_mean_norm,
+                "fit": norm_growth_fit_dict(row.fit),
+            }
+            for row in result.rows
+        ],
+    }
+
+
+def write_norm_scan_csv(path: str | Path, result: NormScanResult) -> None:
+    rows = result.rows
+    _write_table(
+        Path(path),
+        ["hbar", "lambda", "mu", "r_squared", "log_mean_norm"],
+        [[r.hbar for r in rows], [r.lam for r in rows], [r.fit.mu for r in rows],
+         [r.fit.r_squared for r in rows], [r.log_mean_norm for r in rows]],
+    )
 
 
 def write_diagram_csv(path: str | Path, diagram: PhaseDiagram) -> None:

@@ -141,13 +141,14 @@ def sweep(
     jobs: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> list:
-    """evaluate(task) for every task, in task order; jobs > 1 uses a process pool.
+    """evaluate(task) for every task, in task order, on min(jobs, len(tasks)) workers.
 
-    With a pool, evaluate and the tasks must pickle. progress(done, total) is
-    called after each result.
+    With more than one worker a process pool runs them, so evaluate and the
+    tasks must pickle. progress(done, total) is called after each result.
     """
     results = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    workers = min(jobs, len(tasks))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for result in (map if pool is None else pool.map)(evaluate, tasks):
             results.append(result)
             if progress is not None:
@@ -255,10 +256,12 @@ def norm_scan(
 
     Rows run hbar-major with lambdas in ascending order per hbar; the
     threshold estimate is the first value whose long-time mean norm exceeds
-    1 + tolerance.
+    1 + tolerance. Raises ValueError if either list is empty.
     """
     if hbars is None:
         hbars = [base_config.lattice.hbar_eff]
+    if len(lambdas) == 0 or len(hbars) == 0:
+        raise ValueError("a norm scan needs at least one lambda and one hbar")
     hbars = [float(h) for h in hbars]
     grid = [(hbar, lam) for hbar in hbars for lam in sorted(float(v) for v in lambdas)]
     tasks = [
@@ -279,11 +282,14 @@ def norm_scan(
 
 
 def default_jobs() -> int:
-    """Worker count: NQKR_JOBS environment override, else the CPU count."""
+    """Worker count: NQKR_JOBS (a positive integer) if set, else the CPU count."""
     env = os.environ.get("NQKR_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            raise ValueError(f"NQKR_JOBS must be an integer, got {env!r}") from None
+            jobs = 0
+        if jobs < 1:
+            raise ValueError(f"NQKR_JOBS must be a positive integer, got {env!r}")
+        return jobs
     return os.cpu_count() or 1

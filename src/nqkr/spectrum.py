@@ -54,7 +54,8 @@ class QuasiSpectrum:
     eigenstates holds one unit-norm column per quasienergy, phase-fixed so the
     largest-magnitude component is real positive. residuals are ||U phi - u phi||
     per pair; tail_weights the probability each state puts on the outer 5% of
-    lattice sites. Entries are sorted by descending eps_i.
+    lattice sites. Entries are sorted by descending eps_i. residual_scale is
+    max(1, max|U|), the scale of the roundoff any eigensolver leaves in U.
     """
 
     t: int
@@ -63,6 +64,7 @@ class QuasiSpectrum:
     eigenstates: np.ndarray
     residuals: np.ndarray
     tail_weights: np.ndarray
+    residual_scale: float = 1.0
 
     @property
     def eps_r(self) -> np.ndarray:
@@ -77,8 +79,12 @@ class QuasiSpectrum:
         return self.tail_weights < tail_limit
 
     def flagged_mask(self, tol: float = RESIDUAL_TOLERANCE) -> np.ndarray:
-        """Pairs whose residual exceeds tol (ill-conditioned, not trustworthy)."""
-        return self.residuals > tol
+        """Pairs whose residual exceeds tol * residual_scale (not trustworthy).
+
+        Backward-stable solvers leave ||U phi - u phi|| <= p(n) * eps * ||U||
+        (LAPACK Users' Guide, 3rd ed., sec. 4.8); for |U_ij| <= 1 the limit is tol.
+        """
+        return self.residuals > tol * self.residual_scale
 
     def top_valid_index(self, tail_limit: float = EIGENSTATE_TAIL_LIMIT) -> int:
         """Index of the max-eps_i state among tail-safe states."""
@@ -206,7 +212,8 @@ def quasi_spectrum(
     U is solved as its even (M/2 + 1) and odd (M/2 - 1) momentum-parity
     blocks in one stacked eig, and each eigenvector is embedded back into
     the M-dimensional storage basis, so it is exactly even or odd in n.
-    Residuals ||U phi - u phi|| are measured against the full input matrix.
+    Residuals ||U phi - u phi|| are measured against the full input matrix;
+    pairs above RESIDUAL_TOLERANCE * max(1, max|U|) are flagged with a warning.
     Raises ValueError if U has non-finite entries, or if it couples the two
     parity sectors by more than PARITY_TOLERANCE * max|U|.
 
@@ -255,13 +262,14 @@ def quasi_spectrum(
     prob = np.abs(vecs) ** 2
     tails = prob[:edge].sum(axis=0) + prob[-edge:].sum(axis=0)
 
-    spec = QuasiSpectrum(t, lattice, eps, vecs, residuals, tails)
-    worst = float(residuals.max()) if m else 0.0
-    if worst > RESIDUAL_TOLERANCE:
+    scale = max(1.0, float(np.abs(matrix).max()))
+    spec = QuasiSpectrum(t, lattice, eps, vecs, residuals, tails, scale)
+    flagged = int(np.count_nonzero(spec.flagged_mask()))
+    if flagged:
         warnings.warn(
-            f"{int(np.count_nonzero(spec.flagged_mask()))} eigenpairs have "
-            f"residual above {RESIDUAL_TOLERANCE:g} (worst {worst:.3e}); "
-            "they are flagged, not silently accepted",
+            f"{flagged} eigenpairs have residual above {RESIDUAL_TOLERANCE:g} * "
+            f"max(1, max|U|) = {RESIDUAL_TOLERANCE * scale:.3e} (worst "
+            f"{float(residuals.max()):.3e}); they are flagged, not silently accepted",
             stacklevel=2,
         )
     return spec

@@ -206,6 +206,15 @@ class TestPhaseDiagramCommand:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_env_is_usage_error(self, runner, tmp_path, jobs):
+        result = runner.invoke(
+            main, PHASE_DIAGRAM_ARGS + ["--outdir", str(tmp_path)], env={"NQKR_JOBS": jobs}
+        )
+        assert result.exit_code == 2
+        assert "NQKR_JOBS" in result.output and f"'{jobs}'" in result.output
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_non_positive_jobs_is_usage_error(self, runner, tmp_path, jobs):
         result = runner.invoke(
             main, PHASE_DIAGRAM_ARGS + ["--jobs", jobs, "--outdir", str(tmp_path)]
@@ -252,6 +261,17 @@ class TestNormScanCommand:
             main, ["norm-scan", "--K", "5", "--kicks", "50"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("lists", [["--lambda-list", ","],
+                                       ["--lambda-list", "0", "--hbar-list", ","]])
+    def test_empty_scan_list_is_usage_error(self, runner, tmp_path, lists):
+        result = runner.invoke(
+            main, ["norm-scan", "--K", "10", *lists, "--kicks", "20", "--lattice", "64",
+                   "--outdir", str(tmp_path)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "at least one lambda and one hbar" in result.output
+        assert not list(tmp_path.iterdir())
 
     def test_csv_matches_json_rows(self, runner, tmp_path):
         result = runner.invoke(main, NORM_SCAN_ARGS + ["--outdir", str(tmp_path)])

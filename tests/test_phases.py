@@ -17,6 +17,7 @@ from nqkr import (
     phase_diagram,
     record_series,
 )
+import nqkr.phases
 from nqkr.phases import _boundary_per_column, default_jobs, norm_scan, sweep
 
 HBAR = 2.89
@@ -196,6 +197,41 @@ def test_sweep_keeps_task_order_and_reports_progress(jobs):
     assert calls == [(1, 3), (2, 3), (3, 3)]
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs,tasks,pools", [
+    (64, [-3, 1], [2]), (64, [-3], []), (3, [-3, 1, -2, 4, -5], [3]), (64, [], []),
+])
+def test_sweep_starts_no_more_workers_than_tasks(monkeypatch, jobs, tasks, pools):
+    monkeypatch.setattr(nqkr.phases, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    assert sweep(abs, tasks, jobs=jobs) == [abs(t) for t in tasks]
+    assert RecordingPool.created == pools
+
+
+@pytest.mark.parametrize("lambdas,hbars", [([], None), ([], [2.89]), ([0.1], [])])
+def test_norm_scan_rejects_an_empty_list(lambdas, hbars):
+    base = SimConfig(MomentumLattice(64, HBAR), KickSchedule(K=5.0, lam=0.0), 20)
+    with pytest.raises(ValueError, match="at least one lambda and one hbar"):
+        norm_scan(base, lambdas=lambdas, hbars=hbars)
+
+
 def test_norm_scan_rows_are_hbar_major_with_lambda_ascending():
     # M=512: at M=256 the hbar=1.5 runs wrap around at t=65-71
     base = SimConfig(MomentumLattice(512, HBAR), KickSchedule(K=5.0, lam=0.0), 120)
@@ -221,4 +257,11 @@ def test_default_jobs_env_override(monkeypatch):
 def test_default_jobs_names_a_bad_env_value(monkeypatch):
     monkeypatch.setenv("NQKR_JOBS", "two")
     with pytest.raises(ValueError, match="NQKR_JOBS"):
+        default_jobs()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_default_jobs_rejects_a_non_positive_env_value(monkeypatch, value):
+    monkeypatch.setenv("NQKR_JOBS", value)
+    with pytest.raises(ValueError, match="NQKR_JOBS must be a positive integer"):
         default_jobs()

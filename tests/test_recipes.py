@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -9,11 +10,34 @@ from click.testing import CliRunner
 import nqkr.recipes
 from nqkr import WrapAroundWarning, record_series
 from nqkr.cli import main
+from nqkr.phases import norm_scan
 from nqkr.recipes import FIGURE_IDS, RECIPES, run_recipe
 
 
 def test_every_figure_has_a_recipe():
-    assert set(FIGURE_IDS) == set(RECIPES)
+    assert FIGURE_IDS == tuple(RECIPES)
+    assert RECIPES["fig4a"] is RECIPES["fig4b"]
+
+
+def only_run_dir(outdir):
+    (run_dir,) = [p for p in outdir.iterdir() if p.is_dir()]
+    return run_dir
+
+
+def invoke(args, outdir):
+    result = CliRunner().invoke(main, args + ["--outdir", str(outdir)])
+    assert result.exit_code == 0, result.output
+    return only_run_dir(outdir)
+
+
+def assert_plot_reads_run_files(script):
+    """The plot script compiles, and every data file it names is in its directory."""
+    source = script.read_text()
+    compile(source, str(script), "exec")
+    names = re.findall(r"""['"]([\w.]+\.(?:csv|json))['"]""", source)
+    assert names
+    for name in names:
+        assert (script.parent / name).exists(), name
 
 
 def test_unknown_figure_rejected(tmp_path):
@@ -71,3 +95,53 @@ def test_fig3c_norm_scan_lattice_holds_hbar_half(monkeypatch, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error", WrapAroundWarning)
             record_series(config)
+
+
+FIG4_FILES = ("spectrum.csv", "fidelity.json", "evolved_state.csv",
+              "best_eigenstate.csv", "summary.json")
+
+
+def test_fig4_writes_the_spectrum_command_files(tmp_path):
+    recipe_dir = invoke(["reproduce", "fig4a"], tmp_path / "recipe")
+    cli_dir = invoke(["spectrum", "--K", "10", "--lambda", "5", "--t", "200",
+                      "--dim", "1024", "--with-fidelity"], tmp_path / "cli")
+    for name in FIG4_FILES:
+        assert (recipe_dir / name).read_bytes() == (cli_dir / name).read_bytes(), name
+    lines = (recipe_dir / "checks.txt").read_text().splitlines()
+    assert len(lines) == 5 and all(line.startswith("[PASS]") for line in lines)
+    assert_plot_reads_run_files(recipe_dir / "plot_fig4.py")
+
+
+def test_fig4_without_tail_safe_state_is_a_numerical_failure(monkeypatch, tmp_path):
+    real_spectrum_at = nqkr.recipes.spectrum_at
+
+    def edge_bound_spectrum(config, t, dim):
+        spec = real_spectrum_at(config, t, dim)
+        spec.tail_weights = np.ones_like(spec.tail_weights)
+        return spec
+
+    monkeypatch.setattr(nqkr.recipes, "SPECTRUM_DIM_DEFAULT", 256)
+    monkeypatch.setattr(nqkr.recipes, "spectrum_at", edge_bound_spectrum)
+    result = CliRunner().invoke(main, ["reproduce", "fig4b", "--outdir", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert "no tail-safe eigenstates" in result.output
+    summary = json.loads((only_run_dir(tmp_path) / "summary.json").read_text())
+    assert summary["max_valid_eps_i"] is None
+
+
+def test_fig3c_writes_the_norm_scan_command_files(monkeypatch, tmp_path):
+    """The recipe's scan, shrunk to a small tail-safe base, against `nqkr norm-scan`."""
+    lambdas = [0.0, 0.075, 0.15]
+
+    def small_scan(base, _lambdas, hbars, **kwargs):
+        base = replace(base, lattice=replace(base.lattice, size=1024), kick_count=20)
+        return norm_scan(base, lambdas, hbars, **kwargs)
+
+    monkeypatch.setattr(nqkr.recipes, "norm_scan", small_scan)
+    recipe_dir = invoke(["reproduce", "fig3c"], tmp_path / "recipe")
+    cli_dir = invoke(["norm-scan", "--K", "10", "--lambda-list", "0,0.075,0.15",
+                      "--hbar-list", "0.5,1.5,2.89", "--kicks", "20", "--lattice", "1024"],
+                     tmp_path / "cli")
+    for name in ("norm_scan.csv", "norm_scan.json"):
+        assert (recipe_dir / name).read_bytes() == (cli_dir / name).read_bytes(), name
+    assert_plot_reads_run_files(recipe_dir / "plot_fig3c.py")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import nqkr.spectrum
 from nqkr import (
     KickSchedule,
     MomentumLattice,
@@ -339,6 +340,35 @@ class TestDenseReference:
         # a pair above the limit is reported, never silently accepted
         assert len(caught) == int(spec.flagged_mask().any())
         assert float(spec.residuals.max()) <= 1e-8
+
+    @pytest.mark.parametrize("dim", [8, 64, 256])
+    def test_high_gain_roundoff_is_not_flagged(self, dim):
+        """The three strict xfails above: max|U| reaches 2e6-4e6, and residuals
+        of 1.6e-8 to 2.9e-8 are the roundoff of U itself, far inside
+        RESIDUAL_TOLERANCE * max|U|."""
+        _, spec, caught, _ = reference_case(dim, 5.0, 1.0, 0.5)
+        assert spec.residual_scale > 1e6
+        assert not caught
+        assert not spec.flagged_mask().any()
+
+    def test_unitary_operator_keeps_the_absolute_limit(self):
+        _, spec, _, _ = reference_case(64, 0.0, 1.0, 2.89)
+        assert spec.residual_scale == 1.0
+
+    def test_perturbed_eigenvector_is_still_flagged(self, monkeypatch):
+        matrix, _, _, _ = reference_case(64, 5.0, 1.0, 0.5)
+        exact = nqkr.spectrum._parity_eig
+
+        def perturbed(m):
+            vals, vecs = exact(m)
+            vecs = vecs.copy()
+            vecs[:, 0] += 1e-8
+            return vals, vecs
+
+        monkeypatch.setattr(nqkr.spectrum, "_parity_eig", perturbed)
+        with pytest.warns(UserWarning, match="^1 eigenpairs"):
+            spec = quasi_spectrum(matrix, REFERENCE_T, MomentumLattice(64, 0.5))
+        assert np.count_nonzero(spec.flagged_mask()) == 1
 
 
 class TestParityBlocks:
