@@ -120,13 +120,10 @@ def config_snapshot(config: SimConfig) -> dict:
             "K": config.schedule.K,
             "lambda": config.schedule.lam,
             "eta": config.schedule.eta,
-            "omega1": config.schedule.omega1,
-            "omega2": config.schedule.omega2,
         },
         "kick_count": config.kick_count,
         "kick_phase_divisor": config.kick_phase_divisor,
         "epsilon_shift": config.epsilon_shift,
-        "kick_time_offset": config.kick_time_offset,
         "derived": {"kappa": PLASTIC, "omega1": OMEGA1, "omega2": OMEGA2},
     }
 
@@ -180,7 +177,7 @@ def run_phase_diagram(params: dict, outdir: str, jobs: int | None = None, progre
     base = _build_config(params)
     jobs = default_jobs() if jobs is None else jobs
     with _run(outdir, "phase-diagram", params) as run_dir:
-        diagram = phase_diagram(axis1, axis2, base, params["kicks"], jobs=jobs, progress=progress)
+        diagram = phase_diagram(axis1, axis2, base, jobs=jobs, progress=progress)
         write_diagram_csv(run_dir / "phase_diagram.csv", diagram)
         write_diagram_json(run_dir / "phase_diagram.json", diagram)
         if params.get("gnuplot"):

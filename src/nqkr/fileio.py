@@ -118,9 +118,10 @@ def norm_growth_fit_dict(fit: NormGrowthFit) -> dict:
 
 
 def norm_scan_dict(result: NormScanResult) -> dict:
+    """The norm_scan.json payload; lambda_c is keyed by repr(hbar), which round-trips."""
     return {
         "tolerance": result.tolerance,
-        "lambda_c": {f"{h:g}": lc for h, lc in result.lambda_c.items()},
+        "lambda_c": {repr(h): lc for h, lc in result.lambda_c.items()},
         "rows": [
             {
                 "hbar": row.hbar,

@@ -11,6 +11,7 @@ eigenstate tail weights share one edge band, `edge_sites`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,6 +37,8 @@ class MomentumLattice:
             raise ValueError(f"lattice size must be even and >= 2, got {self.size}")
         if not self.hbar_eff > 0:
             raise ValueError(f"hbar_eff must be positive, got {self.hbar_eff}")
+        if not math.isfinite(self.hbar_eff):
+            raise ValueError(f"hbar_eff must be finite, got {self.hbar_eff}")
 
     @property
     def indices(self) -> np.ndarray:

@@ -140,13 +140,14 @@ def record_series(
 
     snapshot_times lists kick times at which the momentum distribution is
     captured (useful for profile fits and file output); each must be one of
-    the run's kick times.
+    the run's kick times 1..kick_count.
     """
     snap_at = set(snapshot_times)
-    first, last = config.kick_time_offset, config.kick_time_offset + config.kick_count - 1
-    outside = sorted(t for t in snap_at if not first <= t <= last)
+    outside = sorted(t for t in snap_at if not 1 <= t <= config.kick_count)
     if outside:
-        raise ValueError(f"snapshot times {outside} lie outside the kick times {first}..{last}")
+        raise ValueError(
+            f"snapshot times {outside} lie outside the kick times 1..{config.kick_count}"
+        )
     snapshots: dict[int, MomentumDistribution] = {}
     rows: list[tuple[int, float, float, float, float, float]] = []
 
@@ -211,16 +212,16 @@ def _default_window(dist: MomentumDistribution) -> tuple[float, float]:
 def _profile_points(
     dist: MomentumDistribution,
     window: tuple[float, float] | None,
-    exclude_core: float,
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
     """Select |p|, log(prob) pairs for a profile fit.
 
     The default window is the contiguous region around the peak where
     prob > 1e-25; probabilities at or below the 1e-30 floor are always
-    dropped so logs stay finite. A central core |p| < exclude_core is
-    removed, where the profile's cusp (or the initial-state remnant)
-    distorts log-linear fits.
+    dropped so logs stay finite. The central core |p| < 2*hbar is removed,
+    where the profile's cusp (or the initial-state remnant) distorts
+    log-linear fits.
     """
+    exclude_core = 2.0 * _grid_spacing(dist)
     p_abs = np.abs(dist.p)
     keep = dist.prob > PROBABILITY_FLOOR
     if window is None:
@@ -247,15 +248,9 @@ def _decay_slope(x: np.ndarray, logp: np.ndarray, kind: str) -> tuple[float, flo
 def fit_exponential_profile(
     dist: MomentumDistribution,
     window: tuple[float, float] | None = None,
-    exclude_core: float | None = None,
 ) -> ProfileFit:
-    """Fit prob ~ exp(-|p|/xi); returns xi and the log-space r^2.
-
-    exclude_core defaults to 2*hbar inferred from the momentum grid spacing.
-    """
-    if exclude_core is None:
-        exclude_core = 2.0 * _grid_spacing(dist)
-    x, logp, window = _profile_points(dist, window, exclude_core)
+    """Fit prob ~ exp(-|p|/xi); returns xi and the log-space r^2."""
+    x, logp, window = _profile_points(dist, window)
     slope, r2 = _decay_slope(x, logp, "exponential")
     return ProfileFit("exponential", -1.0 / slope, r2, window)
 
@@ -263,12 +258,9 @@ def fit_exponential_profile(
 def fit_gaussian_profile(
     dist: MomentumDistribution,
     window: tuple[float, float] | None = None,
-    exclude_core: float | None = None,
 ) -> ProfileFit:
     """Fit prob ~ exp(-p^2/sigma); returns sigma and the log-space r^2."""
-    if exclude_core is None:
-        exclude_core = 2.0 * _grid_spacing(dist)
-    x, logp, window = _profile_points(dist, window, exclude_core)
+    x, logp, window = _profile_points(dist, window)
     slope, r2 = _decay_slope(x**2, logp, "gaussian")
     return ProfileFit("gaussian", -1.0 / slope, r2, window)
 

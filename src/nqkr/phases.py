@@ -127,12 +127,12 @@ def classify(features: Features) -> float:
 
 
 def _config_at(
-    base: SimConfig, axis1: AxisSpec, axis2: AxisSpec, v1: float, v2: float, kicks: int
+    base: SimConfig, axis1: AxisSpec, axis2: AxisSpec, v1: float, v2: float
 ) -> SimConfig:
     schedule = base.schedule
     schedule = replace(schedule, **{AXIS_FIELDS[axis1.name]: float(v1)})
     schedule = replace(schedule, **{AXIS_FIELDS[axis2.name]: float(v2)})
-    return replace(base, schedule=schedule, kick_count=kicks)
+    return replace(base, schedule=schedule)
 
 
 def sweep(
@@ -165,11 +165,10 @@ def phase_diagram(
     axis1: AxisSpec,
     axis2: AxisSpec,
     base_config: SimConfig,
-    kicks: int,
     jobs: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> PhaseDiagram:
-    """One simulation per grid point, classified and assembled row-major.
+    """One simulation of base_config.kick_count kicks per grid point, classified.
 
     The grid points are swept as one flat row-major task list (axis1 outer,
     axis2 inner) and the results are reshaped into rows, so the outcome does
@@ -180,11 +179,11 @@ def phase_diagram(
             raise ValueError(f"unknown sweep axis {axis.name!r}")
         if len(axis.values) < 2:
             raise ValueError(f"axis {axis.name} needs at least 2 values")
-    if kicks < MIN_PHASE_KICKS:
+    if base_config.kick_count < MIN_PHASE_KICKS:
         raise ValueError(f"phase diagrams need at least {MIN_PHASE_KICKS} kicks")
 
     tasks = [
-        _config_at(base_config, axis1, axis2, v1, v2, kicks)
+        _config_at(base_config, axis1, axis2, v1, v2)
         for v1 in axis1.values
         for v2 in axis2.values
     ]

@@ -3,7 +3,8 @@
 A single step applies the kick factor exp[-i*(K+i*lam)*f(t)*cos(theta)/(d*hbar)]
 in angle representation and the free factor exp(-i*n^2*hbar/2) in momentum
 representation, with f(t) = 1 + eta*cos(omega1*t)*cos(omega2*t) sampled at the
-integer kick time t. Conventions:
+kick times t = 1, 2, ..., where omega1 = 2*pi/kappa and omega2 = 2*pi/kappa^2
+are fixed by the plastic number kappa (`constants`). Conventions:
 
 * angle grid theta_m = 2*pi*m/M, m = 0..M-1;
 * DFT pairing psi(theta_m) = sum_n psi_n e^(i*n*theta_m)/sqrt(M). Amplitudes
@@ -61,29 +62,24 @@ class AmplitudeOverflowError(ArithmeticError):
 
 @dataclass(frozen=True)
 class KickSchedule:
-    """Kick strengths and quasi-periodic modulation parameters.
+    """Kick strengths and quasi-periodic modulation depth.
 
     K and lam set the real and imaginary parts of the kick potential; eta is
-    the modulation depth and omega1/omega2 the two incommensurate modulation
-    frequencies (defaults 2*pi/kappa and 2*pi/kappa^2 with kappa the plastic
-    number).
+    the depth of the modulation at the fixed frequencies OMEGA1 and OMEGA2.
     """
 
     K: float
     lam: float
     eta: float = ETA_DEFAULT
-    omega1: float = OMEGA1
-    omega2: float = OMEGA2
 
     def __post_init__(self):
-        if self.K < 0:
-            raise ValueError(f"K must be >= 0, got {self.K}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        # written as ranges so that nan fails them too
+        if not 0.0 <= self.K < math.inf:
+            raise ValueError(f"K must be finite and >= 0, got {self.K}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.omega1 <= 0 or self.omega2 <= 0:
-            raise ValueError("modulation frequencies must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,6 @@ class SimConfig:
     kick_count: int
     kick_phase_divisor: float = 1.0
     epsilon_shift: float = EPSILON_DEFAULT
-    kick_time_offset: int = 1
 
     def __post_init__(self):
         if self.kick_count < 0:
@@ -112,7 +107,7 @@ class SimConfig:
 
 def modulation_factor(schedule: KickSchedule, t: int) -> float:
     """Kick-strength modulation 1 + eta*cos(omega1*t)*cos(omega2*t) at kick time t."""
-    return 1.0 + schedule.eta * math.cos(schedule.omega1 * t) * math.cos(schedule.omega2 * t)
+    return 1.0 + schedule.eta * math.cos(OMEGA1 * t) * math.cos(OMEGA2 * t)
 
 
 @lru_cache(maxsize=32)
@@ -215,14 +210,15 @@ Observer = Callable[[int, WaveFunction], None]
 def evolve(config: SimConfig, observers: Sequence[Observer] = ()) -> WaveFunction:
     """Run kick_count steps from the ground state, notifying observers.
 
-    Observers are called after each step with (kick_time, psi). Kick times are
-    kick_time_offset + i for step i, so the default schedule is t = 1, 2, ...
-    Deterministic: identical configs produce bit-identical amplitudes.
+    Observers are called after each step with (kick_time, psi), at the kick
+    times t = 1..kick_count. An ArithmeticError from a step or an observer
+    keeps its type and gains the kick time; any other observer error becomes
+    a RuntimeError. Deterministic: identical configs produce bit-identical
+    amplitudes.
     """
     psi = ground_state(config.lattice)
     warned = False
-    for i in range(config.kick_count):
-        t = config.kick_time_offset + i
+    for t in range(1, config.kick_count + 1):
         try:
             step(psi, config, t)
         except ArithmeticError as exc:
@@ -239,6 +235,8 @@ def evolve(config: SimConfig, observers: Sequence[Observer] = ()) -> WaveFunctio
         for obs in observers:
             try:
                 obs(t, psi)
+            except ArithmeticError as exc:
+                raise type(exc)(f"{exc} (at kick t={t})") from exc
             except Exception as exc:
                 raise RuntimeError(f"observer failed at kick t={t}: {exc}") from exc
     return psi

@@ -44,7 +44,7 @@ _SQRT_HALF = np.sqrt(0.5)
 
 
 class SpectrumError(RuntimeError):
-    """Eigendecomposition failed or was refused."""
+    """The eigensolver failed to converge, or no eigenstate is tail-safe."""
 
 
 @dataclass
@@ -78,13 +78,14 @@ class QuasiSpectrum:
         """States that do not lean on the truncation seam."""
         return self.tail_weights < tail_limit
 
-    def flagged_mask(self, tol: float = RESIDUAL_TOLERANCE) -> np.ndarray:
-        """Pairs whose residual exceeds tol * residual_scale (not trustworthy).
+    def flagged_mask(self) -> np.ndarray:
+        """Pairs whose residual exceeds RESIDUAL_TOLERANCE * residual_scale.
 
         Backward-stable solvers leave ||U phi - u phi|| <= p(n) * eps * ||U||
-        (LAPACK Users' Guide, 3rd ed., sec. 4.8); for |U_ij| <= 1 the limit is tol.
+        (LAPACK Users' Guide, 3rd ed., sec. 4.8); for |U_ij| <= 1 the limit is
+        RESIDUAL_TOLERANCE itself.
         """
-        return self.residuals > tol * self.residual_scale
+        return self.residuals > RESIDUAL_TOLERANCE * self.residual_scale
 
     def top_valid_index(self, tail_limit: float = EIGENSTATE_TAIL_LIMIT) -> int:
         """Index of the max-eps_i state among tail-safe states."""
@@ -123,11 +124,11 @@ def build_floquet_matrix(config: SimConfig, t: int, m_spec: int) -> np.ndarray:
 
     Column j is one propagator step applied to basis vector |n_j>, with the
     step's renormalization undone analytically via its log_norm bookkeeping.
+    Raises ValueError if m_spec exceeds SPECTRUM_DIM_BUDGET or is not a valid
+    lattice size.
     """
-    if m_spec % 2 != 0 or m_spec < 2:
-        raise ValueError(f"spectrum dimension must be even and >= 2, got {m_spec}")
     if m_spec > SPECTRUM_DIM_BUDGET:
-        raise SpectrumError(
+        raise ValueError(
             f"dimension {m_spec} exceeds the dense eigensolver budget "
             f"{SPECTRUM_DIM_BUDGET}"
         )

@@ -234,7 +234,7 @@ def eta_k_sweep():
         kick_count=1000,
     )
     diagram = phase_diagram(
-        AxisSpec("eta", etas), AxisSpec("K", ks), base, kicks=1000, jobs=2
+        AxisSpec("eta", etas), AxisSpec("K", ks), base, jobs=2
     )
     return diagram, time.monotonic() - started
 

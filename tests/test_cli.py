@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -52,6 +53,31 @@ class TestEvolveCommand:
         assert manifest["schema"] == "nqkr.run-manifest/1"
         assert "otoc_series.csv" in manifest["outputs"]
         assert manifest["config"]["derived"]["kappa"] == 1.3247179572447460
+
+    def test_manifest_config_records_every_field(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["evolve", "--K", "3", "--lambda", "0.5", "--kicks", "5", "--lattice", "32",
+             "--outdir", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((only_run_dir(tmp_path) / "manifest.json").read_text())
+        config = cli._build_config(manifest["params"])
+        recorded = manifest["config"]
+        snapshot_name = {"lam": "lambda"}
+
+        def assert_recorded(obj, block, extra=()):
+            fields = dataclasses.fields(obj)
+            names = [snapshot_name.get(f.name, f.name) for f in fields]
+            assert set(block) == set(names) | set(extra)
+            for f, name in zip(fields, names):
+                value = getattr(obj, f.name)
+                if dataclasses.is_dataclass(value):
+                    assert_recorded(value, block[name])
+                else:
+                    assert block[name] == value
+
+        assert_recorded(config, recorded, extra=("derived",))
 
     def test_snapshots_written(self, runner, tmp_path):
         result = runner.invoke(
@@ -256,6 +282,17 @@ class TestNormScanCommand:
         assert data["lambda_c"]["2.89"] == 0.4
         assert (run_dir / "norm_scan.csv").exists()
 
+    def test_lambda_c_keeps_hbars_that_print_alike(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["norm-scan", "--K", "10", "--lambda-list", "0,0.1",
+             "--hbar-list", "1.0000001,1.0000002", "--kicks", "20", "--lattice", "512",
+             "--outdir", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        data = json.loads((only_run_dir(tmp_path) / "norm_scan.json").read_text())
+        assert list(data["lambda_c"]) == ["1.0000001", "1.0000002"]
+
     def test_requires_lambda_specification(self, runner, tmp_path):
         result = runner.invoke(
             main, ["norm-scan", "--K", "5", "--kicks", "50"]
@@ -402,6 +439,18 @@ INVALID_INPUTS = [
      "kick_count must be >= 0, got -1"),
     (["spectrum", "--K", "1", "--lambda", "0", "--t", "1", "--dim", "16",
       "--epsilon", "0.5"], "epsilon_shift must be a small positive number, got 0.5"),
+    (["evolve", "--K", "nan", "--lambda", "0", "--kicks", "5", "--lattice", "32"],
+     "K must be finite and >= 0, got nan"),
+    (["evolve", "--K", "inf", "--lambda", "0", "--kicks", "5", "--lattice", "32"],
+     "K must be finite and >= 0, got inf"),
+    (["evolve", "--K", "1", "--lambda", "nan", "--kicks", "5", "--lattice", "32"],
+     "lam must be finite and >= 0, got nan"),
+    (["evolve", "--K", "1", "--lambda", "inf", "--kicks", "5", "--lattice", "32"],
+     "lam must be finite and >= 0, got inf"),
+    (["evolve", "--K", "1", "--lambda", "0", "--kicks", "5", "--lattice", "32",
+      "--hbar", "inf"], "hbar_eff must be finite, got inf"),
+    (["spectrum", "--K", "1", "--lambda", "0", "--t", "1", "--dim", "4096"],
+     "dimension 4096 exceeds the dense eigensolver budget 2048"),
 ]
 
 
@@ -417,13 +466,15 @@ def test_invalid_input_exits_2_without_run_dir(runner, tmp_path, args, message):
 
 
 def test_numerical_failure_exits_1_without_run_dir(runner, tmp_path):
+    # the free phase overflows to nan, which the observer's norm check catches
     result = runner.invoke(
         main,
-        ["spectrum", "--K", "1", "--lambda", "0", "--t", "1", "--dim", "4096",
-         "--outdir", str(tmp_path)],
+        ["evolve", "--K", "1", "--lambda", "0", "--hbar", "1e308", "--kicks", "5",
+         "--lattice", "32", "--outdir", str(tmp_path)],
     )
-    assert result.exit_code == 1
-    assert "numerical failure: dimension 4096 exceeds" in result.output
+    assert result.exit_code == 1, result.output
+    assert "numerical failure: state norm collapsed" in result.output
+    assert "(at kick t=1)" in result.output
     assert not list(tmp_path.iterdir())
 
 

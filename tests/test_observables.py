@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -336,17 +337,15 @@ class TestSeriesRecording:
         record = record_series(cfg)
         assert len(record.series) == 0
 
-    @pytest.mark.parametrize("times,offset", [((0,), 1), ((6,), 1), ((2, 9), 1), ((3,), 4)])
-    def test_snapshot_outside_the_run_rejected(self, times, offset):
-        cfg = SimConfig(
-            MomentumLattice(64, HBAR), KickSchedule(K=3.0, lam=0.0), 5,
-            kick_time_offset=offset,
-        )
-        with pytest.raises(ValueError, match="outside the kick times"):
+    # before the first kick, after the last, and one of two times outside
+    @pytest.mark.parametrize("times,kicks", [((0,), 1), ((2,), 1), ((1, 2), 1), ((5,), 4)])
+    def test_snapshot_outside_the_run_rejected(self, times, kicks):
+        cfg = SimConfig(MomentumLattice(64, HBAR), KickSchedule(K=3.0, lam=0.0), kicks)
+        outside = [t for t in times if t not in range(1, kicks + 1)]
+        message = f"snapshot times {outside} lie outside the kick times 1..{kicks}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             record_series(cfg, snapshot_times=times)
 
     def test_snapshot_at_first_and_last_kick_recorded(self):
-        cfg = SimConfig(
-            MomentumLattice(64, HBAR), KickSchedule(K=3.0, lam=0.0), 5, kick_time_offset=4
-        )
-        assert set(record_series(cfg, snapshot_times=(4, 8)).snapshots) == {4, 8}
+        cfg = SimConfig(MomentumLattice(64, HBAR), KickSchedule(K=3.0, lam=0.0), 5)
+        assert set(record_series(cfg, snapshot_times=(1, 5)).snapshots) == {1, 5}

@@ -127,9 +127,9 @@ class TestProductionAnchors:
         assert classify(f) < 0.1
 
 
-def tiny_config(m=512):
+def tiny_config(m=512, kicks=500):
     return SimConfig(
-        MomentumLattice(m, HBAR), KickSchedule(K=5.0, lam=0.0), 500
+        MomentumLattice(m, HBAR), KickSchedule(K=5.0, lam=0.0), kicks
     )
 
 
@@ -138,8 +138,7 @@ class TestPhaseDiagram:
         diagram = phase_diagram(
             AxisSpec("eta", np.array([0.1, 1.0])),
             AxisSpec("K", np.array([1.0, 10.0])),
-            tiny_config(m=2048),
-            kicks=1000,
+            tiny_config(m=2048, kicks=1000),
         )
         rho = {
             (pt.params[0], pt.params[1]): pt.rho
@@ -151,8 +150,8 @@ class TestPhaseDiagram:
     def test_parallel_matches_serial(self):
         axis1 = AxisSpec("lambda", np.array([0.0, 3.0]))
         axis2 = AxisSpec("K", np.array([4.0, 8.0]))
-        serial = phase_diagram(axis1, axis2, tiny_config(m=1024), kicks=500, jobs=1)
-        parallel = phase_diagram(axis1, axis2, tiny_config(m=1024), kicks=500, jobs=2)
+        serial = phase_diagram(axis1, axis2, tiny_config(m=1024), jobs=1)
+        parallel = phase_diagram(axis1, axis2, tiny_config(m=1024), jobs=2)
         for i in range(2):
             for j in range(2):
                 assert serial.points[i][j].rho == parallel.points[i][j].rho
@@ -161,15 +160,13 @@ class TestPhaseDiagram:
         one = AxisSpec("eta", np.array([0.5]))
         two = AxisSpec("K", np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            phase_diagram(one, two, tiny_config(), kicks=500)
+            phase_diagram(one, two, tiny_config())
         with pytest.raises(ValueError):
             phase_diagram(
-                AxisSpec("eta", np.array([0.1, 0.9])), two, tiny_config(), kicks=100
+                AxisSpec("eta", np.array([0.1, 0.9])), two, tiny_config(kicks=100)
             )
         with pytest.raises(ValueError):
-            phase_diagram(
-                AxisSpec("volume", np.array([0.1, 0.9])), two, tiny_config(), kicks=500
-            )
+            phase_diagram(AxisSpec("volume", np.array([0.1, 0.9])), two, tiny_config())
 
     def test_boundary_interpolation(self):
         # hand-built rho columns: crossing between axis1=0.2 (rho 0.8) and

@@ -67,7 +67,7 @@ class TestBuildFloquetMatrix:
             build_floquet_matrix(config(1.0, 0.0), t=1, m_spec=7)
 
     def test_budget_enforced(self):
-        with pytest.raises(SpectrumError):
+        with pytest.raises(ValueError, match="budget"):
             build_floquet_matrix(config(1.0, 0.0), t=1, m_spec=4096)
 
 
