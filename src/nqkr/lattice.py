@@ -22,7 +22,7 @@ NORM_COLLAPSE_FLOOR = 1e-300
 
 
 class NormCollapseError(ArithmeticError):
-    """State norm fell below double-precision viability."""
+    """State norm fell below double-precision viability or is not finite."""
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,14 @@ class MomentumLattice:
             raise ValueError(f"hbar_eff must be positive, got {self.hbar_eff}")
         if not math.isfinite(self.hbar_eff):
             raise ValueError(f"hbar_eff must be finite, got {self.hbar_eff}")
+        # the largest free phase n^2*hbar/2, at n = -M/2, multiplied in the
+        # propagator's order, so no phase of an accepted lattice overflows
+        half = self.size // 2
+        if not math.isfinite(0.5 * self.hbar_eff * half * half):
+            raise ValueError(
+                f"hbar_eff {self.hbar_eff} overflows the free phase n^2*hbar/2 "
+                f"on {self.size} sites"
+            )
 
     @property
     def indices(self) -> np.ndarray:
@@ -94,6 +102,11 @@ class MomentumDistribution(NamedTuple):
 
 
 def _check_norm(norm_sq: float) -> float:
+    if not math.isfinite(norm_sq):
+        raise NormCollapseError(
+            f"state norm is not finite (sum|amps|^2 = {norm_sq:.3e}); "
+            "the simulation is no longer numerically meaningful"
+        )
     if not norm_sq > NORM_COLLAPSE_FLOOR:
         raise NormCollapseError(
             f"state norm collapsed (sum|amps|^2 = {norm_sq:.3e}); "

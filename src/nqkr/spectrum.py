@@ -16,6 +16,13 @@ stacked eig, about a quarter of the work of the full matrix, so every
 eigenstate it returns has definite parity. Residuals are still measured
 against the full matrix.
 
+Memory: beside the input U, the spectrum path holds the (2, M/2+1, M/2+1)
+block stack and its eigenvectors, then one (M, M) eigenvector array, built
+straight in sorted order and normalized in place, plus working blocks of at
+most (M, M/2+1) while the stack is built and (M, _BLOCK) after it. From
+M = 512 up, quasi_spectrum's allocations above U peak at 1.8 x U.nbytes, and
+a fidelity profile allocates only vectors.
+
 The FFT propagator makes momentum periodic, and the truncated ring supports
 eigenstates pinned to the n = +-M/2 seam whose eps_i can exceed every
 physical state's. Each eigenstate therefore carries its edge-tail weight on
@@ -41,6 +48,9 @@ EIGENSTATE_TAIL_LIMIT = 1e-10
 # quasi_spectrum accepts; the assembled U(t) measures ~1e-15.
 PARITY_TOLERANCE = 1e-12
 _SQRT_HALF = np.sqrt(0.5)
+# Rows or columns per pass of the blocked loops over U and its eigenvectors;
+# their temporaries are a few (M, _BLOCK) arrays, 1 MB each at M = 1024.
+_BLOCK = 64
 
 
 class SpectrumError(RuntimeError):
@@ -74,9 +84,9 @@ class QuasiSpectrum:
     def eps_i(self) -> np.ndarray:
         return self.quasienergies.imag
 
-    def valid_mask(self, tail_limit: float = EIGENSTATE_TAIL_LIMIT) -> np.ndarray:
+    def valid_mask(self) -> np.ndarray:
         """States that do not lean on the truncation seam."""
-        return self.tail_weights < tail_limit
+        return self.tail_weights < EIGENSTATE_TAIL_LIMIT
 
     def flagged_mask(self) -> np.ndarray:
         """Pairs whose residual exceeds RESIDUAL_TOLERANCE * residual_scale.
@@ -87,9 +97,9 @@ class QuasiSpectrum:
         """
         return self.residuals > RESIDUAL_TOLERANCE * self.residual_scale
 
-    def top_valid_index(self, tail_limit: float = EIGENSTATE_TAIL_LIMIT) -> int:
+    def top_valid_index(self) -> int:
         """Index of the max-eps_i state among tail-safe states."""
-        valid = self.valid_mask(tail_limit)
+        valid = self.valid_mask()
         if not np.any(valid):
             raise SpectrumError("no tail-safe eigenstates; enlarge the dimension")
         idx = np.flatnonzero(valid)
@@ -145,46 +155,78 @@ def build_floquet_matrix(config: SimConfig, t: int, m_spec: int) -> np.ndarray:
     return matrix
 
 
-def _parity_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of x in the even and odd parity bases (see the module docstring).
-
-    Row j of x is momentum n = j - M/2; the even rows come out in the order
-    |0>, |-M/2>, then k = 1..M/2-1, and the odd rows in k = 1..M/2-1.
-    """
-    h = x.shape[0] // 2
-    plus, minus = x[h + 1:], x[h - 1:0:-1]
-    even = np.concatenate((x[h:h + 1], x[:1], (plus + minus) * _SQRT_HALF))
-    return even, (plus - minus) * _SQRT_HALF
-
-
 def _parity_blocks(matrix: np.ndarray) -> np.ndarray:
     """The (2, M/2+1, M/2+1) stack of U's even block and zero-padded odd block.
 
-    Both blocks come from index arithmetic on U. Raises ValueError if the
-    even-odd coupling blocks exceed PARITY_TOLERANCE * max|U|.
+    One sector at a time, U's columns are combined into a (M, M/2+1) buffer
+    (row j is momentum n = j - M/2; even columns in the order |0>, |-M/2>,
+    then k = 1..M/2-1, odd columns in k = 1..M/2-1), and its rows are combined
+    straight into the stack. The coupling to the other sector is reduced to
+    its max and dropped. Raises ValueError if that coupling exceeds
+    PARITY_TOLERANCE * max|U|.
     """
-    h = matrix.shape[0] // 2
-    cols_even, cols_odd = _parity_rows(matrix.T)
-    even, odd_even = _parity_rows(cols_even.T)
-    even_odd, odd = _parity_rows(cols_odd.T)
-    leak = max(np.abs(odd_even).max(initial=0.0), np.abs(even_odd).max(initial=0.0))
-    if leak > PARITY_TOLERANCE * np.abs(matrix).max():
+    m = matrix.shape[0]
+    h = m // 2
+    limit = PARITY_TOLERANCE * _max_abs(matrix)
+    stack = np.zeros((2, h + 1, h + 1), dtype=np.complex128)
+    cols = np.empty((m, h + 1), dtype=np.complex128)
+
+    # even columns: even rows fill the even block, odd rows couple
+    cols[:, 0] = matrix[:, h]
+    cols[:, 1] = matrix[:, 0]
+    _combine(matrix[:, h + 1:], matrix[:, h - 1:0:-1], np.add, cols[:, 2:])
+    stack[0, 0] = cols[h]
+    stack[0, 1] = cols[0]
+    _combine(cols[h + 1:], cols[h - 1:0:-1], np.add, stack[0, 2:])
+    odd_even = _coupling(cols[h + 1:], cols[h - 1:0:-1], np.subtract)
+
+    # odd columns, in the same buffer: even rows couple, odd rows fill the odd block
+    cols = cols[:, :h - 1]
+    _combine(matrix[:, h + 1:], matrix[:, h - 1:0:-1], np.subtract, cols)
+    even_odd = max(np.abs(cols[[h, 0]]).max(initial=0.0),
+                   _coupling(cols[h + 1:], cols[h - 1:0:-1], np.add))
+    _combine(cols[h + 1:], cols[h - 1:0:-1], np.subtract, stack[1, :h - 1, :h - 1])
+
+    leak = max(odd_even, even_odd)
+    if leak > limit:
         raise ValueError(
             f"matrix does not commute with momentum parity n -> -n: the "
             f"even-odd coupling reaches {leak:.3e}"
         )
-    stack = np.zeros((2, h + 1, h + 1), dtype=np.complex128)
-    stack[0] = even
-    stack[1, :h - 1, :h - 1] = odd
     return stack
+
+
+def _max_abs(matrix: np.ndarray) -> float:
+    """max|U_ij|, taken over blocks of rows."""
+    return max(float(np.abs(matrix[i:i + _BLOCK]).max()) for i in range(0, len(matrix), _BLOCK))
+
+
+def _combine(plus: np.ndarray, minus: np.ndarray, ufunc: np.ufunc, out: np.ndarray) -> None:
+    """out = ufunc(plus, minus) * sqrt(1/2), the parity partners n and -n combined."""
+    ufunc(plus, minus, out=out)
+    out *= _SQRT_HALF
+
+
+def _coupling(plus: np.ndarray, minus: np.ndarray, ufunc: np.ufunc) -> float:
+    """max |ufunc(plus, minus) * sqrt(1/2)|, the largest entry of a coupling block."""
+    return float(np.abs(ufunc(plus, minus) * _SQRT_HALF).max(initial=0.0))
+
+
+def _eps_parts(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eps_r, eps_i) of eigenvalues u = e^(-i*eps), eps_r folded to (-pi, pi]."""
+    eps_r = -np.angle(vals)
+    # -angle() lands in [-pi, pi)
+    eps_r = np.where(eps_r <= -np.pi, eps_r + 2.0 * np.pi, eps_r)
+    return eps_r, np.log(np.abs(vals))
 
 
 def _parity_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and storage-basis eigenvectors of U from its parity blocks.
 
     One eig call solves the block stack. The odd slice's two padding pairs
-    are dropped by their support on the padded coordinates, and the rest are
-    embedded back into the M-dimensional basis. Even-sector pairs come first.
+    are dropped by their support on the padded coordinates. The pairs come
+    out sorted by descending eps_i, then eps_r: each block eigenvector is
+    embedded once, straight into its sorted column of the M x M output.
     """
     m = matrix.shape[0]
     h = m // 2
@@ -192,15 +234,26 @@ def _parity_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     padding_support = np.sum(np.abs(vecs[1, h - 1:]) ** 2, axis=0)
     keep = np.sort(np.argsort(padding_support, kind="stable")[:h - 1])
-    even_vecs, odd_vecs = vecs[0], vecs[1, :h - 1][:, keep]
+    vals = np.concatenate((vals[0], vals[1, keep]))
+    eps_r, eps_i = _eps_parts(vals)
+    order = np.lexsort((eps_r, -eps_i))
+    column = np.empty(m, dtype=np.intp)
+    column[order] = np.arange(m)
+    even_cols, odd_cols = column[:h + 1], column[h + 1:]
+
     out = np.zeros((m, m), dtype=np.complex128)
-    out[h, :h + 1] = even_vecs[0]
-    out[0, :h + 1] = even_vecs[1]
-    out[h + 1:, :h + 1] = even_vecs[2:] * _SQRT_HALF
-    out[h - 1:0:-1, :h + 1] = out[h + 1:, :h + 1]
-    out[h + 1:, h + 1:] = odd_vecs * _SQRT_HALF
-    out[h - 1:0:-1, h + 1:] = -out[h + 1:, h + 1:]
-    return np.concatenate((vals[0], vals[1, keep])), out
+    even = vecs[0]
+    out[h, even_cols] = even[0]
+    out[0, even_cols] = even[1]
+    even[2:] *= _SQRT_HALF
+    out[h + 1:, even_cols] = even[2:]
+    out[h - 1:0:-1, even_cols] = even[2:]
+    odd = vecs[1, :h - 1][:, keep]
+    odd *= _SQRT_HALF
+    out[h + 1:, odd_cols] = odd
+    np.negative(odd, out=odd)
+    out[h - 1:0:-1, odd_cols] = odd
+    return vals[order], out
 
 
 def quasi_spectrum(
@@ -213,10 +266,12 @@ def quasi_spectrum(
     U is solved as its even (M/2 + 1) and odd (M/2 - 1) momentum-parity
     blocks in one stacked eig, and each eigenvector is embedded back into
     the M-dimensional storage basis, so it is exactly even or odd in n.
-    Residuals ||U phi - u phi|| are measured against the full input matrix;
-    pairs above RESIDUAL_TOLERANCE * max(1, max|U|) are flagged with a warning.
-    Raises ValueError if U has non-finite entries, or if it couples the two
-    parity sectors by more than PARITY_TOLERANCE * max|U|.
+    Eigenvectors are normalized and phase-fixed in place, and residuals
+    ||U phi - u phi|| are measured against the full input matrix, both in
+    blocks of _BLOCK columns; pairs above RESIDUAL_TOLERANCE *
+    max(1, max|U|) are flagged with a warning. Raises ValueError if U has
+    non-finite entries, or if it couples the two parity sectors by more than
+    PARITY_TOLERANCE * max|U|.
 
     t and lattice are carried through for bookkeeping; lattice defaults to
     hbar = 1 if the matrix arrives without context.
@@ -232,8 +287,9 @@ def quasi_spectrum(
     if lattice.size != m:
         raise ValueError("lattice size does not match matrix dimension")
 
+    scale = max(1.0, _max_abs(matrix))
     try:
-        eigvals, eigvecs = _parity_eig(matrix)
+        eigvals, vecs = _parity_eig(matrix)
     except np.linalg.LinAlgError as exc:
         norm1 = float(np.linalg.norm(matrix, 1))
         norm_inf = float(np.linalg.norm(matrix, np.inf))
@@ -241,30 +297,23 @@ def quasi_spectrum(
             f"eigensolver failed to converge (dim {m}, 1-norm {norm1:.3e}, "
             f"inf-norm {norm_inf:.3e}): {exc}"
         ) from exc
+    eps_r, eps_i = _eps_parts(eigvals)
 
-    eps_i = np.log(np.abs(eigvals))
-    eps_r = -np.angle(eigvals)
-    # fold the branch to (-pi, pi]; -angle() lands in [-pi, pi)
-    eps_r = np.where(eps_r <= -np.pi, eps_r + 2.0 * np.pi, eps_r)
-
-    order = np.lexsort((eps_r, -eps_i))
-    eigvals = eigvals[order]
-    eps = (eps_r + 1j * eps_i)[order]
-    vecs = eigvecs[:, order]
-
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    # deterministic phase: largest-magnitude component real positive
-    lead = np.argmax(np.abs(vecs), axis=0)
-    lead_vals = vecs[lead, np.arange(m)]
-    vecs = vecs * np.exp(-1j * np.angle(lead_vals))[np.newaxis, :]
-
-    residuals = np.linalg.norm(matrix @ vecs - vecs * eigvals[np.newaxis, :], axis=0)
+    residuals = np.empty(m)
+    for start in range(0, m, _BLOCK):
+        cols = slice(start, start + _BLOCK)
+        block = vecs[:, cols]
+        block /= np.linalg.norm(block, axis=0)
+        # deterministic phase: largest-magnitude component real positive
+        lead = np.argmax(np.abs(block), axis=0)
+        block *= np.exp(-1j * np.angle(block[lead, np.arange(block.shape[1])]))
+        defect = matrix @ block
+        defect -= block * eigvals[cols]
+        residuals[cols] = np.linalg.norm(defect, axis=0)
     edge = edge_sites(m)
-    prob = np.abs(vecs) ** 2
-    tails = prob[:edge].sum(axis=0) + prob[-edge:].sum(axis=0)
+    tails = (np.abs(vecs[:edge]) ** 2).sum(axis=0) + (np.abs(vecs[-edge:]) ** 2).sum(axis=0)
 
-    scale = max(1.0, float(np.abs(matrix).max()))
-    spec = QuasiSpectrum(t, lattice, eps, vecs, residuals, tails, scale)
+    spec = QuasiSpectrum(t, lattice, eps_r + 1j * eps_i, vecs, residuals, tails, scale)
     flagged = int(np.count_nonzero(spec.flagged_mask()))
     if flagged:
         warnings.warn(
@@ -296,5 +345,5 @@ def fidelity_profile(psi: WaveFunction, spec: QuasiSpectrum) -> FidelityRecord:
             f"dimension {spec.lattice.size}"
         )
     normed = psi.amps / np.linalg.norm(psi.amps)
-    fid = np.abs(spec.eigenstates.conj().T @ normed)
+    fid = np.abs(normed.conj() @ spec.eigenstates)
     return FidelityRecord(spec.t, spec.eps_i.copy(), fid, int(np.argmax(fid)))

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from nqkr import KickSchedule, MomentumLattice, SimConfig, spectrum_at
-from nqkr import cli
+from nqkr import cli, propagator
 from nqkr.cli import main, parse_range, rerun_manifest
 from nqkr.fileio import read_series_csv
 
@@ -451,6 +451,8 @@ INVALID_INPUTS = [
       "--hbar", "inf"], "hbar_eff must be finite, got inf"),
     (["spectrum", "--K", "1", "--lambda", "0", "--t", "1", "--dim", "4096"],
      "dimension 4096 exceeds the dense eigensolver budget 2048"),
+    (["evolve", "--K", "1", "--lambda", "0", "--kicks", "5", "--lattice", "32",
+      "--hbar", "1e308"], "hbar_eff 1e+308 overflows the free phase n^2*hbar/2 on 32 sites"),
 ]
 
 
@@ -465,15 +467,17 @@ def test_invalid_input_exits_2_without_run_dir(runner, tmp_path, args, message):
     assert not list(tmp_path.iterdir())
 
 
-def test_numerical_failure_exits_1_without_run_dir(runner, tmp_path):
-    # the free phase overflows to nan, which the observer's norm check catches
+def test_numerical_failure_exits_1_without_run_dir(runner, tmp_path, monkeypatch):
+    # a nan free phase, which the observer's norm check catches
+    monkeypatch.setattr(propagator, "_free_phases",
+                        lambda size, hbar: np.full(size, np.nan, dtype=complex))
     result = runner.invoke(
         main,
-        ["evolve", "--K", "1", "--lambda", "0", "--hbar", "1e308", "--kicks", "5",
+        ["evolve", "--K", "1", "--lambda", "0", "--kicks", "5",
          "--lattice", "32", "--outdir", str(tmp_path)],
     )
     assert result.exit_code == 1, result.output
-    assert "numerical failure: state norm collapsed" in result.output
+    assert "numerical failure: state norm is not finite" in result.output
     assert "(at kick t=1)" in result.output
     assert not list(tmp_path.iterdir())
 

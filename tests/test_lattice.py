@@ -10,6 +10,7 @@ from nqkr import (
     ground_state,
     momentum_distribution,
 )
+from nqkr.propagator import _free_phases
 
 HBAR = 2.89
 
@@ -78,6 +79,23 @@ class TestExpectations:
             expectation_p(psi)
         with pytest.raises(NormCollapseError):
             expectation_p2(psi)
+
+    def test_nonfinite_norm_is_not_called_a_collapse(self):
+        psi = make_state([np.nan, 1.0, 0.0, 0.0])
+        with pytest.raises(NormCollapseError, match="state norm is not finite"):
+            expectation_p(psi)
+
+
+class TestMomentumLattice:
+    @pytest.mark.parametrize("size,hbar", [(32, 1e308), (4, 1e308), (2048, 1e303)])
+    def test_overflowing_free_phase_rejected(self, size, hbar):
+        with pytest.raises(ValueError, match="overflows the free phase"):
+            MomentumLattice(size, hbar)
+
+    def test_near_limit_free_phase_accepted(self):
+        # 0.5 * hbar * 16 * 16 = 1.6e308 is still finite, and so is every phase
+        lattice = MomentumLattice(32, 1.25e306)
+        assert np.all(np.isfinite(_free_phases(lattice.size, lattice.hbar_eff)))
 
 
 class TestMomentumDistribution:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -197,7 +198,8 @@ class TestWrapArtifactHandling:
         # tail condition, since their eigenvalues are truncation-affected)
         config_1024, _, spec_1024 = fidelity_setup
         spec_512 = spectrum_at(config_1024, 200, 512)
-        top_512 = spec_512.top_valid_index(tail_limit=1e-12)
+        safe = np.flatnonzero(spec_512.tail_weights < 1e-12)
+        top_512 = int(safe[np.argmax(spec_512.eps_i[safe])])
         assert spec_512.tail_weights[top_512] < 1e-12
         closest = np.min(np.abs(spec_1024.eps_i - spec_512.eps_i[top_512]))
         assert closest < 1e-6
@@ -341,6 +343,29 @@ class TestDenseReference:
         assert len(caught) == int(spec.flagged_mask().any())
         assert float(spec.residuals.max()) <= 1e-8
 
+    @pytest.mark.parametrize("dim,lam,divisor,hbar", REFERENCE_PARAMS)
+    def test_residuals_are_taken_against_the_full_matrix(self, dim, lam, divisor, hbar, monkeypatch):
+        # the blocked residual pass equals one dense U @ E - E * u; the
+        # eigenvectors are shifted off parity and off U's eigenvectors, so a
+        # residual taken on part of U or on its parity blocks would show
+        matrix, _, _, _ = reference_case(dim, lam, divisor, hbar)
+        exact = nqkr.spectrum._parity_eig
+        eigvals = []
+
+        def recorded(m):
+            vals, vecs = exact(m)
+            eigvals.append(vals)
+            return vals, vecs + 1e-6
+
+        monkeypatch.setattr(nqkr.spectrum, "_parity_eig", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the shifted pairs are flagged
+            spec = quasi_spectrum(matrix, REFERENCE_T, MomentumLattice(dim, hbar))
+        states = spec.eigenstates
+        dense = np.linalg.norm(matrix @ states - states * eigvals[0], axis=0)
+        bound = 1e-14 * max(1.0, float(np.abs(matrix).max()))
+        assert np.abs(spec.residuals - dense).max() <= bound
+
     @pytest.mark.parametrize("dim", [8, 64, 256])
     def test_high_gain_roundoff_is_not_flagged(self, dim):
         """The three strict xfails above: max|U| reaches 2e6-4e6, and residuals
@@ -452,3 +477,38 @@ class TestParitySymmetry:
         even, odd = parity_split(spec.eigenstates)
         assert even[record.best_index]
         assert record.fidelity[odd].max() <= 1e-12
+
+
+def traced_peak(func, *args):
+    """Peak of the allocations traced during func(*args), above those at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        func(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocationPeaks:
+    """The spectrum path holds U, one eigenvector array and bounded blocks."""
+
+    DIM = 512
+
+    @pytest.fixture(scope="class")
+    def frozen_matrix(self):
+        cfg = config(10.0, 5.0, m=self.DIM)
+        return build_floquet_matrix(cfg, 200, self.DIM), cfg.lattice
+
+    def test_quasi_spectrum_peak(self, frozen_matrix):
+        matrix, lattice = frozen_matrix
+        peak = traced_peak(quasi_spectrum, matrix, 200, lattice)
+        assert peak <= 2.5 * matrix.nbytes
+
+    def test_fidelity_profile_peak(self, frozen_matrix):
+        matrix, lattice = frozen_matrix
+        spec = quasi_spectrum(matrix, 200, lattice)
+        rng = np.random.default_rng(11)
+        psi = WaveFunction(lattice, rng.normal(size=self.DIM) + 1j * rng.normal(size=self.DIM))
+        peak = traced_peak(fidelity_profile, psi, spec)
+        assert peak <= 0.1 * matrix.nbytes
