@@ -14,8 +14,6 @@ from .lattice import (
     MomentumLattice,
     NormCollapseError,
     WaveFunction,
-    expectation_p,
-    expectation_p2,
     ground_state,
     momentum_distribution,
 )
@@ -26,6 +24,8 @@ from .observables import (
     OtocSeries,
     ProfileFit,
     compare_profiles,
+    expectation_p,
+    expectation_p2,
     fit_exponential_profile,
     fit_gaussian_profile,
     fit_norm_growth,
@@ -46,7 +46,6 @@ from .phases import (
     phase_diagram,
 )
 from .propagator import (
-    AmplitudeOverflowError,
     KickSchedule,
     SimConfig,
     WrapAroundWarning,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,11 +51,11 @@ from .fileio import (
 from .lattice import MomentumLattice, NormCollapseError, momentum_distribution
 from .observables import record_series
 from .phases import AXIS_FIELDS, AxisSpec, default_jobs, norm_scan, phase_diagram
-from .propagator import AmplitudeOverflowError, KickSchedule, SimConfig
+from .propagator import KickSchedule, SimConfig
 from .recipes import FIGURE_IDS, run_recipe
 from .spectrum import SpectrumError, fidelity_profile, spectrum_at
 
-NUMERICAL_ERRORS = (NormCollapseError, AmplitudeOverflowError, SpectrumError)
+NUMERICAL_ERRORS = (NormCollapseError, SpectrumError)
 MANIFEST_SCHEMA = "nqkr.run-manifest/1"
 
 
@@ -101,31 +102,17 @@ def _run(outdir: str, command: str, params: dict, config: SimConfig | None = Non
             for d in created:
                 d.rmdir()
         raise
+    derived = {"kappa": PLASTIC, "omega1": OMEGA1, "omega2": OMEGA2}
     write_json(run_dir / "manifest.json", {
         "schema": MANIFEST_SCHEMA,
         "command": command,
         "params": params,
-        "config": None if config is None else config_snapshot(config),
+        "config": None if config is None else {**asdict(config), "derived": derived},
         "tool_version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "duration_seconds": time.monotonic() - started,
         "outputs": sorted(p.name for p in run_dir.iterdir() if p.is_file()),
     })
-
-
-def config_snapshot(config: SimConfig) -> dict:
-    return {
-        "lattice": {"size": config.lattice.size, "hbar_eff": config.lattice.hbar_eff},
-        "schedule": {
-            "K": config.schedule.K,
-            "lambda": config.schedule.lam,
-            "eta": config.schedule.eta,
-        },
-        "kick_count": config.kick_count,
-        "kick_phase_divisor": config.kick_phase_divisor,
-        "epsilon_shift": config.epsilon_shift,
-        "derived": {"kappa": PLASTIC, "omega1": OMEGA1, "omega2": OMEGA2},
-    }
 
 
 def _build_config(params: dict) -> SimConfig:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import MomentumDistribution
-from .observables import NormGrowthFit, OtocSeries, ProfileFit
+from .observables import OtocSeries
 from .phases import NormScanResult, PhaseDiagram
 from .spectrum import FidelityRecord, QuasiSpectrum, SpectrumError
 
@@ -109,14 +109,6 @@ def write_fidelity_json(path: str | Path, record: FidelityRecord) -> None:
     write_json(path, payload)
 
 
-def profile_fit_dict(fit: ProfileFit) -> dict:
-    return asdict(fit)
-
-
-def norm_growth_fit_dict(fit: NormGrowthFit) -> dict:
-    return asdict(fit)
-
-
 def norm_scan_dict(result: NormScanResult) -> dict:
     """The norm_scan.json payload; lambda_c is keyed by repr(hbar), which round-trips."""
     return {
@@ -127,7 +119,7 @@ def norm_scan_dict(result: NormScanResult) -> dict:
                 "hbar": row.hbar,
                 "lambda": row.lam,
                 "log_mean_norm": row.log_mean_norm,
-                "fit": norm_growth_fit_dict(row.fit),
+                "fit": asdict(row.fit),
             }
             for row in result.rows
         ],

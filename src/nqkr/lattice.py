@@ -1,12 +1,13 @@
-"""Momentum-lattice state representation and basic expectation values.
+"""Momentum-lattice state representation and momentum distributions.
 
 Amplitudes are stored in increasing momentum-index order n = -M/2 .. M/2-1,
 with site momentum p_n = n*hbar. Any FFT-layout reshuffling is the
 propagator's business; nothing in this module depends on it.
 
-Every expectation value, distribution and OTOC reads |psi_n|^2 from one
-probability pass here, and the propagator's tail check and the spectrum's
-eigenstate tail weights share one edge band, `edge_sites`.
+Every distribution here and every expectation value and OTOC in
+`observables` reads |psi_n|^2 from one probability pass, and the
+propagator's tail check and the spectrum's eigenstate tail weights share
+one edge band, `edge_sites`.
 """
 
 from __future__ import annotations
@@ -39,13 +40,12 @@ class MomentumLattice:
             raise ValueError(f"hbar_eff must be positive, got {self.hbar_eff}")
         if not math.isfinite(self.hbar_eff):
             raise ValueError(f"hbar_eff must be finite, got {self.hbar_eff}")
-        # the largest free phase n^2*hbar/2, at n = -M/2, multiplied in the
-        # propagator's order, so no phase of an accepted lattice overflows
-        half = self.size // 2
-        if not math.isfinite(0.5 * self.hbar_eff * half * half):
+        # the largest p^2, at n = -M/2; a finite (M/2*hbar)^2 also bounds the
+        # largest free phase (M/2)^2*hbar/2 on any lattice that fits in memory
+        p_max = self.size // 2 * self.hbar_eff
+        if not math.isfinite(p_max * p_max):
             raise ValueError(
-                f"hbar_eff {self.hbar_eff} overflows the free phase n^2*hbar/2 "
-                f"on {self.size} sites"
+                f"hbar_eff {self.hbar_eff} overflows p^2 = (n*hbar)^2 on {self.size} sites"
             )
 
     @property
@@ -131,18 +131,6 @@ def ground_state(lattice: MomentumLattice) -> WaveFunction:
     amps = np.zeros(lattice.size, dtype=np.complex128)
     amps[lattice.size // 2] = 1.0
     return WaveFunction(lattice, amps, 0.0)
-
-
-def expectation_p(psi: WaveFunction) -> float:
-    """Normalized <p>; insensitive to log_norm and any global rescaling."""
-    prob, s = _probabilities(psi)
-    return float(np.dot(psi.lattice.momenta, prob) / s)
-
-
-def expectation_p2(psi: WaveFunction) -> float:
-    """Normalized <p^2>."""
-    prob, s = _probabilities(psi)
-    return float(np.dot(psi.lattice.momenta**2, prob) / s)
 
 
 def momentum_distribution(psi: WaveFunction) -> MomentumDistribution:

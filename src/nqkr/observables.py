@@ -13,8 +13,9 @@ b = sum_n w_n sin(eps*p_n), which is the same quantity (the overlap is
 1 - a - i*b) with no cancellation and no complex exponential.
 
 `observables` evaluates C, its small-shift form and <p>, <p^2> in one pass;
-the per-kick series, `otoc_exact` and `otoc_approx` all call it, so a run's
-last record equals the functions applied to its final state bit for bit.
+the per-kick series, `otoc_exact`, `otoc_approx`, `expectation_p` and
+`expectation_p2` all call it, so a run's last record equals the functions
+applied to its final state bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .constants import EPSILON_DEFAULT
 from .lattice import (
     MomentumDistribution,
     MomentumLattice,
@@ -121,6 +123,16 @@ def otoc_exact(psi: WaveFunction, epsilon_shift: float) -> float:
 def otoc_approx(psi: WaveFunction, epsilon_shift: float) -> float:
     """Small-shift approximation eps^2 * (<p^2> - <p>^2)."""
     return observables(psi, epsilon_shift)[1]
+
+
+def expectation_p(psi: WaveFunction) -> float:
+    """Normalized <p>; insensitive to log_norm and any global rescaling."""
+    return observables(psi, EPSILON_DEFAULT)[2]
+
+
+def expectation_p2(psi: WaveFunction) -> float:
+    """Normalized <p^2>."""
+    return observables(psi, EPSILON_DEFAULT)[3]
 
 
 @dataclass
@@ -236,13 +248,19 @@ def _profile_points(
     return p_abs[keep], np.log(dist.prob[keep]), window
 
 
-def _decay_slope(x: np.ndarray, logp: np.ndarray, kind: str) -> tuple[float, float]:
+def _fit_profile(
+    dist: MomentumDistribution, window: tuple[float, float] | None, kind: str
+) -> ProfileFit:
+    """Log-linear fit of prob against |p| (exponential) or p^2 (gaussian)."""
+    x, logp, window = _profile_points(dist, window)
+    if kind == "gaussian":
+        x = x**2
     slope, _, r2 = _linear_fit(x, logp)
     # a slope this small is flat data up to rounding, not an actual decay
     floor = 1e-12 * (np.abs(logp).max() + 1.0) / (x.max() - x.min())
     if slope >= -floor:
         raise FitError(f"{kind} fit failed: non-decaying slope {slope:.3e}")
-    return slope, r2
+    return ProfileFit(kind, -1.0 / slope, r2, window)
 
 
 def fit_exponential_profile(
@@ -250,9 +268,7 @@ def fit_exponential_profile(
     window: tuple[float, float] | None = None,
 ) -> ProfileFit:
     """Fit prob ~ exp(-|p|/xi); returns xi and the log-space r^2."""
-    x, logp, window = _profile_points(dist, window)
-    slope, r2 = _decay_slope(x, logp, "exponential")
-    return ProfileFit("exponential", -1.0 / slope, r2, window)
+    return _fit_profile(dist, window, "exponential")
 
 
 def fit_gaussian_profile(
@@ -260,9 +276,7 @@ def fit_gaussian_profile(
     window: tuple[float, float] | None = None,
 ) -> ProfileFit:
     """Fit prob ~ exp(-p^2/sigma); returns sigma and the log-space r^2."""
-    x, logp, window = _profile_points(dist, window)
-    slope, r2 = _decay_slope(x**2, logp, "gaussian")
-    return ProfileFit("gaussian", -1.0 / slope, r2, window)
+    return _fit_profile(dist, window, "gaussian")
 
 
 def compare_profiles(
@@ -282,17 +296,24 @@ def _grid_spacing(dist: MomentumDistribution) -> float:
     return float(dist.p[1] - dist.p[0])
 
 
+def _late_fit(
+    series: OtocSeries, column: np.ndarray, window: tuple[float, float] | None, name: str
+) -> tuple[float, float, float, tuple[float, float]]:
+    """Slope, intercept and r^2 of column versus t over a window (default second half)."""
+    if window is None:
+        window = (float(series.t[-1]) / 2.0, float(series.t[-1])) if len(series) else (0.0, 0.0)
+    mask = _window_mask(series.t.astype(float), window)
+    if np.count_nonzero(mask) < 10:
+        raise FitError(f"{name} window {window} holds fewer than 10 kicks")
+    return *_linear_fit(series.t[mask].astype(float), column[mask]), window
+
+
 def fit_norm_growth(
     series: OtocSeries,
     window: tuple[float, float] | None = None,
 ) -> NormGrowthFit:
     """Fit norm_log = mu*t + b over a kick-time window (default second half)."""
-    if window is None:
-        window = (float(series.t[-1]) / 2.0, float(series.t[-1])) if len(series) else (0.0, 0.0)
-    mask = _window_mask(series.t.astype(float), window)
-    if np.count_nonzero(mask) < 10:
-        raise FitError(f"norm-growth window {window} holds fewer than 10 kicks")
-    mu, intercept, r2 = _linear_fit(series.t[mask].astype(float), series.norm_log[mask])
+    mu, intercept, r2, window = _late_fit(series, series.norm_log, window, "norm-growth")
     return NormGrowthFit(mu, intercept, window, r2)
 
 
@@ -301,13 +322,7 @@ def scrambling_rate(
     window: tuple[float, float] | None = None,
 ) -> float:
     """Late-time slope D of c_approx versus t (default window: second half)."""
-    if window is None:
-        window = (float(series.t[-1]) / 2.0, float(series.t[-1])) if len(series) else (0.0, 0.0)
-    mask = _window_mask(series.t.astype(float), window)
-    if np.count_nonzero(mask) < 10:
-        raise FitError(f"scrambling-rate window {window} holds fewer than 10 kicks")
-    slope, _, _ = _linear_fit(series.t[mask].astype(float), series.c_approx[mask])
-    return slope
+    return _late_fit(series, series.c_approx, window, "scrambling-rate")[0]
 
 
 def log_mean_norm(series: OtocSeries) -> float:

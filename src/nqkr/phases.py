@@ -255,12 +255,15 @@ def norm_scan(
 
     Rows run hbar-major with lambdas in ascending order per hbar; the
     threshold estimate is the first value whose long-time mean norm exceeds
-    1 + tolerance. Raises ValueError if either list is empty.
+    1 + tolerance. Raises ValueError if either list is empty or the
+    tolerance lies outside [0, inf).
     """
     if hbars is None:
         hbars = [base_config.lattice.hbar_eff]
     if len(lambdas) == 0 or len(hbars) == 0:
         raise ValueError("a norm scan needs at least one lambda and one hbar")
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     hbars = [float(h) for h in hbars]
     grid = [(hbar, lam) for hbar in hbars for lam in sorted(float(v) for v in lambdas)]
     tasks = [

@@ -56,10 +56,6 @@ class WrapAroundWarning(UserWarning):
     """Probability reached the lattice edge; results may be wrapped."""
 
 
-class AmplitudeOverflowError(ArithmeticError):
-    """Amplitudes overflowed despite max-gain factoring."""
-
-
 @dataclass(frozen=True)
 class KickSchedule:
     """Kick strengths and quasi-periodic modulation depth.
@@ -102,6 +98,15 @@ class SimConfig:
         if not 0.0 < self.epsilon_shift < 0.1:
             raise ValueError(
                 f"epsilon_shift must be a small positive number, got {self.epsilon_shift}"
+            )
+        # the largest kick exponent, at modulation 1 + eta, in apply_kick's
+        # order; a finite one keeps every kick factor finite
+        a_max = (1.0 + self.schedule.eta) / (self.kick_phase_divisor * self.lattice.hbar_eff)
+        exponent = max(self.schedule.K, self.schedule.lam) * a_max
+        if not math.isfinite(exponent):
+            raise ValueError(
+                f"kick exponent (1+eta)*max(K, lam)/(d*hbar) = {exponent} is not finite; "
+                "raise hbar or lower K and lam"
             )
 
 
@@ -169,13 +174,7 @@ def apply_kick(
     _multiply_kick_factor(angle, schedule.lam * a, schedule.K * a, gain_shift)
     amps = np.fft.fft(angle)
 
-    norm_sq = float(np.vdot(amps, amps).real)
-    if not math.isfinite(norm_sq):
-        raise AmplitudeOverflowError(
-            "amplitudes overflowed during a kick; reduce the per-step "
-            "amplification (smaller lam or larger hbar/divisor)"
-        )
-    _check_norm(norm_sq)
+    norm_sq = _check_norm(float(np.vdot(amps, amps).real))
     amps *= 1.0 / math.sqrt(norm_sq)
     psi.amps = amps
     psi.log_norm += math.log(norm_sq) + 2.0 * gain_shift

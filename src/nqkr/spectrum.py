@@ -11,10 +11,12 @@ depends on theta only through cos(theta), so C_kick is an even circulant.
 Parity maps storage index j to (M - j) mod M, whose fixed points are n = 0 and
 n = -M/2. U therefore splits into an even block of size M/2 + 1 on the basis
 |0>, |-M/2>, (|k> + |-k>)/sqrt(2) for k = 1..M/2-1, and an odd block of size
-M/2 - 1 on (|k> - |-k>)/sqrt(2). `quasi_spectrum` solves the two blocks in one
+M/2 - 1 on (|k> - |-k>)/sqrt(2); `_fold` and its inverse `_unfold` are the
+one definition of that basis. `quasi_spectrum` solves the two blocks in one
 stacked eig, about a quarter of the work of the full matrix, so every
 eigenstate it returns has definite parity. Residuals are still measured
-against the full matrix.
+against the full matrix, and one that overflows double range is a
+SpectrumError.
 
 Memory: beside the input U, the spectrum path holds the (2, M/2+1, M/2+1)
 block stack and its eigenvectors, then one (M, M) eigenvector array, built
@@ -155,39 +157,61 @@ def build_floquet_matrix(config: SimConfig, t: int, m_spec: int) -> np.ndarray:
     return matrix
 
 
+def _fold(x: np.ndarray, sign: int, out: np.ndarray) -> None:
+    """out = x in the parity basis of one sector, along axis 0 (row j is n = j - M/2).
+
+    sign = +1 is the even basis |0>, |-M/2>, (|k> + |-k>)/sqrt(2) for
+    k = 1..M/2-1, and sign = -1 the odd basis (|k> - |-k>)/sqrt(2); out has
+    M/2 + 1 or M/2 - 1 rows. Folding x.T into out.T folds columns instead.
+    """
+    h = x.shape[0] // 2
+    if sign > 0:
+        out[0] = x[h]
+        out[1] = x[0]
+        out = out[2:]
+    (np.add if sign > 0 else np.subtract)(x[h + 1:], x[h - 1:0:-1], out=out)
+    out *= _SQRT_HALF
+
+
+def _unfold(y: np.ndarray, sign: int, out: np.ndarray, columns: np.ndarray) -> None:
+    """out[:, columns] = the sector coordinates y in the storage basis; inverts _fold.
+
+    Scales y in place, so it needs no temporary of y's size.
+    """
+    h = out.shape[0] // 2
+    if sign > 0:
+        out[h, columns] = y[0]
+        out[0, columns] = y[1]
+        y = y[2:]
+    y *= _SQRT_HALF
+    out[h + 1:, columns] = y
+    if sign < 0:
+        np.negative(y, out=y)
+    out[h - 1:0:-1, columns] = y
+
+
 def _parity_blocks(matrix: np.ndarray) -> np.ndarray:
     """The (2, M/2+1, M/2+1) stack of U's even block and zero-padded odd block.
 
-    One sector at a time, U's columns are combined into a (M, M/2+1) buffer
-    (row j is momentum n = j - M/2; even columns in the order |0>, |-M/2>,
-    then k = 1..M/2-1, odd columns in k = 1..M/2-1), and its rows are combined
-    straight into the stack. The coupling to the other sector is reduced to
-    its max and dropped. Raises ValueError if that coupling exceeds
-    PARITY_TOLERANCE * max|U|.
+    One sector at a time, U's columns are folded into a reused (M, M/2+1)
+    buffer, and its rows are folded straight into the stack. The coupling to
+    the other sector is reduced to its max and dropped. Raises ValueError if
+    that coupling exceeds PARITY_TOLERANCE * max|U|.
     """
     m = matrix.shape[0]
     h = m // 2
     limit = PARITY_TOLERANCE * _max_abs(matrix)
     stack = np.zeros((2, h + 1, h + 1), dtype=np.complex128)
-    cols = np.empty((m, h + 1), dtype=np.complex128)
-
-    # even columns: even rows fill the even block, odd rows couple
-    cols[:, 0] = matrix[:, h]
-    cols[:, 1] = matrix[:, 0]
-    _combine(matrix[:, h + 1:], matrix[:, h - 1:0:-1], np.add, cols[:, 2:])
-    stack[0, 0] = cols[h]
-    stack[0, 1] = cols[0]
-    _combine(cols[h + 1:], cols[h - 1:0:-1], np.add, stack[0, 2:])
-    odd_even = _coupling(cols[h + 1:], cols[h - 1:0:-1], np.subtract)
-
-    # odd columns, in the same buffer: even rows couple, odd rows fill the odd block
-    cols = cols[:, :h - 1]
-    _combine(matrix[:, h + 1:], matrix[:, h - 1:0:-1], np.subtract, cols)
-    even_odd = max(np.abs(cols[[h, 0]]).max(initial=0.0),
-                   _coupling(cols[h + 1:], cols[h - 1:0:-1], np.add))
-    _combine(cols[h + 1:], cols[h - 1:0:-1], np.subtract, stack[1, :h - 1, :h - 1])
-
-    leak = max(odd_even, even_odd)
+    buffer = np.empty((m, h + 1), dtype=np.complex128)
+    leak = 0.0
+    for sector, sign in enumerate((1, -1)):
+        size = h + sign
+        cols = buffer[:, :size]
+        _fold(matrix.T, sign, cols.T)
+        _fold(cols, sign, stack[sector, :size, :size])
+        coupling = np.empty((m - size, size), dtype=np.complex128)
+        _fold(cols, -sign, coupling)
+        leak = max(leak, float(np.abs(coupling).max(initial=0.0)))
     if leak > limit:
         raise ValueError(
             f"matrix does not commute with momentum parity n -> -n: the "
@@ -199,17 +223,6 @@ def _parity_blocks(matrix: np.ndarray) -> np.ndarray:
 def _max_abs(matrix: np.ndarray) -> float:
     """max|U_ij|, taken over blocks of rows."""
     return max(float(np.abs(matrix[i:i + _BLOCK]).max()) for i in range(0, len(matrix), _BLOCK))
-
-
-def _combine(plus: np.ndarray, minus: np.ndarray, ufunc: np.ufunc, out: np.ndarray) -> None:
-    """out = ufunc(plus, minus) * sqrt(1/2), the parity partners n and -n combined."""
-    ufunc(plus, minus, out=out)
-    out *= _SQRT_HALF
-
-
-def _coupling(plus: np.ndarray, minus: np.ndarray, ufunc: np.ufunc) -> float:
-    """max |ufunc(plus, minus) * sqrt(1/2)|, the largest entry of a coupling block."""
-    return float(np.abs(ufunc(plus, minus) * _SQRT_HALF).max(initial=0.0))
 
 
 def _eps_parts(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,22 +250,11 @@ def _parity_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals = np.concatenate((vals[0], vals[1, keep]))
     eps_r, eps_i = _eps_parts(vals)
     order = np.lexsort((eps_r, -eps_i))
-    column = np.empty(m, dtype=np.intp)
-    column[order] = np.arange(m)
-    even_cols, odd_cols = column[:h + 1], column[h + 1:]
+    column = np.argsort(order)  # the sorted column of each pair
 
     out = np.zeros((m, m), dtype=np.complex128)
-    even = vecs[0]
-    out[h, even_cols] = even[0]
-    out[0, even_cols] = even[1]
-    even[2:] *= _SQRT_HALF
-    out[h + 1:, even_cols] = even[2:]
-    out[h - 1:0:-1, even_cols] = even[2:]
-    odd = vecs[1, :h - 1][:, keep]
-    odd *= _SQRT_HALF
-    out[h + 1:, odd_cols] = odd
-    np.negative(odd, out=odd)
-    out[h - 1:0:-1, odd_cols] = odd
+    _unfold(vecs[0], 1, out, column[:h + 1])
+    _unfold(vecs[1, :h - 1][:, keep], -1, out, column[h + 1:])
     return vals[order], out
 
 
@@ -271,7 +273,7 @@ def quasi_spectrum(
     blocks of _BLOCK columns; pairs above RESIDUAL_TOLERANCE *
     max(1, max|U|) are flagged with a warning. Raises ValueError if U has
     non-finite entries, or if it couples the two parity sectors by more than
-    PARITY_TOLERANCE * max|U|.
+    PARITY_TOLERANCE * max|U|, and SpectrumError if a residual overflows.
 
     t and lattice are carried through for bookkeeping; lattice defaults to
     hbar = 1 if the matrix arrives without context.
@@ -308,8 +310,15 @@ def quasi_spectrum(
         lead = np.argmax(np.abs(block), axis=0)
         block *= np.exp(-1j * np.angle(block[lead, np.arange(block.shape[1])]))
         defect = matrix @ block
-        defect -= block * eigvals[cols]
-        residuals[cols] = np.linalg.norm(defect, axis=0)
+        # an overflowing residual is reported below, not warned about here
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect -= block * eigvals[cols]
+            residuals[cols] = np.linalg.norm(defect, axis=0)
+    if not np.all(np.isfinite(residuals)):
+        raise SpectrumError(
+            f"eigenpair residuals overflow double range (dim {m}, max|U| {scale:.3e}); "
+            "U(t) grows too fast at this lambda, hbar and t"
+        )
     edge = edge_sites(m)
     tails = (np.abs(vecs[:edge]) ** 2).sum(axis=0) + (np.abs(vecs[-edge:]) ** 2).sum(axis=0)
 

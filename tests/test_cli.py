@@ -64,14 +64,12 @@ class TestEvolveCommand:
         manifest = json.loads((only_run_dir(tmp_path) / "manifest.json").read_text())
         config = cli._build_config(manifest["params"])
         recorded = manifest["config"]
-        snapshot_name = {"lam": "lambda"}
 
         def assert_recorded(obj, block, extra=()):
-            fields = dataclasses.fields(obj)
-            names = [snapshot_name.get(f.name, f.name) for f in fields]
+            names = [f.name for f in dataclasses.fields(obj)]
             assert set(block) == set(names) | set(extra)
-            for f, name in zip(fields, names):
-                value = getattr(obj, f.name)
+            for name in names:
+                value = getattr(obj, name)
                 if dataclasses.is_dataclass(value):
                     assert_recorded(value, block[name])
                 else:
@@ -452,7 +450,15 @@ INVALID_INPUTS = [
     (["spectrum", "--K", "1", "--lambda", "0", "--t", "1", "--dim", "4096"],
      "dimension 4096 exceeds the dense eigensolver budget 2048"),
     (["evolve", "--K", "1", "--lambda", "0", "--kicks", "5", "--lattice", "32",
-      "--hbar", "1e308"], "hbar_eff 1e+308 overflows the free phase n^2*hbar/2 on 32 sites"),
+      "--hbar", "1e308"], "hbar_eff 1e+308 overflows p^2 = (n*hbar)^2 on 32 sites"),
+    (["evolve", "--K", "1", "--lambda", "0", "--kicks", "5", "--lattice", "32",
+      "--hbar", "1e200"], "hbar_eff 1e+200 overflows p^2 = (n*hbar)^2 on 32 sites"),
+    (["evolve", "--K", "1", "--lambda", "0", "--kicks", "5", "--lattice", "32",
+      "--hbar", "1e-310"], "kick exponent (1+eta)*max(K, lam)/(d*hbar) = inf is not finite"),
+    (["norm-scan", "--K", "5", "--lambda-list", "0.1", "--kicks", "20", "--lattice", "32",
+      "--tolerance", "nan"], "tolerance must be finite and >= 0, got nan"),
+    (["norm-scan", "--K", "5", "--lambda-list", "0.1", "--kicks", "20", "--lattice", "32",
+      "--tolerance", "-2"], "tolerance must be finite and >= 0, got -2.0"),
 ]
 
 
@@ -479,6 +485,18 @@ def test_numerical_failure_exits_1_without_run_dir(runner, tmp_path, monkeypatch
     assert result.exit_code == 1, result.output
     assert "numerical failure: state norm is not finite" in result.output
     assert "(at kick t=1)" in result.output
+    assert not list(tmp_path.iterdir())
+
+
+def test_residual_overflow_exits_1_without_run_dir(runner, tmp_path):
+    # U(1) reaches ~1e210, so the squares in the residual norms overflow
+    result = runner.invoke(
+        main,
+        ["spectrum", "--K", "10", "--lambda", "5", "--hbar", "0.01", "--t", "1",
+         "--dim", "64", "--outdir", str(tmp_path)],
+    )
+    assert result.exit_code == 1, result.output
+    assert "numerical failure: eigenpair residuals overflow" in result.output
     assert not list(tmp_path.iterdir())
 
 

@@ -9,13 +9,11 @@ from nqkr import (
     MomentumDistribution,
     NormGrowthFit,
     OtocSeries,
-    ProfileFit,
 )
 from nqkr.fileio import (
     _fmt,
     _write_table,
-    norm_growth_fit_dict,
-    profile_fit_dict,
+    norm_scan_dict,
     read_distribution_csv,
     read_json,
     read_series_csv,
@@ -28,7 +26,7 @@ from nqkr.fileio import (
     write_series_csv,
     write_spectrum_csv,
 )
-from nqkr.phases import PhaseDiagram, PhasePoint
+from nqkr.phases import NormScanResult, NormScanRow, PhaseDiagram, PhasePoint
 from nqkr.spectrum import FidelityRecord, QuasiSpectrum
 from nqkr.lattice import MomentumLattice
 
@@ -124,17 +122,17 @@ class TestTableBytes:
 
 
 class TestJsonPayloads:
-    def test_fit_dicts(self):
-        fit = ProfileFit("exponential", 4.5, 0.99, (0.0, 100.0))
-        d = profile_fit_dict(fit)
-        assert d == {
-            "kind": "exponential",
-            "xi_or_sigma": 4.5,
-            "r_squared": 0.99,
-            "fit_window": (0.0, 100.0),
+    def test_fit_dicts(self, tmp_path):
+        fit = NormGrowthFit(0.3, -0.1, (500.0, 1000.0), 1.0)
+        result = NormScanResult([NormScanRow(2.89, 0.5, fit, 0.2)], {2.89: 0.5}, 0.05)
+        path = tmp_path / "scan.json"
+        write_json(path, norm_scan_dict(result))
+        assert read_json(path)["rows"][0]["fit"] == {
+            "mu": 0.3,
+            "intercept": -0.1,
+            "fit_window": [500.0, 1000.0],
+            "r_squared": 1.0,
         }
-        nd = norm_growth_fit_dict(NormGrowthFit(0.3, -0.1, (500.0, 1000.0), 1.0))
-        assert nd["mu"] == 0.3
 
     def test_fidelity_json(self, tmp_path):
         record = FidelityRecord(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from nqkr import (
     ground_state,
     momentum_distribution,
 )
+from nqkr.constants import EPSILON_DEFAULT
+from nqkr.observables import _observable_table
 from nqkr.propagator import _free_phases
 
 HBAR = 2.89
@@ -87,15 +91,21 @@ class TestExpectations:
 
 
 class TestMomentumLattice:
-    @pytest.mark.parametrize("size,hbar", [(32, 1e308), (4, 1e308), (2048, 1e303)])
-    def test_overflowing_free_phase_rejected(self, size, hbar):
-        with pytest.raises(ValueError, match="overflows the free phase"):
+    # the first three also overflow the free phase n^2*hbar/2, the others only p^2
+    @pytest.mark.parametrize("size,hbar", [
+        (32, 1e308), (4, 1e308), (2048, 1e303), (32, 1e200), (32, 8.4e152), (4096, 1e151),
+    ])
+    def test_overflowing_p2_rejected(self, size, hbar):
+        with pytest.raises(ValueError, match=r"overflows p\^2 = \(n\*hbar\)\^2"):
             MomentumLattice(size, hbar)
 
     def test_near_limit_free_phase_accepted(self):
-        # 0.5 * hbar * 16 * 16 = 1.6e308 is still finite, and so is every phase
-        lattice = MomentumLattice(32, 1.25e306)
+        # (16 * 8e152)^2 = 1.64e308 is still finite, and so is every phase and p^2
+        lattice = MomentumLattice(32, 8e152)
         assert np.all(np.isfinite(_free_phases(lattice.size, lattice.hbar_eff)))
+        assert np.all(np.isfinite(_observable_table(lattice, EPSILON_DEFAULT)))
+        edge = make_state(np.eye(32)[0], hbar=8e152)
+        assert math.isfinite(expectation_p2(edge))
 
 
 class TestMomentumDistribution:

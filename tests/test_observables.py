@@ -322,9 +322,8 @@ class TestSeriesRecording:
         snapshot, dist = record.snapshots[1000], momentum_distribution(final)
         assert np.array_equal(snapshot.prob, dist.prob)
         assert np.array_equal(snapshot.p, dist.p)
-        p2 = expectation_p2(final)
-        assert abs(series.mean_p[-1] - expectation_p(final)) <= 1e-13 * math.sqrt(p2)
-        assert abs(series.mean_p2[-1] - p2) <= 1e-13 * p2
+        assert series.mean_p[-1] == expectation_p(final)
+        assert series.mean_p2[-1] == expectation_p2(final)
 
     def test_strict_ordering_enforced(self):
         with pytest.raises(ValueError):

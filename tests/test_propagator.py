@@ -9,9 +9,9 @@ from scipy.integrate import quad
 from nqkr import (
     OMEGA1,
     OMEGA2,
-    AmplitudeOverflowError,
     KickSchedule,
     MomentumLattice,
+    NormCollapseError,
     SimConfig,
     WaveFunction,
     WrapAroundWarning,
@@ -167,7 +167,8 @@ class TestApplyKick:
     def test_nonfinite_amplitudes_raise(self):
         psi = ground_state(MomentumLattice(8, HBAR))
         psi.amps[0] = np.inf
-        with pytest.raises(AmplitudeOverflowError):
+        # numpy's fft warns about the inf before the norm check raises
+        with pytest.warns(RuntimeWarning), pytest.raises(NormCollapseError, match="not finite"):
             apply_kick(psi, KickSchedule(1.0, 0.0), t=1)
 
 
@@ -380,3 +381,20 @@ class TestValidation:
                 kick_count=1,
                 epsilon_shift=0.5,
             )
+
+    @pytest.mark.parametrize("K,lam,hbar,divisor", [
+        (1.0, 0.0, 1e-310, 1.0),  # (1 + eta) / hbar overflows
+        (0.0, 0.0, 1e-310, 1.0),  # so does 0 * inf, which is nan
+        (0.0, 1e308, 0.5, 1.0),
+        (1e308, 0.0, 0.25, 2.0),
+    ])
+    def test_overflowing_kick_exponent_rejected(self, K, lam, hbar, divisor):
+        with pytest.raises(ValueError, match="kick exponent"):
+            config(K, lam, 1, hbar=hbar, divisor=divisor)
+
+    def test_near_limit_kick_exponent_gives_a_finite_kick(self):
+        # (1 + 0.75) * 1e308 / 2 is finite, and so is every factor of the kick
+        cfg = config(1e308, 1e308, 1, hbar=1.0, divisor=2.0)
+        psi = step(ground_state(cfg.lattice), cfg, 1)
+        assert np.all(np.isfinite(psi.amps))
+        assert math.isfinite(psi.log_norm)
