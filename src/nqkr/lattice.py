@@ -5,9 +5,9 @@ with site momentum p_n = n*hbar. Any FFT-layout reshuffling is the
 propagator's business; nothing in this module depends on it.
 
 Every distribution here and every expectation value and OTOC in
-`observables` reads |psi_n|^2 from one probability pass, and the
-propagator's tail check and the spectrum's eigenstate tail weights share
-one edge band, `edge_sites`.
+`observables` reads psi_n's squared real and imaginary parts from one
+probability pass, `_squared_parts`, and the propagator's tail check and the
+spectrum's eigenstate tail weights share one edge band, `edge_sites`.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class WaveFunction:
     log_norm: float = 0.0
 
     def __post_init__(self):
-        self.amps = np.asarray(self.amps, dtype=np.complex128)
+        self.amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
         if self.amps.shape != (self.lattice.size,):
             raise ValueError(
                 f"amps must have shape ({self.lattice.size},), got {self.amps.shape}"
@@ -120,10 +120,9 @@ def edge_sites(size: int) -> int:
     return max(1, size // 40)
 
 
-def _probabilities(psi: WaveFunction) -> tuple[np.ndarray, float]:
-    """(|psi_n|^2, sum_n |psi_n|^2), the sum checked against norm collapse."""
-    prob = psi.amps.real ** 2 + psi.amps.imag ** 2
-    return prob, _check_norm(float(prob.sum()))
+def _squared_parts(psi: WaveFunction) -> np.ndarray:
+    """(Re psi_n)^2 and (Im psi_n)^2, interleaved in storage order."""
+    return psi.amps.view(np.float64) ** 2
 
 
 def ground_state(lattice: MomentumLattice) -> WaveFunction:
@@ -135,5 +134,5 @@ def ground_state(lattice: MomentumLattice) -> WaveFunction:
 
 def momentum_distribution(psi: WaveFunction) -> MomentumDistribution:
     """Normalized |psi_n|^2 paired with p_n, ready for fitting or file output."""
-    prob, s = _probabilities(psi)
-    return MomentumDistribution(psi.lattice.momenta.copy(), prob / s)
+    prob = _squared_parts(psi).reshape(-1, 2).sum(axis=1)
+    return MomentumDistribution(psi.lattice.momenta.copy(), prob / _check_norm(float(prob.sum())))

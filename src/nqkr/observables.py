@@ -12,10 +12,11 @@ C = 2a - a^2 - b^2 with a = sum_n w_n * 2 sin^2(eps*p_n/2) and
 b = sum_n w_n sin(eps*p_n), which is the same quantity (the overlap is
 1 - a - i*b) with no cancellation and no complex exponential.
 
-`observables` evaluates C, its small-shift form and <p>, <p^2> in one pass;
-the per-kick series, `otoc_exact`, `otoc_approx`, `expectation_p` and
-`expectation_p2` all call it, so a run's last record equals the functions
-applied to its final state bit for bit.
+`observables` takes the norm and the sums behind a, b, <p> and <p^2> from
+one matrix-vector product of a cached table with the squared real and
+imaginary parts of the amplitudes; the per-kick series, `otoc_exact`,
+`otoc_approx`, `expectation_p` and `expectation_p2` all call it, so a run's
+last record equals the functions applied to its final state bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .lattice import (
     MomentumDistribution,
     MomentumLattice,
     WaveFunction,
-    _probabilities,
+    _check_norm,
+    _squared_parts,
     momentum_distribution,
 )
 from .propagator import SimConfig, evolve
@@ -90,14 +92,10 @@ class NormGrowthFit:
 
 @lru_cache(maxsize=32)
 def _observable_table(lattice: MomentumLattice, epsilon_shift: float) -> np.ndarray:
-    """Rows 2 sin^2(eps*p/2), sin(eps*p), p and p^2 over the lattice sites."""
-    p = lattice.momenta
-    table = np.stack([
-        2.0 * np.sin(0.5 * epsilon_shift * p) ** 2,
-        np.sin(epsilon_shift * p),
-        p,
-        p * p,
-    ])
+    """Rows 1, 2 sin^2(eps*p/2), sin(eps*p), p and p^2, each site twice as in `_squared_parts`."""
+    p = np.repeat(lattice.momenta, 2)
+    table = np.stack([np.ones_like(p), 2.0 * np.sin(0.5 * epsilon_shift * p) ** 2,
+                      np.sin(epsilon_shift * p), p, p * p])
     table.flags.writeable = False
     return table
 
@@ -108,11 +106,13 @@ def observables(psi: WaveFunction, epsilon_shift: float) -> tuple[float, float, 
     C exact is 1 - |1 - a - i*b|^2 without cancellation (see the module
     docstring); C approx is the small-shift form eps^2 * (<p^2> - <p>^2).
     """
-    prob, s = _probabilities(psi)
-    a, b, mp, mp2 = _observable_table(psi.lattice, epsilon_shift) @ prob / s
+    table = _observable_table(psi.lattice, epsilon_shift)
+    s, a, b, mp, mp2 = (table @ _squared_parts(psi)).tolist()
+    _check_norm(s)
+    a, b, mp, mp2 = a / s, b / s, mp / s, mp2 / s
     # C >= 0 exactly; the max() only absorbs float roundoff.
-    c_exact = max(0.0, float(2.0 * a - a * a - b * b))
-    return c_exact, float(epsilon_shift**2 * (mp2 - mp * mp)), float(mp), float(mp2)
+    c_exact = max(0.0, 2.0 * a - a * a - b * b)
+    return c_exact, epsilon_shift**2 * (mp2 - mp * mp), mp, mp2
 
 
 def otoc_exact(psi: WaveFunction, epsilon_shift: float) -> float:

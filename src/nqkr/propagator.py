@@ -16,18 +16,20 @@ are fixed by the plastic number kappa (`constants`). Conventions:
   1/sqrt(M) * 1/sqrt(M) of the unitary pair, so no extra scaling is needed;
 * the kick factor depends on the angle only through cos(theta_m), and for
   every even M, cos(theta_(M-m)) = cos(theta_m) and
-  cos(theta_(M/2-q)) = -cos(theta_q). With r_q = lam*a*cos(theta_q) and
-  phi_q = K*a*cos(theta_q), a = f/(d*hbar), the factor at +cos(theta_q) is
-  e^(r_q-g)*e^(-i*phi_q) and at -cos(theta_q) it is e^(-r_q-g)*conj(e^(-i*phi_q)).
-  So each kick takes one complex exponential on the M//4+1 quarter-wave
-  points q = 0..M//4 (and two real ones) instead of one on M points, and the
-  factor on angles m > M/2 is the mirrored slice of angles 0..M/2. The factor
-  is therefore exactly parity-symmetric, F[m] == F[(M-m) % M];
+  cos(theta_(M/2-q)) = -cos(theta_q). With a = f/(d*hbar), the factor at
+  +cos(theta_q) is F_q = e^((lam*a - i*K*a)*cos(theta_q) - g) and at
+  -cos(theta_q) it is conj(F_q)*e^(-2*lam*a*cos(theta_q)). So each kick takes
+  one complex and one real exponential on the M//4+1 quarter-wave points
+  q = 0..M//4 instead of a complex one on M points, and the factor on angles
+  m > M/2 is the mirrored slice of angles 0..M/2. The factor is therefore
+  exactly parity-symmetric, F[m] == F[(M-m) % M], and the forward FFT
+  writes into the inverse FFT's output (timings in `BENCH_13.json`);
 * the kick's maximal amplitude gain e^g, g = |lam|*a, is factored out
-  analytically before exponentiation (|r_q| <= g), so the pointwise factors
-  never exceed 1 in magnitude, and the stored amplitudes are renormalized to
-  unit norm after every kick with the removed growth accumulated in
-  WaveFunction.log_norm.
+  analytically before exponentiation (|lam*a*cos(theta)| <= g), so the
+  pointwise factors never exceed 1 in magnitude, and the stored amplitudes
+  are renormalized to unit norm after every kick with the removed growth
+  accumulated in WaveFunction.log_norm; a kick that would make log_norm
+  non-finite raises NormCollapseError.
 
 Without that factoring and renormalization a lam=5 run would overflow doubles
 within a few hundred kicks.
@@ -44,7 +46,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import EPSILON_DEFAULT, ETA_DEFAULT, OMEGA1, OMEGA2
-from .lattice import MomentumLattice, WaveFunction, _check_norm, edge_sites, ground_state
+from .lattice import MomentumLattice, NormCollapseError, WaveFunction, _check_norm
+from .lattice import edge_sites, ground_state
 
 # An evolution is declared tail-safe only while the outer 5% of lattice sites
 # hold less than this much probability; beyond it the periodic FFT lattice
@@ -136,22 +139,18 @@ def _multiply_kick_factor(
 ) -> None:
     """Multiply angle samples in place by exp((lam_a - i*k_a)*cos(theta_m) - gain_shift).
 
-    The factor is assembled for m = 0..M/2 in one buffer from the quarter-wave
-    table (m <= M//4 from +cos(theta_q), m >= M/2 - M//4 from -cos(theta_q);
-    the two ranges share m = M/4 when 4 divides M), and angles m > M/2 take
-    the mirrored slice.
+    One complex exponential on the quarter-wave table gives the factor at
+    +cos(theta_q), m = q = 0..M//4; the factor at -cos(theta_q), m = M/2 - q,
+    is its conjugate times the real e^(-2*lam_a*cos(theta_q)) <= 1, and
+    angles m > M/2 take the mirrored slice.
     """
     half = angle.size // 2
     cos_q = _quarter_cos(angle.size)
-    quarter = cos_q.size - 1
-    phase = np.exp((-1j * k_a) * cos_q)
     factor = np.empty(half + 1, dtype=complex)
-    upper = factor[half - quarter:][::-1]  # upper[q] is the factor at m = M/2 - q
-    # (-lam_a) * cos_q equals -(lam_a * cos_q) bit for bit but skips numpy's
-    # unary-negative loop, whose code pages add 64 KB to a process's RSS
-    np.multiply(phase, np.exp((-lam_a) * cos_q - gain_shift), out=upper)
-    np.conjugate(upper, out=upper)
-    np.multiply(phase, np.exp(lam_a * cos_q - gain_shift), out=factor[: quarter + 1])
+    upper = factor[: cos_q.size - 1 : -1]  # upper[q] is the factor at m = M/2 - q
+    np.exp((lam_a - 1j * k_a) * cos_q - gain_shift, out=factor[: cos_q.size])
+    np.conjugate(factor[: upper.size], out=upper)
+    upper *= np.exp((-2.0 * lam_a) * cos_q[: upper.size])
     angle[: half + 1] *= factor
     angle[half + 1 :] *= factor[half - 1 : 0 : -1]
 
@@ -172,12 +171,14 @@ def apply_kick(
 
     angle = np.fft.ifft(psi.amps)
     _multiply_kick_factor(angle, schedule.lam * a, schedule.K * a, gain_shift)
-    amps = np.fft.fft(angle)
+    amps = np.fft.fft(angle, out=angle)
 
     norm_sq = _check_norm(float(np.vdot(amps, amps).real))
+    log_norm = psi.log_norm + math.log(norm_sq) + 2.0 * gain_shift
+    if not math.isfinite(log_norm):
+        raise NormCollapseError(f"accumulated log-norm {log_norm} is not finite")
     amps *= 1.0 / math.sqrt(norm_sq)
-    psi.amps = amps
-    psi.log_norm += math.log(norm_sq) + 2.0 * gain_shift
+    psi.amps, psi.log_norm = amps, log_norm
     return psi
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nqkr import KickSchedule, MomentumLattice, SimConfig, spectrum_at
+from nqkr import KickSchedule, MomentumLattice, SimConfig, WrapAroundWarning, spectrum_at
 from nqkr import cli, propagator
 from nqkr.cli import main, parse_range, rerun_manifest
 from nqkr.fileio import read_series_csv
@@ -485,6 +485,20 @@ def test_numerical_failure_exits_1_without_run_dir(runner, tmp_path, monkeypatch
     assert result.exit_code == 1, result.output
     assert "numerical failure: state norm is not finite" in result.output
     assert "(at kick t=1)" in result.output
+    assert not list(tmp_path.iterdir())
+
+
+def test_log_norm_overflow_exits_1_without_run_dir(runner, tmp_path):
+    # log_norm grows by ~1e308 a kick and overflows at t=3; the lattice wraps at t=1
+    with pytest.warns(WrapAroundWarning):
+        result = runner.invoke(
+            main,
+            ["evolve", "--K", "0", "--lambda", "1e308", "--hbar", "1", "--kick-divisor", "2",
+             "--kicks", "3", "--lattice", "32", "--outdir", str(tmp_path)],
+        )
+    assert result.exit_code == 1, result.output
+    assert "numerical failure: accumulated log-norm inf is not finite" in result.output
+    assert "(at kick t=3)" in result.output
     assert not list(tmp_path.iterdir())
 
 

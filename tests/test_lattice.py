@@ -129,6 +129,15 @@ class TestMomentumDistribution:
         with pytest.raises(NormCollapseError):
             momentum_distribution(make_state(np.zeros(4)))
 
+    def test_strided_amplitudes_read_like_contiguous_ones(self):
+        rng = np.random.default_rng(8)
+        amps = rng.normal(size=(32, 2)) + 1j * rng.normal(size=(32, 2))
+        strided = make_state(amps[:, 0])
+        contiguous = make_state(amps[:, 0].copy())
+        assert np.array_equal(momentum_distribution(strided).prob,
+                              momentum_distribution(contiguous).prob)
+        assert expectation_p2(strided) == expectation_p2(contiguous)
+
 
 class TestInvariants:
     def test_global_rescaling_invariance(self):

@@ -111,6 +111,32 @@ class TestOtocPrecision:
         assert abs(record_k10_l5.series.c_exact[-1] - c) <= 1e-14 * c
 
 
+def moments_longdouble(psi, eps):
+    """c_approx, <p> and <p^2> with the sums taken in np.longdouble."""
+    ld = np.longdouble
+    prob = psi.amps.real.astype(ld) ** 2 + psi.amps.imag.astype(ld) ** 2
+    w = prob / prob.sum()
+    n = np.arange(-psi.lattice.size // 2, psi.lattice.size // 2)
+    p = n.astype(ld) * ld(psi.lattice.hbar_eff)
+    mp = np.sum(w * p)
+    mp2 = np.sum(w * p * p)
+    return ld(eps) ** 2 * (mp2 - mp * mp), mp, mp2
+
+
+class TestObserverPrecision:
+    """The recorded moments keep their digits however the observer orders its sums."""
+
+    # bounds fixed beforehand: a few ulp of summation error over 4096 sites
+    @pytest.mark.parametrize("name", ["record_k10_l0", "record_k10_l5"])
+    def test_final_moments_match_longdouble(self, name, request):
+        record = request.getfixturevalue(name)
+        c_approx, mp, mp2 = moments_longdouble(record.final, 1e-5)
+        series = record.series
+        assert abs(series.mean_p2[-1] - mp2) <= 1e-12 * mp2
+        assert abs(series.c_approx[-1] - c_approx) <= 1e-12 * c_approx
+        assert abs(series.mean_p[-1] - mp) <= 1e-12 * np.sqrt(mp2)
+
+
 class TestOtocApprox:
     def test_ground_state_zero(self):
         psi = ground_state(MomentumLattice(16, HBAR))

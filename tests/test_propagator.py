@@ -205,6 +205,21 @@ class TestKickFactor:
             # |e^(-i*phi)| = hypot(cos, sin) rounds to at most one ulp above 1
             assert peak <= 1.0 + np.finfo(float).eps
 
+    # same bounds; at lam*a = 1e4 all but the angles next to theta = 0 underflow to 0
+    @pytest.mark.parametrize("m", [2, 6, 8, 1024, 4096])
+    @pytest.mark.parametrize("lam_a", np.geomspace(1.0, 1e4, 9))
+    @pytest.mark.parametrize("k_a", [0.0, 3.5])
+    def test_extreme_gain(self, m, lam_a, k_a):
+        mirror = (m - np.arange(m)) % m
+        factor = np.ones(m, dtype=complex)
+        propagator._multiply_kick_factor(factor, lam_a, k_a, lam_a)
+        direct = np.ones(m, dtype=complex)
+        direct_multiply_kick_factor(direct, lam_a, k_a, lam_a)
+        assert np.all(np.isfinite(factor))
+        assert np.max(np.abs(factor)) <= 1.0 + np.finfo(float).eps
+        assert np.array_equal(factor, factor[mirror])
+        assert np.max(np.abs(factor - direct)) <= 1e-13 * np.max(np.abs(factor))
+
 
 class TestEvolutionAgainstDirectKick:
     # bounds fixed beforehand: per-kick roundoff accumulated over 200 kicks
@@ -350,6 +365,24 @@ class TestEvolve:
         cfg = config(10.0, 0.0, 80, m=32)
         with pytest.warns(WrapAroundWarning):
             evolve(cfg)
+
+    def test_log_norm_overflow_raises_at_its_kick(self):
+        # each kick adds 2*gain_shift ~ 1e308 to log_norm, which reaches inf at
+        # t=3; the state spreads past the 32-site lattice's edge at t=1
+        cfg = config(0.0, 1e308, 3, m=32, hbar=1.0, divisor=2.0)
+        with pytest.warns(WrapAroundWarning), pytest.raises(
+            NormCollapseError, match=r"log-norm inf is not finite \(at kick t=3\)"
+        ):
+            evolve(cfg)
+
+    def test_log_norm_overflow_leaves_the_state(self):
+        psi = ground_state(MomentumLattice(32, 1.0))
+        psi.log_norm = 1.7e308
+        amps = psi.amps.copy()
+        with pytest.raises(NormCollapseError, match="log-norm"):
+            apply_kick(psi, KickSchedule(0.0, 1e308), t=1, divisor=2.0)
+        assert np.array_equal(psi.amps, amps)
+        assert psi.log_norm == 1.7e308
 
 
 class TestValidation:
