@@ -13,6 +13,7 @@ before any data file is written, and a rejected run leaves no directory.
 
 from __future__ import annotations
 
+import json
 import sys
 import time
 from contextlib import contextmanager
@@ -120,7 +121,6 @@ def _build_config(params: dict) -> SimConfig:
         lattice=MomentumLattice(params["lattice"], params["hbar"]),
         schedule=KickSchedule(K=params["K"], lam=params["lam"], eta=params["eta"]),
         kick_count=params["kicks"],
-        kick_phase_divisor=params["kick_divisor"],
         epsilon_shift=params["epsilon"],
     )
 
@@ -199,7 +199,7 @@ def run_reproduce(params: dict, outdir: str, echo=None) -> Path:
     return run_dir
 
 
-_PHYSICS_PARAMS = frozenset({"K", "eta", "hbar", "epsilon", "kick_divisor"})
+_PHYSICS_PARAMS = frozenset({"K", "eta", "hbar", "epsilon"})
 
 # Each command's runner and the params keys it reads unconditionally.
 _RUNNERS = {
@@ -212,13 +212,37 @@ _RUNNERS = {
     "reproduce": (run_reproduce, frozenset({"figure_id"})),
 }
 
+_JSON_TYPES = {
+    # json reads a number as int or float and true/false as bool, so exact
+    # type tests keep a bool out of the numbers
+    "a number": lambda v: type(v) in (int, float),
+    "an integer": lambda v: type(v) is int,
+    "true or false": lambda v: type(v) is bool,
+    "a string": lambda v: type(v) is str,
+    "a list of numbers": lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
+    "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
+}
+
+# The JSON type of every params key any command writes. kick_divisor is
+# legacy: older manifests carry it, and only 1 still describes a run.
+_PARAM_TYPES = {
+    **dict.fromkeys(("K", "lam", "eta", "hbar", "epsilon", "tolerance", "kick_divisor"),
+                    "a number"),
+    **dict.fromkeys(("kicks", "lattice", "t", "dim"), "an integer"),
+    **dict.fromkeys(("with_fidelity", "gnuplot"), "true or false"),
+    **dict.fromkeys(("axis1_name", "axis2_name", "figure_id"), "a string"),
+    **dict.fromkeys(("axis1_values", "axis2_values", "lambdas", "hbars"), "a list of numbers"),
+    "snapshot_times": "a list of integers",
+}
+
 
 def rerun_manifest(manifest_path: str | Path, outdir: str) -> Path:
     """Re-execute a recorded run from its manifest alone.
 
-    A manifest that is not a JSON object, or whose params lack a key the
-    command reads, is rejected with a ValueError before any run directory
-    is made.
+    A manifest that is not a JSON object, whose params lack a key the
+    command reads or hold a value of the wrong JSON type, or that carries a
+    legacy kick_divisor other than 1, is rejected with a ValueError before
+    any run directory is made. A kick_divisor of 1 is dropped.
     """
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
@@ -234,6 +258,15 @@ def rerun_manifest(manifest_path: str | Path, outdir: str) -> Path:
     missing = sorted(required - params.keys())
     if missing:
         raise ValueError(f"manifest params lack {', '.join(map(repr, missing))}")
+    for key, value in params.items():
+        kind = _PARAM_TYPES.get(key)
+        if kind is not None and not _JSON_TYPES[kind](value):
+            raise ValueError(f"manifest param {key!r} must be {kind}, got {json.dumps(value)}")
+    divisor = params.pop("kick_divisor", 1)
+    if divisor != 1:
+        raise ValueError(
+            f"manifest kick_divisor {divisor!r} is no longer supported; its run has --K and "
+            f"--lambda (or their lists and ranges) divided by {divisor!r}")
     return runner(params, outdir)
 
 
@@ -244,8 +277,6 @@ def _common_physics_options(fn):
                       help="Effective Planck constant.")(fn)
     fn = click.option("--epsilon", default=EPSILON_DEFAULT, show_default=True,
                       help="OTOC translation parameter.")(fn)
-    fn = click.option("--kick-divisor", default=1.0, show_default=True, type=float,
-                      help="Kick phase divisor (1: standard, 2: literal half-phase).")(fn)
     return fn
 
 

@@ -1,6 +1,6 @@
 """One-kick split-operator Floquet evolution with a complex modulated kick.
 
-A single step applies the kick factor exp[-i*(K+i*lam)*f(t)*cos(theta)/(d*hbar)]
+A single step applies the kick factor exp[-i*(K+i*lam)*f(t)*cos(theta)/hbar]
 in angle representation and the free factor exp(-i*n^2*hbar/2) in momentum
 representation, with f(t) = 1 + eta*cos(omega1*t)*cos(omega2*t) sampled at the
 kick times t = 1, 2, ..., where omega1 = 2*pi/kappa and omega2 = 2*pi/kappa^2
@@ -16,7 +16,7 @@ are fixed by the plastic number kappa (`constants`). Conventions:
   1/sqrt(M) * 1/sqrt(M) of the unitary pair, so no extra scaling is needed;
 * the kick factor depends on the angle only through cos(theta_m), and for
   every even M, cos(theta_(M-m)) = cos(theta_m) and
-  cos(theta_(M/2-q)) = -cos(theta_q). With a = f/(d*hbar), the factor at
+  cos(theta_(M/2-q)) = -cos(theta_q). With a = f/hbar, the factor at
   +cos(theta_q) is F_q = e^((lam*a - i*K*a)*cos(theta_q) - g) and at
   -cos(theta_q) it is conj(F_q)*e^(-2*lam*a*cos(theta_q)). So each kick takes
   one complex and one real exponential on the M//4+1 quarter-wave points
@@ -83,32 +83,32 @@ class KickSchedule:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything a single deterministic run needs."""
+    """Everything a single deterministic run needs.
+
+    The kick phase is V/hbar. A literal half-phase reading, V/(2*hbar), is
+    the run with K and lam halved, bit for bit: halving is exact in binary
+    floating point, so both give the same K*a and lam*a.
+    """
 
     lattice: MomentumLattice
     schedule: KickSchedule
     kick_count: int
-    kick_phase_divisor: float = 1.0
     epsilon_shift: float = EPSILON_DEFAULT
 
     def __post_init__(self):
         if self.kick_count < 0:
             raise ValueError(f"kick_count must be >= 0, got {self.kick_count}")
-        if self.kick_phase_divisor not in (1.0, 2.0):
-            raise ValueError(
-                f"kick_phase_divisor must be 1 or 2, got {self.kick_phase_divisor}"
-            )
         if not 0.0 < self.epsilon_shift < 0.1:
             raise ValueError(
                 f"epsilon_shift must be a small positive number, got {self.epsilon_shift}"
             )
         # the largest kick exponent, at modulation 1 + eta, in apply_kick's
         # order; a finite one keeps every kick factor finite
-        a_max = (1.0 + self.schedule.eta) / (self.kick_phase_divisor * self.lattice.hbar_eff)
+        a_max = (1.0 + self.schedule.eta) / self.lattice.hbar_eff
         exponent = max(self.schedule.K, self.schedule.lam) * a_max
         if not math.isfinite(exponent):
             raise ValueError(
-                f"kick exponent (1+eta)*max(K, lam)/(d*hbar) = {exponent} is not finite; "
+                f"kick exponent (1+eta)*max(K, lam)/hbar = {exponent} is not finite; "
                 "raise hbar or lower K and lam"
             )
 
@@ -155,18 +155,13 @@ def _multiply_kick_factor(
     angle[half + 1 :] *= factor[half - 1 : 0 : -1]
 
 
-def apply_kick(
-    psi: WaveFunction,
-    schedule: KickSchedule,
-    t: int,
-    divisor: float = 1.0,
-) -> WaveFunction:
+def apply_kick(psi: WaveFunction, schedule: KickSchedule, t: int) -> WaveFunction:
     """Apply the kick at time t in place, renormalize, and return psi.
 
     The removed squared-norm factor (including the analytically factored
     maximal gain) is added to psi.log_norm.
     """
-    a = modulation_factor(schedule, t) / (divisor * psi.lattice.hbar_eff)
+    a = modulation_factor(schedule, t) / psi.lattice.hbar_eff
     gain_shift = abs(schedule.lam) * abs(a)
 
     angle = np.fft.ifft(psi.amps)
@@ -190,18 +185,21 @@ def apply_free(psi: WaveFunction) -> WaveFunction:
 
 def step(psi: WaveFunction, config: SimConfig, t: int) -> WaveFunction:
     """One Floquet step at kick time t: kick first, then free evolution."""
-    apply_kick(psi, config.schedule, t, config.kick_phase_divisor)
+    apply_kick(psi, config.schedule, t)
     return apply_free(psi)
 
 
 def tail_probability(psi: WaveFunction) -> float:
-    """Probability in the outer 5% of lattice sites (normalized)."""
+    """Probability in the outer 5% of lattice sites.
+
+    It reads the stored amplitudes as they are, which `step` leaves at unit
+    norm: `apply_kick` renormalizes them and `apply_free` keeps the norm.
+    """
     edge = edge_sites(psi.lattice.size)
-    prob_edge = (
+    return (
         float(np.vdot(psi.amps[:edge], psi.amps[:edge]).real)
         + float(np.vdot(psi.amps[-edge:], psi.amps[-edge:]).real)
     )
-    return prob_edge / psi.stored_norm_sq()
 
 
 Observer = Callable[[int, WaveFunction], None]

@@ -3,7 +3,7 @@
 Every recipe writes plain CSV/JSON data plus a small matplotlib script (data
 and script, never rendered images) and returns a list of threshold checks with
 pass/fail verdicts. Physical defaults: eta=0.75, epsilon=1e-5, hbar=2.89,
-kick divisor 1, lattice 4096 (8192 for the fig3c norm scan).
+lattice 4096 (8192 for the fig3c norm scan).
 
 Where a recipe's data set is a CLI command's result, it writes that command's
 files through the same serializers: fig3c writes the `nqkr norm-scan` files

@@ -337,16 +337,14 @@ class TestNormScanCommand:
 MANIFEST_PARAM_KEYS = [
     (["evolve", "--K", "3", "--lambda", "0.5", "--kicks", "5", "--lattice", "32",
       "--snapshot-times", "5"],
-     {"K", "lam", "kicks", "eta", "hbar", "epsilon", "lattice", "kick_divisor",
-      "snapshot_times"}),
+     {"K", "lam", "kicks", "eta", "hbar", "epsilon", "lattice", "snapshot_times"}),
     (["spectrum", "--K", "3", "--lambda", "0.5", "--t", "2", "--dim", "16"],
-     {"K", "lam", "t", "dim", "with_fidelity", "eta", "hbar", "epsilon", "kick_divisor"}),
+     {"K", "lam", "t", "dim", "with_fidelity", "eta", "hbar", "epsilon"}),
     (["norm-scan", "--K", "3", "--lambda-list", "0,0.2", "--kicks", "20", "--lattice", "64"],
-     {"K", "lambdas", "hbars", "kicks", "tolerance", "eta", "hbar", "epsilon", "lattice",
-      "kick_divisor"}),
+     {"K", "lambdas", "hbars", "kicks", "tolerance", "eta", "hbar", "epsilon", "lattice"}),
     (PHASE_DIAGRAM_ARGS + ["--jobs", "1"],
      {"axis1_name", "axis1_values", "axis2_name", "axis2_values", "kicks", "gnuplot", "K",
-      "lam", "eta", "hbar", "epsilon", "lattice", "kick_divisor"}),
+      "lam", "eta", "hbar", "epsilon", "lattice"}),
 ]
 
 
@@ -399,7 +397,7 @@ class TestRerunCommand:
          "manifest has no params object"),
         (json.dumps({"schema": "nqkr.run-manifest/1", "command": "spectrum",
                      "params": {"K": 1.0, "lam": 0.0, "t": 1}}),
-         "manifest params lack 'dim', 'epsilon', 'eta', 'hbar', 'kick_divisor'"),
+         "manifest params lack 'dim', 'epsilon', 'eta', 'hbar'"),
         (json.dumps({"schema": "nqkr.run-manifest/1", "command": "reproduce",
                      "params": {"figure_id": "fig9z"}}),
          "unknown figure id 'fig9z'"),
@@ -412,6 +410,81 @@ class TestRerunCommand:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not (tmp_path / "out").exists()
+
+
+def evolve_manifest(**params):
+    """A hand-written evolve manifest; params override its defaults."""
+    return {"schema": cli.MANIFEST_SCHEMA, "command": "evolve", "params": {
+        "K": 3.0, "lam": 0.5, "kicks": 5, "eta": 0.75, "hbar": 2.89, "epsilon": 1e-5,
+        "lattice": 32, "snapshot_times": [5], **params}}
+
+
+@pytest.mark.parametrize(
+    "args", [args for args, _ in MANIFEST_PARAM_KEYS],
+    ids=[args[0] for args, _ in MANIFEST_PARAM_KEYS],
+)
+def test_legacy_kick_divisor(runner, tmp_path, args):
+    # older manifests carry kick_divisor: 1 is the same run, and the key is
+    # dropped; 2 is the run with K and lambda halved, which rerun refuses
+    assert runner.invoke(main, args + ["--outdir", str(tmp_path / "orig")]).exit_code == 0
+    orig = only_run_dir(tmp_path / "orig")
+    manifest = json.loads((orig / "manifest.json").read_text())
+
+    def rerun_with(divisor):
+        legacy = tmp_path / f"legacy{divisor:g}.json"
+        legacy.write_text(json.dumps(
+            {**manifest, "params": {**manifest["params"], "kick_divisor": divisor}}))
+        outdir = tmp_path / f"again{divisor:g}"
+        return runner.invoke(main, ["rerun", str(legacy), "--outdir", str(outdir)]), outdir
+
+    result, outdir = rerun_with(1.0)
+    assert result.exit_code == 0, result.output
+    again = only_run_dir(outdir)
+    assert json.loads((again / "manifest.json").read_text())["params"] == manifest["params"]
+    for name in manifest["outputs"]:
+        assert (orig / name).read_bytes() == (again / name).read_bytes(), name
+
+    result, outdir = rerun_with(2.0)
+    assert result.exit_code == 2, result.output
+    assert "manifest kick_divisor 2.0 is no longer supported" in result.output
+    assert "--K and --lambda (or their lists and ranges) divided by 2.0" in result.output
+    assert not outdir.exists()
+
+
+def test_hand_written_manifest_reruns(runner, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(evolve_manifest()))
+    result = runner.invoke(main, ["rerun", str(manifest), "--outdir", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+
+
+# Each wrong JSON type in an otherwise valid manifest: rerun checks the types
+# before it builds a config, so none ends in a TypeError or a coerced run.
+WRONG_TYPED_PARAMS = [
+    ("K", "x", "a number"),
+    ("K", [1, 2], "a number"),
+    ("K", True, "a number"),
+    ("hbar", None, "a number"),
+    ("kicks", 2.5, "an integer"),
+    ("kicks", "5", "an integer"),
+    ("kicks", True, "an integer"),
+    ("lattice", "abc", "an integer"),
+    ("lattice", 32.0, "an integer"),
+    ("snapshot_times", "5", "a list of integers"),
+]
+
+
+@pytest.mark.parametrize(
+    "key,value,kind", WRONG_TYPED_PARAMS,
+    ids=[f"{key}-{json.dumps(value)}" for key, value, _ in WRONG_TYPED_PARAMS],
+)
+def test_wrong_typed_manifest_param_exits_2_without_run_dir(runner, tmp_path, key, value, kind):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(evolve_manifest(**{key: value})))
+    result = runner.invoke(main, ["rerun", str(manifest), "--outdir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"manifest param {key!r} must be {kind}, got {json.dumps(value)}" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 # One bad argument per command: the library validator's message reaches the
@@ -431,8 +504,9 @@ INVALID_INPUTS = [
      "eta must lie in [0, 1], got 2.0"),
     (["evolve", "--K", "1", "--lambda", "0", "--kicks", "5", "--hbar", "0"],
      "hbar_eff must be positive, got 0.0"),
+    # the half-phase run is the one with K and lambda halved; no option sets it
     (["spectrum", "--K", "1", "--lambda", "0", "--t", "1", "--dim", "16",
-      "--kick-divisor", "3"], "kick_phase_divisor must be 1 or 2, got 3.0"),
+      "--kick-divisor", "2"], "--kick-divisor"),
     (["spectrum", "--K", "1", "--lambda", "0", "--t", "-1", "--dim", "16"],
      "kick_count must be >= 0, got -1"),
     (["spectrum", "--K", "1", "--lambda", "0", "--t", "1", "--dim", "16",
@@ -454,7 +528,7 @@ INVALID_INPUTS = [
     (["evolve", "--K", "1", "--lambda", "0", "--kicks", "5", "--lattice", "32",
       "--hbar", "1e200"], "hbar_eff 1e+200 overflows p^2 = (n*hbar)^2 on 32 sites"),
     (["evolve", "--K", "1", "--lambda", "0", "--kicks", "5", "--lattice", "32",
-      "--hbar", "1e-310"], "kick exponent (1+eta)*max(K, lam)/(d*hbar) = inf is not finite"),
+      "--hbar", "1e-310"], "kick exponent (1+eta)*max(K, lam)/hbar = inf is not finite"),
     (["norm-scan", "--K", "5", "--lambda-list", "0.1", "--kicks", "20", "--lattice", "32",
       "--tolerance", "nan"], "tolerance must be finite and >= 0, got nan"),
     (["norm-scan", "--K", "5", "--lambda-list", "0.1", "--kicks", "20", "--lattice", "32",
@@ -493,7 +567,7 @@ def test_log_norm_overflow_exits_1_without_run_dir(runner, tmp_path):
     with pytest.warns(WrapAroundWarning):
         result = runner.invoke(
             main,
-            ["evolve", "--K", "0", "--lambda", "1e308", "--hbar", "1", "--kick-divisor", "2",
+            ["evolve", "--K", "0", "--lambda", "5e307", "--hbar", "1",
              "--kicks", "3", "--lattice", "32", "--outdir", str(tmp_path)],
         )
     assert result.exit_code == 1, result.output

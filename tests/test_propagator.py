@@ -29,12 +29,11 @@ HBAR = 2.89
 PLASTIC = 1.3247179572447460
 
 
-def config(K, lam, kicks, m=64, hbar=HBAR, eta=0.75, divisor=1.0):
+def config(K, lam, kicks, m=64, hbar=HBAR, eta=0.75):
     return SimConfig(
         lattice=MomentumLattice(m, hbar),
         schedule=KickSchedule(K=K, lam=lam, eta=eta),
         kick_count=kicks,
-        kick_phase_divisor=divisor,
     )
 
 
@@ -66,7 +65,7 @@ class TestModulationFactor:
         assert max(vals) <= 1.75 + 1e-12
 
 
-def shifted_kick(psi, schedule, t, divisor=1.0, theta_origin=0.0):
+def shifted_kick(psi, schedule, t, theta_origin=0.0):
     """Kick with explicit shifts, sqrt(M) scaling and a shifted angle origin.
 
     Returns the renormalized amplitudes and log-norm without touching psi:
@@ -76,7 +75,7 @@ def shifted_kick(psi, schedule, t, divisor=1.0, theta_origin=0.0):
     m = psi.lattice.size
     n = np.arange(-m // 2, m // 2)
     theta = 2.0 * np.pi * np.arange(m) / m
-    a = modulation_factor(schedule, t) / (divisor * psi.lattice.hbar_eff)
+    a = modulation_factor(schedule, t) / psi.lattice.hbar_eff
     gain_shift = schedule.lam * a
     amps = psi.amps * np.exp(1j * theta_origin * n)
     angle = np.fft.ifft(np.fft.ifftshift(amps)) * math.sqrt(m)
@@ -87,6 +86,11 @@ def shifted_kick(psi, schedule, t, divisor=1.0, theta_origin=0.0):
     amps *= np.exp(-1j * theta_origin * n)
     norm_sq = float(np.vdot(amps, amps).real)
     return amps / math.sqrt(norm_sq), psi.log_norm + math.log(norm_sq) + 2.0 * gain_shift
+
+
+# K=10 at lam 0, 2 and 5, and the same strengths halved (the paper's literal
+# half-phase reading of each)
+SHIFTED_STRENGTHS = [(10.0, 0.0), (10.0, 2.0), (10.0, 5.0), (5.0, 0.0), (5.0, 1.0), (5.0, 2.5)]
 
 
 class TestApplyKick:
@@ -139,28 +143,26 @@ class TestApplyKick:
     # bounds set beforehand from complex128 roundoff over one FFT pair
     # on unit-norm amplitudes; M in {2, 6, 10, 14} has M = 2 mod 4
     @pytest.mark.parametrize("m", [2, 6, 10, 14, 16, 64, 4096])
-    @pytest.mark.parametrize("lam", [0.0, 2.0, 5.0])
+    @pytest.mark.parametrize("K,lam", SHIFTED_STRENGTHS)
     @pytest.mark.parametrize("t", [1, 7, 200])
-    @pytest.mark.parametrize("divisor", [1.0, 2.0])
-    def test_matches_shifted_formulation(self, m, lam, t, divisor):
-        self.check_against_shifted(m, HBAR, lam, t, divisor)
+    def test_matches_shifted_formulation(self, m, K, lam, t):
+        self.check_against_shifted(m, HBAR, K, lam, t)
 
     @pytest.mark.parametrize("m", [2, 6, 10, 14, 16, 64, 4096])
-    @pytest.mark.parametrize("lam", [0.0, 2.0, 5.0])
+    @pytest.mark.parametrize("K,lam", SHIFTED_STRENGTHS)
     @pytest.mark.parametrize("t", [1, 7, 200])
-    @pytest.mark.parametrize("divisor", [1.0, 2.0])
-    def test_matches_shifted_formulation_small_hbar(self, m, lam, t, divisor):
-        self.check_against_shifted(m, 0.5, lam, t, divisor)
+    def test_matches_shifted_formulation_small_hbar(self, m, K, lam, t):
+        self.check_against_shifted(m, 0.5, K, lam, t)
 
     @staticmethod
-    def check_against_shifted(m, hbar, lam, t, divisor):
+    def check_against_shifted(m, hbar, K, lam, t):
         rng = np.random.default_rng(m + t)
         psi = ground_state(MomentumLattice(m, hbar))
         psi.amps = rng.normal(size=m) + 1j * rng.normal(size=m)
         psi.amps /= np.linalg.norm(psi.amps)
-        sched = KickSchedule(10.0, lam)
-        expected, expected_log_norm = shifted_kick(psi, sched, t, divisor)
-        apply_kick(psi, sched, t, divisor)
+        sched = KickSchedule(K, lam)
+        expected, expected_log_norm = shifted_kick(psi, sched, t)
+        apply_kick(psi, sched, t)
         assert np.max(np.abs(psi.amps - expected)) <= 1e-13
         assert abs(psi.log_norm - expected_log_norm) <= 1e-12
 
@@ -178,9 +180,9 @@ def direct_multiply_kick_factor(angle, lam_a, k_a, gain_shift):
     angle *= np.exp((lam_a - 1j * k_a) * np.cos(theta) - gain_shift)
 
 
-def kick_factor(multiply, m, sched, t, divisor, hbar):
+def kick_factor(multiply, m, sched, t, hbar):
     """The kick factor as one kick multiplies it onto the angle samples."""
-    a = modulation_factor(sched, t) / (divisor * hbar)
+    a = modulation_factor(sched, t) / hbar
     factor = np.ones(m, dtype=complex)
     multiply(factor, sched.lam * a, sched.K * a, sched.lam * a)
     return factor
@@ -193,12 +195,13 @@ class TestKickFactor:
     @pytest.mark.parametrize("hbar", [0.5, HBAR])
     def test_matches_direct_formula(self, m, hbar):
         mirror = (m - np.arange(m)) % m
-        for lam, K, divisor, t in itertools.product(
-            (0.0, 2.0, 5.0), (0.0, 4.0, 10.0), (1.0, 2.0), (1, 7, 200)
-        ):
+        # each (lam, K) and its halves
+        strengths = [*itertools.product((0.0, 2.0, 5.0), (0.0, 4.0, 10.0)),
+                     *itertools.product((0.0, 1.0, 2.5), (0.0, 2.0, 5.0))]
+        for (lam, K), t in itertools.product(strengths, (1, 7, 200)):
             sched = KickSchedule(K, lam)
-            factor = kick_factor(propagator._multiply_kick_factor, m, sched, t, divisor, hbar)
-            direct = kick_factor(direct_multiply_kick_factor, m, sched, t, divisor, hbar)
+            factor = kick_factor(propagator._multiply_kick_factor, m, sched, t, hbar)
+            direct = kick_factor(direct_multiply_kick_factor, m, sched, t, hbar)
             peak = np.max(np.abs(factor))
             assert np.max(np.abs(factor - direct)) <= 1e-13 * peak
             assert np.array_equal(factor, factor[mirror])
@@ -223,10 +226,9 @@ class TestKickFactor:
 
 class TestEvolutionAgainstDirectKick:
     # bounds fixed beforehand: per-kick roundoff accumulated over 200 kicks
-    @pytest.mark.parametrize("lam", [0.0, 5.0])
-    @pytest.mark.parametrize("divisor", [1.0, 2.0])
-    def test_record_series_matches(self, monkeypatch, lam, divisor):
-        cfg = config(10.0, lam, 200, m=1024, divisor=divisor)
+    @pytest.mark.parametrize("K,lam", [(10.0, 0.0), (10.0, 5.0), (5.0, 0.0), (5.0, 2.5)])
+    def test_record_series_matches(self, monkeypatch, K, lam):
+        cfg = config(K, lam, 200, m=1024)
         series = record_series(cfg).series
         monkeypatch.setattr(propagator, "_multiply_kick_factor", direct_multiply_kick_factor)
         reference = record_series(cfg).series
@@ -269,7 +271,7 @@ class TestApplyFree:
         assert psi.stored_norm_sq() == pytest.approx(before, rel=1e-14)
 
 
-def dense_step_matrix(m, hbar, K, lam, eta, t, divisor=1.0):
+def dense_step_matrix(m, hbar, K, lam, eta, t):
     """Explicit-loop dense oracle for one step, independent of any FFT."""
     f = 1 + eta * math.cos(OMEGA1 * t) * math.cos(OMEGA2 * t)
     fwd = np.zeros((m, m), dtype=complex)   # momentum -> angle
@@ -287,7 +289,7 @@ def dense_step_matrix(m, hbar, K, lam, eta, t, divisor=1.0):
     for row in range(m):
         theta = 2 * math.pi * row / m
         kick[row, row] = np.exp(
-            (lam - 1j * K) * f * math.cos(theta) / (divisor * hbar)
+            (lam - 1j * K) * f * math.cos(theta) / hbar
         )
     free = np.zeros((m, m), dtype=complex)
     for row, n in enumerate(ns):
@@ -366,10 +368,17 @@ class TestEvolve:
         with pytest.warns(WrapAroundWarning):
             evolve(cfg)
 
+    def test_wraparound_kick_of_the_sweep_norm_scan(self):
+        # the benchmark sweep's norm scan at hbar=0.5 and its largest lambda on
+        # 1024 sites; the tail check reads the unit-norm amplitudes as stored
+        cfg = config(10.0, 0.15, 39, m=1024, hbar=0.5)
+        with pytest.warns(WrapAroundWarning, match=r"at kick t=39;"):
+            evolve(cfg)
+
     def test_log_norm_overflow_raises_at_its_kick(self):
         # each kick adds 2*gain_shift ~ 1e308 to log_norm, which reaches inf at
         # t=3; the state spreads past the 32-site lattice's edge at t=1
-        cfg = config(0.0, 1e308, 3, m=32, hbar=1.0, divisor=2.0)
+        cfg = config(0.0, 5e307, 3, m=32, hbar=1.0)
         with pytest.warns(WrapAroundWarning), pytest.raises(
             NormCollapseError, match=r"log-norm inf is not finite \(at kick t=3\)"
         ):
@@ -380,7 +389,7 @@ class TestEvolve:
         psi.log_norm = 1.7e308
         amps = psi.amps.copy()
         with pytest.raises(NormCollapseError, match="log-norm"):
-            apply_kick(psi, KickSchedule(0.0, 1e308), t=1, divisor=2.0)
+            apply_kick(psi, KickSchedule(0.0, 5e307), t=1)
         assert np.array_equal(psi.amps, amps)
         assert psi.log_norm == 1.7e308
 
@@ -398,10 +407,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             KickSchedule(1.0, 0.0, eta=1.5)
 
-    def test_bad_divisor_rejected(self):
-        with pytest.raises(ValueError):
-            config(1.0, 0.0, 1, divisor=3.0)
-
     def test_negative_kicks_rejected(self):
         with pytest.raises(ValueError):
             config(1.0, 0.0, -1)
@@ -415,19 +420,19 @@ class TestValidation:
                 epsilon_shift=0.5,
             )
 
-    @pytest.mark.parametrize("K,lam,hbar,divisor", [
-        (1.0, 0.0, 1e-310, 1.0),  # (1 + eta) / hbar overflows
-        (0.0, 0.0, 1e-310, 1.0),  # so does 0 * inf, which is nan
-        (0.0, 1e308, 0.5, 1.0),
-        (1e308, 0.0, 0.25, 2.0),
+    @pytest.mark.parametrize("K,lam,hbar", [
+        (1.0, 0.0, 1e-310),  # (1 + eta) / hbar overflows
+        (0.0, 0.0, 1e-310),  # so does 0 * inf, which is nan
+        (0.0, 1e308, 0.5),
+        (5e307, 0.0, 0.25),
     ])
-    def test_overflowing_kick_exponent_rejected(self, K, lam, hbar, divisor):
+    def test_overflowing_kick_exponent_rejected(self, K, lam, hbar):
         with pytest.raises(ValueError, match="kick exponent"):
-            config(K, lam, 1, hbar=hbar, divisor=divisor)
+            config(K, lam, 1, hbar=hbar)
 
     def test_near_limit_kick_exponent_gives_a_finite_kick(self):
-        # (1 + 0.75) * 1e308 / 2 is finite, and so is every factor of the kick
-        cfg = config(1e308, 1e308, 1, hbar=1.0, divisor=2.0)
+        # (1 + 0.75) * 5e307 is finite, and so is every factor of the kick
+        cfg = config(5e307, 5e307, 1, hbar=1.0)
         psi = step(ground_state(cfg.lattice), cfg, 1)
         assert np.all(np.isfinite(psi.amps))
         assert math.isfinite(psi.log_norm)

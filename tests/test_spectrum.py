@@ -249,26 +249,29 @@ def parity_split(vecs):
 
 
 REFERENCE_T = 200
-REFERENCE_CASES = list(itertools.product((2, 8, 64, 256), (0.0, 0.9, 5.0), (1.0, 2.0), (2.89, 0.5)))
+# K=10 at lam 0, 0.9 and 5, and the same strengths halved (the paper's
+# literal half-phase reading of each)
+REFERENCE_STRENGTHS = [(10.0, 0.0), (10.0, 0.9), (10.0, 5.0), (5.0, 0.0), (5.0, 0.45), (5.0, 2.5)]
+REFERENCE_CASES = [(dim, K, lam, hbar) for dim, (K, lam), hbar
+                   in itertools.product((2, 8, 64, 256), REFERENCE_STRENGTHS, (2.89, 0.5))]
 
 
 def reference_id(case):
-    dim, lam, divisor, hbar = case
-    return f"dim{dim}-lam{lam:g}-d{divisor:g}-hbar{hbar:g}"
+    dim, K, lam, hbar = case
+    return f"dim{dim}-K{K:g}-lam{lam:g}-hbar{hbar:g}"
 
 
 REFERENCE_PARAMS = [pytest.param(*case, id=reference_id(case)) for case in REFERENCE_CASES]
 
 
 @functools.lru_cache(maxsize=None)
-def reference_case(dim, lam, divisor, hbar):
-    """K=10 U(200) on dim sites, its quasi_spectrum, the warnings that call
+def reference_case(dim, K, lam, hbar):
+    """U(200) on dim sites, its quasi_spectrum, the warnings that call
     raised, and the state evolved from |0> to t=200."""
     cfg = SimConfig(
         lattice=MomentumLattice(dim, hbar),
-        schedule=KickSchedule(K=10.0, lam=lam),
+        schedule=KickSchedule(K=K, lam=lam),
         kick_count=REFERENCE_T,
-        kick_phase_divisor=divisor,
     )
     matrix = build_floquet_matrix(cfg, REFERENCE_T, dim)
     with warnings.catch_warnings(record=True) as caught:
@@ -283,12 +286,12 @@ def reference_case(dim, lam, divisor, hbar):
 
 
 def residual_param(case):
-    dim, lam, divisor, hbar = case
+    dim, K, lam, hbar = case
     marks = ()
-    if (lam, divisor, hbar) == (5.0, 1.0, 0.5) and dim > 2:
+    if (K, lam, hbar) == (10.0, 5.0, 0.5) and dim > 2:
         marks = pytest.mark.xfail(
             strict=True,
-            reason="max|U| ~ e^(lam*f(200)/(d*hbar)) = e^17.3 ~ 3e7, so roundoff "
+            reason="max|U| ~ e^(lam*f(200)/hbar) = e^17.3 ~ 3e7, so roundoff "
             "in U alone (2.2e-16 * 3e7 ~ 7e-9) reaches the absolute 1e-8 limit; "
             "dense eig of the same matrix gives 1.2e-8 (dim 8) to 4.6e-8 (dim 256)",
         )
@@ -303,9 +306,9 @@ class TestDenseReference:
     and at lam=5, hbar=0.5 the smallest |u| sit ~15 orders below it.
     """
 
-    @pytest.mark.parametrize("dim,lam,divisor,hbar", REFERENCE_PARAMS)
-    def test_matches_dense_eig(self, dim, lam, divisor, hbar):
-        matrix, spec, _, psi = reference_case(dim, lam, divisor, hbar)
+    @pytest.mark.parametrize("dim,K,lam,hbar", REFERENCE_PARAMS)
+    def test_matches_dense_eig(self, dim, K, lam, hbar):
+        matrix, spec, _, psi = reference_case(dim, K, lam, hbar)
         ref_vals, ref_vecs = np.linalg.eig(matrix)
         ref_vecs = ref_vecs / np.linalg.norm(ref_vecs, axis=0)
 
@@ -328,27 +331,27 @@ class TestDenseReference:
         ref_best = float(np.abs(ref_vecs.conj().T @ normed).max())
         assert abs(fidelity_profile(psi, spec).best[1] - ref_best) <= 1e-10
 
-    @pytest.mark.parametrize("dim,lam,divisor,hbar", REFERENCE_PARAMS)
-    def test_eigenstates_have_definite_parity(self, dim, lam, divisor, hbar):
-        _, spec, _, _ = reference_case(dim, lam, divisor, hbar)
+    @pytest.mark.parametrize("dim,K,lam,hbar", REFERENCE_PARAMS)
+    def test_eigenstates_have_definite_parity(self, dim, K, lam, hbar):
+        _, spec, _, _ = reference_case(dim, K, lam, hbar)
         even, odd = parity_split(spec.eigenstates)
         assert np.all(even ^ odd)
         assert np.count_nonzero(even) == dim // 2 + 1
         assert np.count_nonzero(odd) == dim // 2 - 1
 
-    @pytest.mark.parametrize("dim,lam,divisor,hbar", [residual_param(c) for c in REFERENCE_CASES])
-    def test_residuals_within_tolerance(self, dim, lam, divisor, hbar):
-        _, spec, caught, _ = reference_case(dim, lam, divisor, hbar)
+    @pytest.mark.parametrize("dim,K,lam,hbar", [residual_param(c) for c in REFERENCE_CASES])
+    def test_residuals_within_tolerance(self, dim, K, lam, hbar):
+        _, spec, caught, _ = reference_case(dim, K, lam, hbar)
         # a pair above the limit is reported, never silently accepted
         assert len(caught) == int(spec.flagged_mask().any())
         assert float(spec.residuals.max()) <= 1e-8
 
-    @pytest.mark.parametrize("dim,lam,divisor,hbar", REFERENCE_PARAMS)
-    def test_residuals_are_taken_against_the_full_matrix(self, dim, lam, divisor, hbar, monkeypatch):
+    @pytest.mark.parametrize("dim,K,lam,hbar", REFERENCE_PARAMS)
+    def test_residuals_are_taken_against_the_full_matrix(self, dim, K, lam, hbar, monkeypatch):
         # the blocked residual pass equals one dense U @ E - E * u; the
         # eigenvectors are shifted off parity and off U's eigenvectors, so a
         # residual taken on part of U or on its parity blocks would show
-        matrix, _, _, _ = reference_case(dim, lam, divisor, hbar)
+        matrix, _, _, _ = reference_case(dim, K, lam, hbar)
         exact = nqkr.spectrum._parity_eig
         eigvals = []
 
@@ -371,17 +374,17 @@ class TestDenseReference:
         """The three strict xfails above: max|U| reaches 2e6-4e6, and residuals
         of 1.6e-8 to 2.9e-8 are the roundoff of U itself, far inside
         RESIDUAL_TOLERANCE * max|U|."""
-        _, spec, caught, _ = reference_case(dim, 5.0, 1.0, 0.5)
+        _, spec, caught, _ = reference_case(dim, 10.0, 5.0, 0.5)
         assert spec.residual_scale > 1e6
         assert not caught
         assert not spec.flagged_mask().any()
 
     def test_unitary_operator_keeps_the_absolute_limit(self):
-        _, spec, _, _ = reference_case(64, 0.0, 1.0, 2.89)
+        _, spec, _, _ = reference_case(64, 10.0, 0.0, 2.89)
         assert spec.residual_scale == 1.0
 
     def test_perturbed_eigenvector_is_still_flagged(self, monkeypatch):
-        matrix, _, _, _ = reference_case(64, 5.0, 1.0, 0.5)
+        matrix, _, _, _ = reference_case(64, 10.0, 5.0, 0.5)
         exact = nqkr.spectrum._parity_eig
 
         def perturbed(m):
