@@ -20,6 +20,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Sequence
 
 import click
 import numpy as np
@@ -51,7 +52,8 @@ from .fileio import (
 )
 from .lattice import MomentumLattice, NormCollapseError, momentum_distribution
 from .observables import record_series
-from .phases import AXIS_FIELDS, AxisSpec, default_jobs, norm_scan, phase_diagram
+from .phases import (
+    AXIS_FIELDS, AxisSpec, NormScanResult, default_jobs, norm_scan, phase_diagram)
 from .propagator import KickSchedule, SimConfig
 from .recipes import FIGURE_IDS, run_recipe
 from .spectrum import SpectrumError, fidelity_profile, spectrum_at
@@ -135,25 +137,35 @@ def run_evolve(params: dict, outdir: str) -> Path:
     return run_dir
 
 
+def spectrum_files(run_dir: Path, config: SimConfig, with_fidelity: bool) -> dict:
+    """Write the spectrum run's data files into run_dir and return its summary.
+
+    The operator is U(t) at t = config.kick_count on config's lattice. With
+    fidelity, the state evolved to t is compared with every quasi-eigenstate.
+    """
+    spec = spectrum_at(config, config.kick_count, config.lattice.size)
+    write_spectrum_csv(run_dir / "spectrum.csv", spec)
+    fid = None
+    if with_fidelity:
+        record = record_series(config)
+        fid = fidelity_profile(record.final, spec)
+        write_fidelity_json(run_dir / "fidelity.json", fid)
+        write_distribution_csv(
+            run_dir / "evolved_state.csv", momentum_distribution(record.final)
+        )
+        write_distribution_csv(
+            run_dir / "best_eigenstate.csv",
+            momentum_distribution(spec.state(fid.best_index)),
+        )
+    summary = spectrum_summary(spec, fid)
+    write_json(run_dir / "summary.json", summary)
+    return summary
+
+
 def run_spectrum(params: dict, outdir: str) -> Path:
-    dim = params["dim"]
-    config = _build_config({**params, "lattice": dim, "kicks": params["t"]})
+    config = _build_config({**params, "lattice": params["dim"], "kicks": params["t"]})
     with _run(outdir, "spectrum", params, config) as run_dir:
-        spec = spectrum_at(config, params["t"], dim)
-        write_spectrum_csv(run_dir / "spectrum.csv", spec)
-        fid = None
-        if params.get("with_fidelity"):
-            record = record_series(config)
-            fid = fidelity_profile(record.final, spec)
-            write_fidelity_json(run_dir / "fidelity.json", fid)
-            write_distribution_csv(
-                run_dir / "evolved_state.csv", momentum_distribution(record.final)
-            )
-            write_distribution_csv(
-                run_dir / "best_eigenstate.csv",
-                momentum_distribution(spec.state(fid.best_index)),
-            )
-        write_json(run_dir / "summary.json", spectrum_summary(spec, fid))
+        spectrum_files(run_dir, config, params.get("with_fidelity", False))
     return run_dir
 
 
@@ -172,14 +184,19 @@ def run_phase_diagram(params: dict, outdir: str, jobs: int | None = None, progre
     return run_dir
 
 
+def norm_scan_files(run_dir: Path, base: SimConfig, lambdas: Sequence[float],
+                    hbars: Sequence[float], tolerance: float) -> NormScanResult:
+    """Write the norm-scan run's data files into run_dir and return its NormScanResult."""
+    result = norm_scan(base, lambdas, hbars, tolerance=tolerance)
+    write_json(run_dir / "norm_scan.json", norm_scan_dict(result))
+    write_norm_scan_csv(run_dir / "norm_scan.csv", result)
+    return result
+
+
 def run_norm_scan(params: dict, outdir: str) -> Path:
     base = _build_config({**params, "lam": 0.0})
     with _run(outdir, "norm-scan", params) as run_dir:
-        result = norm_scan(
-            base, params["lambdas"], params["hbars"], tolerance=params["tolerance"]
-        )
-        write_json(run_dir / "norm_scan.json", norm_scan_dict(result))
-        write_norm_scan_csv(run_dir / "norm_scan.csv", result)
+        norm_scan_files(run_dir, base, params["lambdas"], params["hbars"], params["tolerance"])
     return run_dir
 
 
@@ -379,6 +396,8 @@ def phase_diagram_cmd(outdir, plane, eta_range, lambda_range, k_range, jobs, **k
 @_common_physics_options
 def norm_scan_cmd(outdir, lambda_list, lambda_range, hbar_list, **kwargs):
     """Norm-growth fits over a lambda ladder, with a threshold estimate."""
+    if lambda_list and lambda_range:
+        raise click.UsageError("give --lambda-list or --lambda-range, not both")
     if lambda_list:
         lambdas = _parse_list(lambda_list)
     elif lambda_range:

@@ -179,6 +179,9 @@ def phase_diagram(
             raise ValueError(f"unknown sweep axis {axis.name!r}")
         if len(axis.values) < 2:
             raise ValueError(f"axis {axis.name} needs at least 2 values")
+    if axis1.name == axis2.name:
+        # axis 2's value would overwrite axis 1's at every point
+        raise ValueError(f"both sweep axes set {axis1.name}")
     if base_config.kick_count < MIN_PHASE_KICKS:
         raise ValueError(f"phase diagrams need at least {MIN_PHASE_KICKS} kicks")
 

@@ -5,10 +5,12 @@ and script, never rendered images) and returns a list of threshold checks with
 pass/fail verdicts. Physical defaults: eta=0.75, epsilon=1e-5, hbar=2.89,
 lattice 4096 (8192 for the fig3c norm scan).
 
-Where a recipe's data set is a CLI command's result, it writes that command's
-files through the same serializers: fig3c writes the `nqkr norm-scan` files
-and fig4 the `nqkr spectrum --with-fidelity` files. Both fig4 panels come from
-one run, so `fig4a` and `fig4b` name the same recipe.
+Where a recipe's data set is a CLI command's result, the recipe runs that
+command's pipeline: fig3c calls `cli.norm_scan_files`, the body of `nqkr
+norm-scan`, and fig4 calls `cli.spectrum_files`, the body of `nqkr spectrum
+--with-fidelity`. Those recipes keep only their configs and their checks,
+which read what the body returns or the files it wrote. Both fig4 panels come
+from one run, so `fig4a` and `fig4b` name the same recipe.
 
 The diffusion-law fits use the early window t in [1, 75]: that window lies
 inside the normal-diffusion epoch for every K scanned here, whereas by the
@@ -30,18 +32,8 @@ from .constants import (
     LATTICE_DEFAULT,
     SPECTRUM_DIM_DEFAULT,
 )
-from .fileio import (
-    _write_table,
-    norm_scan_dict,
-    spectrum_summary,
-    write_distribution_csv,
-    write_fidelity_json,
-    write_json,
-    write_norm_scan_csv,
-    write_series_csv,
-    write_spectrum_csv,
-)
-from .lattice import MomentumLattice, momentum_distribution
+from .fileio import _write_table, read_distribution_csv, write_distribution_csv, write_series_csv
+from .lattice import MomentumLattice
 from .observables import (
     _linear_fit,
     compare_profiles,
@@ -50,9 +42,9 @@ from .observables import (
     record_series,
     scrambling_rate,
 )
-from .phases import extract_features, norm_scan
+from .phases import extract_features
 from .propagator import KickSchedule, SimConfig
-from .spectrum import SpectrumError, fidelity_profile, spectrum_at
+from .spectrum import SpectrumError
 
 DIFFUSION_WINDOW = (1.0, 75.0)
 QUASIENERGY_TARGET = 2.454
@@ -280,12 +272,13 @@ def recipe_fig3a(outdir: Path) -> list[Check]:
 
 def recipe_fig3c(outdir: Path) -> list[Check]:
     """Threshold estimate lambda_c versus hbar via the mean-norm criterion."""
+    from .cli import norm_scan_files  # not at module level: cli imports this module
+
     hbars = (0.5, 1.5, 2.89)
     lambdas = np.linspace(0.0, 0.15, 16)
     # hbar=0.5 outgrows 4096 sites before t=500; at 8192 no run wraps around
-    result = norm_scan(base_config(10, 0.0, 500, lattice_size=8192), lambdas, hbars)
-    write_norm_scan_csv(outdir / "norm_scan.csv", result)
-    write_json(outdir / "norm_scan.json", norm_scan_dict(result))
+    base = base_config(10, 0.0, 500, lattice_size=8192)
+    result = norm_scan_files(outdir, base, lambdas, hbars, tolerance=0.05)
     lc = [result.lambda_c[h] for h in hbars]
     ordered = all(a is not None for a in lc) and lc[0] < lc[2] and lc[0] <= lc[1] <= lc[2]
     checks = [
@@ -311,29 +304,23 @@ def recipe_fig4(outdir: Path) -> list[Check]:
     """Both Fig. 4 panels at t=200, K=10, lambda=5, from one run.
 
     (a) Fidelity against every quasi-eigenstate; (b) profile overlap of the
-    evolved state and the best quasi-eigenstate. Writes the files of `nqkr
+    evolved state and the best quasi-eigenstate. Runs the body of `nqkr
     spectrum --K 10 --lambda 5 --t 200 --dim 1024 --with-fidelity`; the
-    eigenvalue checks read that run's summary.
+    eigenvalue checks read its summary and the overlap checks its two
+    profile files.
     """
-    cfg = base_config(10, 5.0, 200, lattice_size=SPECTRUM_DIM_DEFAULT)
-    spec = spectrum_at(cfg, 200, SPECTRUM_DIM_DEFAULT)
-    write_spectrum_csv(outdir / "spectrum.csv", spec)
-    final = record_series(cfg).final
-    fid = fidelity_profile(final, spec)
-    write_fidelity_json(outdir / "fidelity.json", fid)
-    evolved = momentum_distribution(final)
-    best_state = momentum_distribution(spec.state(fid.best_index))
-    write_distribution_csv(outdir / "evolved_state.csv", evolved)
-    write_distribution_csv(outdir / "best_eigenstate.csv", best_state)
-    summary = spectrum_summary(spec, fid)
-    write_json(outdir / "summary.json", summary)
+    from .cli import spectrum_files  # not at module level: cli imports this module
 
+    cfg = base_config(10, 5.0, 200, lattice_size=SPECTRUM_DIM_DEFAULT)
+    summary = spectrum_files(outdir, cfg, with_fidelity=True)
     top_valid = summary["max_valid_eps_i"]
     if top_valid is None:
         raise SpectrumError("no tail-safe eigenstates; enlarge the dimension")
     best_eps, best_f = summary["best_fidelity_eps_i"], summary["best_fidelity"]
-    xi_state = fit_exponential_profile(evolved).xi_or_sigma
-    xi_eig = fit_exponential_profile(best_state).xi_or_sigma
+    xi_state, xi_eig = (
+        fit_exponential_profile(read_distribution_csv(outdir / name)).xi_or_sigma
+        for name in ("evolved_state.csv", "best_eigenstate.csv")
+    )
     _emit_plot_script(
         outdir / "plot_fig4.py",
         "import json\n"

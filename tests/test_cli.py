@@ -260,6 +260,18 @@ class TestPhaseDiagramCommand:
             for name in ("phase_diagram.csv", "phase_diagram.json", "phase_diagram.matrix"):
                 assert (orig / name).read_bytes() == (again / name).read_bytes()
 
+    def test_manifest_with_one_field_on_both_axes_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, PHASE_DIAGRAM_ARGS + ["--outdir", str(tmp_path / "orig")])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((only_run_dir(tmp_path / "orig") / "manifest.json").read_text())
+        manifest["params"]["axis2_name"] = "lambda"
+        (tmp_path / "edited.json").write_text(json.dumps(manifest))
+        result = runner.invoke(
+            main, ["rerun", str(tmp_path / "edited.json"), "--outdir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "both sweep axes set lambda" in result.output
+        assert not (tmp_path / "out").exists()
+
 
 NORM_SCAN_ARGS = ["norm-scan", "--K", "5", "--lambda-list", "0.3,0,0.1",
                   "--hbar-list", "2.89,1.5", "--kicks", "40", "--lattice", "256"]
@@ -533,6 +545,8 @@ INVALID_INPUTS = [
       "--tolerance", "nan"], "tolerance must be finite and >= 0, got nan"),
     (["norm-scan", "--K", "5", "--lambda-list", "0.1", "--kicks", "20", "--lattice", "32",
       "--tolerance", "-2"], "tolerance must be finite and >= 0, got -2.0"),
+    (["norm-scan", "--K", "5", "--lambda-list", "0", "--lambda-range", "0:0.1:3",
+      "--kicks", "20", "--lattice", "32"], "give --lambda-list or --lambda-range, not both"),
 ]
 
 

@@ -168,6 +168,15 @@ class TestPhaseDiagram:
         with pytest.raises(ValueError):
             phase_diagram(AxisSpec("volume", np.array([0.1, 0.9])), two, tiny_config())
 
+    def test_same_field_on_both_axes_rejected_before_any_point(self, monkeypatch):
+        def no_point(config):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(nqkr.phases, "_evaluate_point", no_point)
+        with pytest.raises(ValueError, match="both sweep axes set lambda"):
+            phase_diagram(AxisSpec("lambda", np.array([0.0, 1.0])),
+                          AxisSpec("lambda", np.array([2.0, 3.0])), tiny_config())
+
     def test_boundary_interpolation(self):
         # hand-built rho columns: crossing between axis1=0.2 (rho 0.8) and
         # 0.4 (rho 0.2) -> linear interpolation at 0.3

@@ -1,12 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import nqkr.cli
 import nqkr.recipes
 from nqkr import WrapAroundWarning, record_series
 from nqkr.cli import main
@@ -81,7 +86,7 @@ def test_fig3c_norm_scan_lattice_holds_hbar_half(monkeypatch, tmp_path):
         captured.update(base=base, lambdas=lambdas, hbars=hbars)
         raise Captured
 
-    monkeypatch.setattr(nqkr.recipes, "norm_scan", capture)
+    monkeypatch.setattr(nqkr.cli, "norm_scan", capture)
     with pytest.raises(Captured):
         run_recipe("fig3c", tmp_path)
     base = captured["base"]
@@ -113,7 +118,7 @@ def test_fig4_writes_the_spectrum_command_files(tmp_path):
 
 
 def test_fig4_without_tail_safe_state_is_a_numerical_failure(monkeypatch, tmp_path):
-    real_spectrum_at = nqkr.recipes.spectrum_at
+    real_spectrum_at = nqkr.cli.spectrum_at
 
     def edge_bound_spectrum(config, t, dim):
         spec = real_spectrum_at(config, t, dim)
@@ -121,7 +126,7 @@ def test_fig4_without_tail_safe_state_is_a_numerical_failure(monkeypatch, tmp_pa
         return spec
 
     monkeypatch.setattr(nqkr.recipes, "SPECTRUM_DIM_DEFAULT", 256)
-    monkeypatch.setattr(nqkr.recipes, "spectrum_at", edge_bound_spectrum)
+    monkeypatch.setattr(nqkr.cli, "spectrum_at", edge_bound_spectrum)
     result = CliRunner().invoke(main, ["reproduce", "fig4b", "--outdir", str(tmp_path)])
     assert result.exit_code == 1, result.output
     assert "no tail-safe eigenstates" in result.output
@@ -137,11 +142,24 @@ def test_fig3c_writes_the_norm_scan_command_files(monkeypatch, tmp_path):
         base = replace(base, lattice=replace(base.lattice, size=1024), kick_count=20)
         return norm_scan(base, lambdas, hbars, **kwargs)
 
-    monkeypatch.setattr(nqkr.recipes, "norm_scan", small_scan)
-    recipe_dir = invoke(["reproduce", "fig3c"], tmp_path / "recipe")
     cli_dir = invoke(["norm-scan", "--K", "10", "--lambda-list", "0,0.075,0.15",
                       "--hbar-list", "0.5,1.5,2.89", "--kicks", "20", "--lattice", "1024"],
                      tmp_path / "cli")
+    # patched after the command ran, so only the recipe's scan is shrunk
+    monkeypatch.setattr(nqkr.cli, "norm_scan", small_scan)
+    recipe_dir = invoke(["reproduce", "fig3c"], tmp_path / "recipe")
     for name in ("norm_scan.csv", "norm_scan.json"):
         assert (recipe_dir / name).read_bytes() == (cli_dir / name).read_bytes(), name
     assert_plot_reads_run_files(recipe_dir / "plot_fig3c.py")
+
+
+@pytest.mark.parametrize("first,second",
+                         [("nqkr.recipes", "nqkr.cli"), ("nqkr.cli", "nqkr.recipes")])
+def test_recipes_and_cli_import_in_either_order(first, second):
+    # cli imports recipes at module level, so recipes must reach cli only at call time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", f"import {first}; import {second}"],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
