@@ -3,9 +3,12 @@
 Every command writes into a fresh runs/<timestamp>-<command>/ directory:
 the data files plus a schema-versioned manifest.json, whose format lives
 here (`_run`), from which `nqkr rerun` re-executes the run exactly. The
-manifest's `config` is null for phase-diagram, norm-scan and reproduce,
-which run many configs. All numerical output is deterministic; only
-manifest timestamps and durations differ between reruns.
+manifest's `params` hold exactly the keys its command reads; `_COMMANDS`
+declares them, with their JSON types, once per command, and `nqkr rerun`
+checks a manifest against it key by key. The manifest's `config` is null
+for phase-diagram, norm-scan and reproduce, which run many configs. All
+numerical output is deterministic; only manifest timestamps and durations
+differ between reruns.
 
 Exit codes: 0 ok, 1 numerical failure, 2 invalid input. Input is rejected
 before any data file is written, and a rejected run leaves no directory.
@@ -130,7 +133,7 @@ def _build_config(params: dict) -> SimConfig:
 def run_evolve(params: dict, outdir: str) -> Path:
     config = _build_config(params)
     with _run(outdir, "evolve", params, config) as run_dir:
-        record = record_series(config, snapshot_times=params.get("snapshot_times") or ())
+        record = record_series(config, snapshot_times=params["snapshot_times"])
         write_series_csv(run_dir / "otoc_series.csv", record.series)
         for t, dist in sorted(record.snapshots.items()):
             write_distribution_csv(run_dir / f"momentum_t{t}.csv", dist)
@@ -165,7 +168,7 @@ def spectrum_files(run_dir: Path, config: SimConfig, with_fidelity: bool) -> dic
 def run_spectrum(params: dict, outdir: str) -> Path:
     config = _build_config({**params, "lattice": params["dim"], "kicks": params["t"]})
     with _run(outdir, "spectrum", params, config) as run_dir:
-        spectrum_files(run_dir, config, params.get("with_fidelity", False))
+        spectrum_files(run_dir, config, params["with_fidelity"])
     return run_dir
 
 
@@ -179,7 +182,7 @@ def run_phase_diagram(params: dict, outdir: str, jobs: int | None = None, progre
         diagram = phase_diagram(axis1, axis2, base, jobs=jobs, progress=progress)
         write_diagram_csv(run_dir / "phase_diagram.csv", diagram)
         write_diagram_json(run_dir / "phase_diagram.json", diagram)
-        if params.get("gnuplot"):
+        if params["gnuplot"]:
             write_diagram_gnuplot(run_dir / "phase_diagram.matrix", diagram)
     return run_dir
 
@@ -216,19 +219,6 @@ def run_reproduce(params: dict, outdir: str, echo=None) -> Path:
     return run_dir
 
 
-_PHYSICS_PARAMS = frozenset({"K", "eta", "hbar", "epsilon"})
-
-# Each command's runner and the params keys it reads unconditionally.
-_RUNNERS = {
-    "evolve": (run_evolve, _PHYSICS_PARAMS | {"lam", "kicks", "lattice"}),
-    "spectrum": (run_spectrum, _PHYSICS_PARAMS | {"lam", "t", "dim"}),
-    "phase-diagram": (run_phase_diagram, _PHYSICS_PARAMS | {
-        "lam", "kicks", "lattice", "axis1_name", "axis1_values", "axis2_name", "axis2_values"}),
-    "norm-scan": (run_norm_scan, _PHYSICS_PARAMS | {
-        "kicks", "lattice", "lambdas", "hbars", "tolerance"}),
-    "reproduce": (run_reproduce, frozenset({"figure_id"})),
-}
-
 _JSON_TYPES = {
     # json reads a number as int or float and true/false as bool, so exact
     # type tests keep a bool out of the numbers
@@ -240,51 +230,63 @@ _JSON_TYPES = {
     "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
 }
 
-# The JSON type of every params key any command writes. kick_divisor is
-# legacy: older manifests carry it, and only 1 still describes a run.
-_PARAM_TYPES = {
-    **dict.fromkeys(("K", "lam", "eta", "hbar", "epsilon", "tolerance", "kick_divisor"),
-                    "a number"),
-    **dict.fromkeys(("kicks", "lattice", "t", "dim"), "an integer"),
-    **dict.fromkeys(("with_fidelity", "gnuplot"), "true or false"),
-    **dict.fromkeys(("axis1_name", "axis2_name", "figure_id"), "a string"),
-    **dict.fromkeys(("axis1_values", "axis2_values", "lambdas", "hbars"), "a list of numbers"),
-    "snapshot_times": "a list of integers",
+_PHYSICS = dict.fromkeys(("K", "eta", "hbar", "epsilon"), "a number")
+_DIVISOR = {"kick_divisor": "a number"}
+
+# Each command's runner, the JSON type of every params key it reads, and the
+# legacy keys that older manifests carry and no run reads. A manifest's params
+# hold every key its command reads, and may hold its legacy keys.
+_COMMANDS = {
+    "evolve": (run_evolve, {**_PHYSICS, "lam": "a number", "kicks": "an integer",
+               "lattice": "an integer", "snapshot_times": "a list of integers"}, _DIVISOR),
+    "spectrum": (run_spectrum, {**_PHYSICS, "lam": "a number", "t": "an integer",
+                 "dim": "an integer", "with_fidelity": "true or false"}, _DIVISOR),
+    "phase-diagram": (run_phase_diagram, {
+        **_PHYSICS, "lam": "a number", "kicks": "an integer", "lattice": "an integer",
+        "gnuplot": "true or false", "axis1_name": "a string", "axis2_name": "a string",
+        "axis1_values": "a list of numbers", "axis2_values": "a list of numbers"},
+        {**_DIVISOR, "jobs": "an integer"}),
+    "norm-scan": (run_norm_scan, {
+        **_PHYSICS, "kicks": "an integer", "lattice": "an integer", "tolerance": "a number",
+        "lambdas": "a list of numbers", "hbars": "a list of numbers"}, _DIVISOR),
+    "reproduce": (run_reproduce, {"figure_id": "a string"}, {}),
 }
 
 
 def rerun_manifest(manifest_path: str | Path, outdir: str) -> Path:
     """Re-execute a recorded run from its manifest alone.
 
-    A manifest that is not a JSON object, whose params lack a key the
-    command reads or hold a value of the wrong JSON type, or that carries a
-    legacy kick_divisor other than 1, is rejected with a ValueError before
-    any run directory is made. A kick_divisor of 1 is dropped.
+    The manifest's params must hold every key its command reads, each of
+    the JSON type `_COMMANDS` declares, and no key but these and the
+    command's legacy keys. Anything else is rejected with a ValueError
+    before any run directory is made. Legacy keys are dropped; a
+    kick_divisor other than 1 describes another run and is refused.
     """
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise ValueError(f"manifest must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("schema") != MANIFEST_SCHEMA:
         raise ValueError(f"unsupported manifest schema {manifest.get('schema')!r}")
-    if manifest.get("command") not in _RUNNERS:
-        raise ValueError(f"unknown manifest command {manifest.get('command')!r}")
-    runner, required = _RUNNERS[manifest["command"]]
-    params = manifest.get("params")
+    command, params = manifest.get("command"), manifest.get("params")
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise ValueError(f"unknown manifest command {command!r}")
     if not isinstance(params, dict):
         raise ValueError("manifest has no params object")
-    missing = sorted(required - params.keys())
-    if missing:
-        raise ValueError(f"manifest params lack {', '.join(map(repr, missing))}")
+    runner, read, legacy = _COMMANDS[command]
+    types = {**read, **legacy}
+    for problem, keys in ((f"hold keys {command} does not read:", params.keys() - types.keys()),
+                          ("lack", read.keys() - params.keys())):
+        if keys:
+            raise ValueError(f"manifest params {problem} {', '.join(map(repr, sorted(keys)))}")
     for key, value in params.items():
-        kind = _PARAM_TYPES.get(key)
-        if kind is not None and not _JSON_TYPES[kind](value):
+        if not _JSON_TYPES[kind := types[key]](value):
             raise ValueError(f"manifest param {key!r} must be {kind}, got {json.dumps(value)}")
-    divisor = params.pop("kick_divisor", 1)
+    divisor = params.get("kick_divisor", 1)
     if divisor != 1:
         raise ValueError(
             f"manifest kick_divisor {divisor!r} is no longer supported; its run has --K and "
             f"--lambda (or their lists and ranges) divided by {divisor!r}")
-    return runner(params, outdir)
+    return runner({key: value for key, value in params.items() if key in read}, outdir)
 
 
 def _common_physics_options(fn):

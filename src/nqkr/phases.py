@@ -96,8 +96,8 @@ def extract_features(series: OtocSeries) -> Features:
         return Features(0.0, 1.0, 1.0)
 
     t_max = t[-1]
-    late = c[(t >= t_max / 2.0) & (t <= t_max)]
-    t_late = t[(t >= t_max / 2.0) & (t <= t_max)]
+    late_window = t >= t_max / 2.0
+    late, t_late = c[late_window], t[late_window]
     slope, _, _ = _linear_fit(t_late, late)
     mean_late = float(late.mean())
     slope_norm = slope / mean_late if mean_late > 0.0 else 0.0

@@ -368,7 +368,7 @@ def test_manifest_param_keys(runner, tmp_path, args, keys):
     assert result.exit_code == 0, result.output
     manifest = json.loads((only_run_dir(tmp_path) / "manifest.json").read_text())
     assert set(manifest["params"]) == keys
-    assert cli._RUNNERS[args[0]][1] <= keys
+    assert set(cli._COMMANDS[args[0]][1]) == keys
     # a sweep runs many configs, so no one config stands in for it
     assert (manifest["config"] is None) == (args[0] in ("norm-scan", "phase-diagram"))
 
@@ -413,8 +413,12 @@ class TestRerunCommand:
         (json.dumps({"schema": "nqkr.run-manifest/1", "command": "reproduce",
                      "params": {"figure_id": "fig9z"}}),
          "unknown figure id 'fig9z'"),
+        (json.dumps({"schema": "nqkr.run-manifest/1", "command": ["evolve"], "params": {}}),
+         "unknown manifest command ['evolve']"),
+        (json.dumps({"schema": "nqkr.run-manifest/1", "command": {"a": 1}, "params": {}}),
+         "unknown manifest command {'a': 1}"),
     ], ids=["unknown-command", "wrong-schema", "not-json", "not-object", "no-params",
-            "partial-params", "unknown-figure"])
+            "partial-params", "unknown-figure", "list-command", "object-command"])
     def test_malformed_manifest_exits_2_without_run_dir(self, runner, tmp_path, text, message):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(text)
@@ -422,6 +426,65 @@ class TestRerunCommand:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not (tmp_path / "out").exists()
+
+    def test_misspelt_key_exits_2_without_run_dir(self, runner, tmp_path):
+        args = ["spectrum", "--K", "3", "--lambda", "0.5", "--t", "2", "--dim", "16",
+                "--with-fidelity", "--outdir", str(tmp_path / "orig")]
+        assert runner.invoke(main, args).exit_code == 0
+        manifest = json.loads((only_run_dir(tmp_path / "orig") / "manifest.json").read_text())
+        params = manifest["params"]
+        params["with_fidelty"] = params.pop("with_fidelity")
+        params["banana"] = 7
+        (tmp_path / "edited.json").write_text(json.dumps(manifest))
+        result = runner.invoke(
+            main, ["rerun", str(tmp_path / "edited.json"), "--outdir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert ("manifest params hold keys spectrum does not read: 'banana', 'with_fidelty'"
+                in result.output)
+        assert not (tmp_path / "out").exists()
+
+
+# A key no run reads, on every command's manifest (a reproduce run is its
+# figure id alone), and the worker count, which only phase-diagram ever wrote.
+MANIFEST_ARGS = [args for args, _ in MANIFEST_PARAM_KEYS] + [["reproduce", "fig1b"]]
+UNREAD_PARAMS = [(args, "bogus") for args in MANIFEST_ARGS] + [
+    (args, "jobs") for args in MANIFEST_ARGS if args[0] != "phase-diagram"]
+
+
+@pytest.mark.parametrize(
+    "args,key", UNREAD_PARAMS, ids=[f"{args[0]}-{key}" for args, key in UNREAD_PARAMS])
+def test_unread_manifest_param_exits_2_without_run_dir(runner, tmp_path, args, key):
+    if args[0] == "reproduce":
+        manifest = {"schema": cli.MANIFEST_SCHEMA, "command": "reproduce",
+                    "params": {"figure_id": args[1]}}
+    else:
+        assert runner.invoke(main, args + ["--outdir", str(tmp_path / "orig")]).exit_code == 0
+        manifest = json.loads((only_run_dir(tmp_path / "orig") / "manifest.json").read_text())
+    manifest["params"][key] = 1
+    (tmp_path / "edited.json").write_text(json.dumps(manifest))
+    result = runner.invoke(
+        main, ["rerun", str(tmp_path / "edited.json"), "--outdir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"manifest params hold keys {args[0]} does not read: '{key}'" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+SEED_MANIFESTS = sorted((Path(__file__).parent / "data").glob("seed-*-manifest.json"))
+
+
+@pytest.mark.parametrize("path", SEED_MANIFESTS, ids=[p.name for p in SEED_MANIFESTS])
+def test_seed_manifest_reruns(runner, tmp_path, path):
+    # written by the first release, which recorded kick_divisor and phase-diagram's jobs
+    result = runner.invoke(main, ["rerun", str(path), "--outdir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    seed = json.loads(path.read_text())["params"]
+    params = json.loads((only_run_dir(tmp_path) / "manifest.json").read_text())["params"]
+    assert params == {k: v for k, v in seed.items() if k not in ("kick_divisor", "jobs")}
+
+
+def test_seed_manifests_cover_four_commands():
+    assert {json.loads(p.read_text())["command"] for p in SEED_MANIFESTS} == {
+        "evolve", "spectrum", "norm-scan", "phase-diagram"}
 
 
 def evolve_manifest(**params):
@@ -603,7 +666,7 @@ def test_residual_overflow_exits_1_without_run_dir(runner, tmp_path):
 
 
 def test_every_command_is_rerunnable():
-    assert set(main.commands) - {"rerun"} == set(cli._RUNNERS)
+    assert set(main.commands) - {"rerun"} == set(cli._COMMANDS)
 
 
 class TestReproduceCommand:
