@@ -6,9 +6,12 @@ here (`_run`), from which `nqkr rerun` re-executes the run exactly. The
 manifest's `params` hold exactly the keys its command reads; `_COMMANDS`
 declares them, with their JSON types, once per command, and `nqkr rerun`
 checks a manifest against it key by key. The manifest's `config` is null
-for phase-diagram, norm-scan and reproduce, which run many configs. All
-numerical output is deterministic; only manifest timestamps and durations
-differ between reruns.
+for phase-diagram, norm-scan and reproduce, which run many configs. Its
+`environment` records the Python, numpy and BLAS build, the BLAS thread
+count and the CPU count; `nqkr rerun` names any of them that differ from the
+current process and runs anyway. All numerical output is deterministic on
+one build and CPU type; only manifest timestamps and durations differ
+between reruns.
 
 Exit codes: 0 ok, 1 numerical failure, 2 invalid input. Input is rejected
 before any data file is written, and a rejected run leaves no directory.
@@ -17,6 +20,8 @@ before any data file is written, and a rejected run leaves no directory.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import sys
 import time
 from contextlib import contextmanager
@@ -28,7 +33,7 @@ from typing import Sequence
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from .constants import (
     EPSILON_DEFAULT,
     ETA_DEFAULT,
@@ -86,6 +91,22 @@ def _parse_list(text: str, kind=float) -> list:
         raise click.BadParameter(f"cannot parse list {text!r}: {exc}") from exc
 
 
+def environment() -> dict:
+    """The build and host facts that a run's last digits can depend on.
+
+    blas_threads is None where no OpenBLAS is found.
+    """
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": _blas.thread_count(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 @contextmanager
 def _run(outdir: str, command: str, params: dict, config: SimConfig | None = None,
          name: str | None = None):
@@ -115,6 +136,7 @@ def _run(outdir: str, command: str, params: dict, config: SimConfig | None = Non
         "params": params,
         "config": None if config is None else {**asdict(config), "derived": derived},
         "tool_version": __version__,
+        "environment": environment(),
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "duration_seconds": time.monotonic() - started,
         "outputs": sorted(p.name for p in run_dir.iterdir() if p.is_file()),
@@ -260,7 +282,9 @@ def rerun_manifest(manifest_path: str | Path, outdir: str) -> Path:
     the JSON type `_COMMANDS` declares, and no key but these and the
     command's legacy keys. Anything else is rejected with a ValueError
     before any run directory is made. Legacy keys are dropped; a
-    kick_divisor other than 1 describes another run and is refused.
+    kick_divisor other than 1 describes another run and is refused. Where
+    the manifest's environment differs from this process's, one line on
+    stderr names each differing field before the run.
     """
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
@@ -286,6 +310,13 @@ def rerun_manifest(manifest_path: str | Path, outdir: str) -> Path:
         raise ValueError(
             f"manifest kick_divisor {divisor!r} is no longer supported; its run has --K and "
             f"--lambda (or their lists and ranges) divided by {divisor!r}")
+    recorded = manifest.get("environment")
+    if isinstance(recorded, dict):
+        changed = [f"{key} {json.dumps(recorded.get(key))} -> {json.dumps(value)}"
+                   for key, value in environment().items() if recorded.get(key) != value]
+        if changed:
+            click.echo(f"note: this process differs from the manifest's environment in "
+                       f"{', '.join(changed)}; the last digits may differ", err=True)
     return runner({key: value for key, value in params.items() if key in read}, outdir)
 
 

@@ -20,6 +20,9 @@ import numpy as np
 
 # Below this total probability the state is numerically gone.
 NORM_COLLAPSE_FLOOR = 1e-300
+# Largest lattice size accepted: 512x the 8192 sites of the largest recipe,
+# so that a mistyped size is an error before anything is allocated.
+LATTICE_SIZE_BUDGET = 2**22
 
 
 class NormCollapseError(ArithmeticError):
@@ -36,6 +39,9 @@ class MomentumLattice:
     def __post_init__(self):
         if self.size < 2 or self.size % 2 != 0:
             raise ValueError(f"lattice size must be even and >= 2, got {self.size}")
+        if self.size > LATTICE_SIZE_BUDGET:
+            raise ValueError(
+                f"lattice size {self.size} exceeds the budget {LATTICE_SIZE_BUDGET}")
         if not self.hbar_eff > 0:
             raise ValueError(f"hbar_eff must be positive, got {self.hbar_eff}")
         if not math.isfinite(self.hbar_eff):

@@ -18,6 +18,12 @@ eigenstate it returns has definite parity. Residuals are still measured
 against the full matrix, and one that overflows double range is a
 SpectrumError.
 
+The stacked eig runs on one BLAS thread (`_blas.one_thread`). On a 2-CPU host
+a second OpenBLAS thread cut the dim-1024 eig's wall time by only 5-10% while
+doubling its CPU time, gave nothing at dim 512, and moved the last digits of
+eps with the thread count. On one thread the spectrum files do not depend on
+OPENBLAS_NUM_THREADS. A BLAS other than OpenBLAS keeps its own threading.
+
 Memory: beside the input U, the spectrum path holds the (2, M/2+1, M/2+1)
 block stack and its eigenvectors, then one (M, M) eigenvector array, built
 straight in sorted order and normalized in place, plus working blocks of at
@@ -40,6 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _blas
 from .lattice import MomentumLattice, WaveFunction, edge_sites, ground_state
 from .propagator import SimConfig, step
 
@@ -190,17 +197,17 @@ def _unfold(y: np.ndarray, sign: int, out: np.ndarray, columns: np.ndarray) -> N
     out[h - 1:0:-1, columns] = y
 
 
-def _parity_blocks(matrix: np.ndarray) -> np.ndarray:
+def _parity_blocks(matrix: np.ndarray, max_abs: float) -> np.ndarray:
     """The (2, M/2+1, M/2+1) stack of U's even block and zero-padded odd block.
 
     One sector at a time, U's columns are folded into a reused (M, M/2+1)
     buffer, and its rows are folded straight into the stack. The coupling to
     the other sector is reduced to its max and dropped. Raises ValueError if
-    that coupling exceeds PARITY_TOLERANCE * max|U|.
+    that coupling exceeds PARITY_TOLERANCE * max_abs, where max_abs = max|U|.
     """
     m = matrix.shape[0]
     h = m // 2
-    limit = PARITY_TOLERANCE * _max_abs(matrix)
+    limit = PARITY_TOLERANCE * max_abs
     stack = np.zeros((2, h + 1, h + 1), dtype=np.complex128)
     buffer = np.empty((m, h + 1), dtype=np.complex128)
     leak = 0.0
@@ -233,17 +240,19 @@ def _eps_parts(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eps_r, np.log(np.abs(vals))
 
 
-def _parity_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _parity_eig(matrix: np.ndarray, max_abs: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and storage-basis eigenvectors of U from its parity blocks.
 
-    One eig call solves the block stack. The odd slice's two padding pairs
+    One eig call, on one BLAS thread, solves the block stack; max_abs is
+    max|U|, for the parity check. The odd slice's two padding pairs
     are dropped by their support on the padded coordinates. The pairs come
     out sorted by descending eps_i, then eps_r: each block eigenvector is
     embedded once, straight into its sorted column of the M x M output.
     """
     m = matrix.shape[0]
     h = m // 2
-    vals, vecs = np.linalg.eig(_parity_blocks(matrix))
+    with _blas.one_thread():
+        vals, vecs = np.linalg.eig(_parity_blocks(matrix, max_abs))
 
     padding_support = np.sum(np.abs(vecs[1, h - 1:]) ** 2, axis=0)
     keep = np.sort(np.argsort(padding_support, kind="stable")[:h - 1])
@@ -289,9 +298,10 @@ def quasi_spectrum(
     if lattice.size != m:
         raise ValueError("lattice size does not match matrix dimension")
 
-    scale = max(1.0, _max_abs(matrix))
+    max_abs = _max_abs(matrix)
+    scale = max(1.0, max_abs)
     try:
-        eigvals, vecs = _parity_eig(matrix)
+        eigvals, vecs = _parity_eig(matrix, max_abs)
     except np.linalg.LinAlgError as exc:
         norm1 = float(np.linalg.norm(matrix, 1))
         norm_inf = float(np.linalg.norm(matrix, np.inf))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from nqkr import KickSchedule, MomentumLattice, SimConfig, WrapAroundWarning, spectrum_at
-from nqkr import cli, propagator
+from nqkr import _blas, cli, propagator
 from nqkr.cli import main, parse_range, rerun_manifest
 from nqkr.fileio import read_series_csv
 
@@ -20,10 +21,21 @@ def runner():
     return CliRunner()
 
 
+SPECTRUM_FILES = ("spectrum.csv", "summary.json", "fidelity.json", "evolved_state.csv",
+                  "best_eigenstate.csv")
+
+
 def only_run_dir(outdir: Path) -> Path:
     dirs = [p for p in Path(outdir).iterdir() if p.is_dir()]
     assert len(dirs) == 1
     return dirs[0]
+
+
+def checkout_env(**extra) -> dict:
+    """This process's environment, with the checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **extra}
 
 
 class TestParseRange:
@@ -385,8 +397,7 @@ class TestRerunCommand:
         assert runner.invoke(main, args).exit_code == 0
         orig = only_run_dir(tmp_path / "orig")
         again = self.rerun(runner, orig / "manifest.json", tmp_path / "again")
-        for name in ("spectrum.csv", "summary.json", "fidelity.json", "evolved_state.csv",
-                     "best_eigenstate.csv"):
+        for name in SPECTRUM_FILES:
             assert (orig / name).read_bytes() == (again / name).read_bytes()
 
     def test_reproduce_reruns_byte_identical(self, runner, tmp_path):
@@ -477,6 +488,8 @@ def test_seed_manifest_reruns(runner, tmp_path, path):
     # written by the first release, which recorded kick_divisor and phase-diagram's jobs
     result = runner.invoke(main, ["rerun", str(path), "--outdir", str(tmp_path)])
     assert result.exit_code == 0, result.output
+    # the first release recorded no environment, so rerun has nothing to compare
+    assert "note:" not in result.stderr
     seed = json.loads(path.read_text())["params"]
     params = json.loads((only_run_dir(tmp_path) / "manifest.json").read_text())["params"]
     assert params == {k: v for k, v in seed.items() if k not in ("kick_divisor", "jobs")}
@@ -524,6 +537,59 @@ def test_legacy_kick_divisor(runner, tmp_path, args):
     assert "manifest kick_divisor 2.0 is no longer supported" in result.output
     assert "--K and --lambda (or their lists and ranges) divided by 2.0" in result.output
     assert not outdir.exists()
+
+
+class TestEnvironment:
+    def spectrum_run(self, runner, outdir):
+        args = ["spectrum", "--K", "3", "--lambda", "0.5", "--t", "2", "--dim", "16",
+                "--with-fidelity", "--outdir", str(outdir)]
+        assert runner.invoke(main, args).exit_code == 0
+        return only_run_dir(outdir)
+
+    def test_manifest_records_the_environment(self, runner, tmp_path):
+        manifest = json.loads((self.spectrum_run(runner, tmp_path) / "manifest.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas["name"], "blas_version": blas["version"],
+            "blas_threads": _blas.thread_count(), "cpu_count": os.cpu_count()}
+        keys = list(manifest)
+        assert keys.index("environment") == keys.index("tool_version") + 1
+
+    def test_rerun_in_the_same_environment_prints_no_note(self, runner, tmp_path):
+        orig = self.spectrum_run(runner, tmp_path / "orig")
+        result = runner.invoke(
+            main, ["rerun", str(orig / "manifest.json"), "--outdir", str(tmp_path / "again")])
+        assert result.exit_code == 0, result.output
+        assert "note:" not in result.stderr
+
+    def test_rerun_names_each_differing_field_and_runs(self, runner, tmp_path):
+        orig = self.spectrum_run(runner, tmp_path / "orig")
+        manifest = json.loads((orig / "manifest.json").read_text())
+        manifest["environment"].update(blas_threads=64, cpu_count=128)
+        del manifest["environment"]["numpy"]
+        (tmp_path / "edited.json").write_text(json.dumps(manifest))
+        result = runner.invoke(
+            main, ["rerun", str(tmp_path / "edited.json"), "--outdir", str(tmp_path / "again")])
+        assert result.exit_code == 0, result.output
+        notes = [line for line in result.stderr.splitlines() if line.startswith("note:")]
+        assert notes == [
+            "note: this process differs from the manifest's environment in "
+            f"numpy null -> {json.dumps(np.__version__)}, "
+            f"blas_threads 64 -> {json.dumps(_blas.thread_count())}, "
+            f"cpu_count 128 -> {os.cpu_count()}; the last digits may differ"]
+        again = only_run_dir(tmp_path / "again")
+        for name in SPECTRUM_FILES:
+            assert (orig / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_manifest_lattice_over_budget_exits_2_without_run_dir(runner, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(evolve_manifest(lattice=17179869184)))
+    result = runner.invoke(main, ["rerun", str(manifest), "--outdir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "lattice size 17179869184 exceeds the budget 4194304" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_hand_written_manifest_reruns(runner, tmp_path):
@@ -610,6 +676,9 @@ INVALID_INPUTS = [
       "--tolerance", "-2"], "tolerance must be finite and >= 0, got -2.0"),
     (["norm-scan", "--K", "5", "--lambda-list", "0", "--lambda-range", "0:0.1:3",
       "--kicks", "20", "--lattice", "32"], "give --lambda-list or --lambda-range, not both"),
+    # 256 GiB of amplitudes: refused before anything is allocated
+    (["evolve", "--K", "1", "--lambda", "0", "--kicks", "1", "--lattice", "17179869184"],
+     "lattice size 17179869184 exceeds the budget 4194304"),
 ]
 
 
@@ -676,11 +745,24 @@ class TestReproduceCommand:
 
 
 def test_python_m_nqkr_runs_from_checkout():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     result = subprocess.run([sys.executable, "-m", "nqkr", "--help"],
-                            capture_output=True, text=True, env=env, timeout=120)
+                            capture_output=True, text=True, env=checkout_env(), timeout=120)
     assert result.returncode == 0, result.stderr
     assert "Usage: python -m nqkr" in result.stdout
     assert "spectrum" in result.stdout
+
+
+def test_spectrum_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # eig runs on one OpenBLAS thread whatever the process default, so the
+    # files of a frozen operator agree byte for byte between 1 and 2 threads
+    runs = {}
+    for threads in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-m", "nqkr", "spectrum", "--K", "10", "--lambda", "5",
+             "--t", "200", "--dim", "256", "--with-fidelity", "--outdir", str(tmp_path / threads)],
+            capture_output=True, text=True, env=checkout_env(OPENBLAS_NUM_THREADS=threads),
+            timeout=300)
+        assert result.returncode == 0, result.stderr
+        runs[threads] = only_run_dir(tmp_path / threads)
+    for name in SPECTRUM_FILES:
+        assert (runs["1"] / name).read_bytes() == (runs["2"] / name).read_bytes(), name

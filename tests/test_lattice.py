@@ -13,6 +13,7 @@ from nqkr import (
     momentum_distribution,
 )
 from nqkr.constants import EPSILON_DEFAULT
+from nqkr.lattice import LATTICE_SIZE_BUDGET
 from nqkr.observables import _observable_table
 from nqkr.propagator import _free_phases
 
@@ -166,6 +167,11 @@ class TestValidation:
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
             MomentumLattice(7, HBAR)
+
+    def test_size_above_budget_rejected(self):
+        assert MomentumLattice(LATTICE_SIZE_BUDGET, HBAR).size == LATTICE_SIZE_BUDGET
+        with pytest.raises(ValueError, match=f"exceeds the budget {LATTICE_SIZE_BUDGET}$"):
+            MomentumLattice(LATTICE_SIZE_BUDGET + 2, HBAR)
 
     def test_nonpositive_hbar_rejected(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import nqkr.spectrum
+from nqkr import _blas
 from nqkr import (
     KickSchedule,
     MomentumLattice,
@@ -355,8 +356,8 @@ class TestDenseReference:
         exact = nqkr.spectrum._parity_eig
         eigvals = []
 
-        def recorded(m):
-            vals, vecs = exact(m)
+        def recorded(*args):
+            vals, vecs = exact(*args)
             eigvals.append(vals)
             return vals, vecs + 1e-6
 
@@ -387,8 +388,8 @@ class TestDenseReference:
         matrix, _, _, _ = reference_case(64, 10.0, 5.0, 0.5)
         exact = nqkr.spectrum._parity_eig
 
-        def perturbed(m):
-            vals, vecs = exact(m)
+        def perturbed(*args):
+            vals, vecs = exact(*args)
             vecs = vecs.copy()
             vecs[:, 0] += 1e-8
             return vals, vecs
@@ -448,6 +449,84 @@ class TestParityBlocks:
         assert np.abs(zero[[2, 6]]) == pytest.approx(np.full((2, 2), math.sqrt(0.5)))
         even, odd = parity_split(zero)
         assert even.tolist().count(True) == 1 and odd.tolist().count(True) == 1
+
+
+    def test_max_abs_is_taken_once(self, monkeypatch):
+        # one pass over U gives both the parity-leak limit and residual_scale
+        calls = []
+        max_abs = nqkr.spectrum._max_abs
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return max_abs(matrix)
+
+        monkeypatch.setattr(nqkr.spectrum, "_max_abs", counted)
+        spec = spectrum_at(config(10.0, 5.0), t=7, m_spec=64)
+        assert calls == [(64, 64)]
+        assert spec.residual_scale == max(1.0, float(np.abs(
+            build_floquet_matrix(config(10.0, 5.0), t=7, m_spec=64)).max()))
+
+
+def blas_counts():
+    return [get() for get, _ in _blas._libraries()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS on two threads, restored afterwards."""
+    libraries = _blas._libraries()
+    if not libraries:
+        pytest.skip("no OpenBLAS found in this process")
+    previous = blas_counts()
+    for _, set_ in libraries:
+        set_(2)
+    yield
+    for (_, set_), count in zip(libraries, previous):
+        set_(count)
+
+
+class TestOneBlasThread:
+    """The stacked eig runs on one BLAS thread, and the count is restored."""
+
+    def matrix(self):
+        return build_floquet_matrix(config(10.0, 5.0), t=3, m_spec=64)
+
+    def test_eig_sees_one_thread(self, two_blas_threads, monkeypatch):
+        seen = []
+        eig = np.linalg.eig
+
+        def counted(a):
+            seen.append(blas_counts())
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        quasi_spectrum(self.matrix())
+        assert seen == [[1] * len(blas_counts())]
+        assert set(blas_counts()) == {2}
+
+    def test_count_is_restored_when_eig_fails(self, two_blas_threads, monkeypatch):
+        seen = []
+
+        def failing(a):
+            seen.append(blas_counts())
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        with pytest.raises(SpectrumError, match="Eigenvalues did not converge"):
+            quasi_spectrum(self.matrix())
+        assert seen == [[1] * len(blas_counts())]
+        assert set(blas_counts()) == {2}
+
+    def test_no_openblas_found_gives_the_same_eigenvalues(self, monkeypatch):
+        matrix = self.matrix()
+        found = quasi_spectrum(matrix)
+        monkeypatch.setattr(_blas, "_libraries", lambda: ())
+        assert _blas.thread_count() is None
+        alone = quasi_spectrum(matrix)
+        # matched as sets: roundoff may reorder pairs with equal eps_i
+        u, v = (np.exp(-1j * spec.quasienergies) for spec in (found, alone))
+        gaps = np.abs(u[:, None] - v[None, :])
+        assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-12
 
 
 class TestParitySymmetry:
