@@ -60,8 +60,8 @@ from .fileio import (
 )
 from .lattice import MomentumLattice, NormCollapseError, momentum_distribution
 from .observables import record_series
-from .phases import (
-    AXIS_FIELDS, AxisSpec, NormScanResult, default_jobs, norm_scan, phase_diagram)
+from .phases import (AXIS_FIELDS, LAMBDA_C_TOLERANCE, AxisSpec, NormScanResult, default_jobs,
+                     norm_scan, phase_diagram)
 from .propagator import KickSchedule, SimConfig
 from .recipes import FIGURE_IDS, run_recipe
 from .spectrum import SpectrumError, fidelity_profile, spectrum_at
@@ -70,7 +70,7 @@ NUMERICAL_ERRORS = (NormCollapseError, SpectrumError)
 MANIFEST_SCHEMA = "nqkr.run-manifest/1"
 
 
-def parse_range(text: str) -> np.ndarray:
+def parse_range(text: str) -> list[float]:
     """Inclusive start:stop:count grid, e.g. '0:5:11' -> 0, 0.5, ..., 5."""
     parts = text.split(":")
     if len(parts) != 3:
@@ -81,7 +81,7 @@ def parse_range(text: str) -> np.ndarray:
         raise click.BadParameter(f"cannot parse range {text!r}: {exc}") from exc
     if count < 1:
         raise click.BadParameter("range count must be >= 1")
-    return np.linspace(start, stop, count)
+    return [float(v) for v in np.linspace(start, stop, count)]
 
 
 def _parse_list(text: str, kind=float) -> list:
@@ -143,17 +143,18 @@ def _run(outdir: str, command: str, params: dict, config: SimConfig | None = Non
     })
 
 
-def _build_config(params: dict) -> SimConfig:
+def _build_config(params: dict, epsilon: float = EPSILON_DEFAULT) -> SimConfig:
+    """The config params describe; epsilon is the OTOC shift, read only where an output uses C."""
     return SimConfig(
         lattice=MomentumLattice(params["lattice"], params["hbar"]),
         schedule=KickSchedule(K=params["K"], lam=params["lam"], eta=params["eta"]),
         kick_count=params["kicks"],
-        epsilon_shift=params["epsilon"],
+        epsilon_shift=epsilon,
     )
 
 
 def run_evolve(params: dict, outdir: str) -> Path:
-    config = _build_config(params)
+    config = _build_config(params, params["epsilon"])
     with _run(outdir, "evolve", params, config) as run_dir:
         record = record_series(config, snapshot_times=params["snapshot_times"])
         write_series_csv(run_dir / "otoc_series.csv", record.series)
@@ -198,7 +199,7 @@ def run_phase_diagram(params: dict, outdir: str, jobs: int | None = None, progre
     # jobs is not in params: the worker count never changes a result
     axis1 = AxisSpec(params["axis1_name"], np.asarray(params["axis1_values"]))
     axis2 = AxisSpec(params["axis2_name"], np.asarray(params["axis2_values"]))
-    base = _build_config(params)
+    base = _build_config(params, params["epsilon"])
     jobs = default_jobs() if jobs is None else jobs
     with _run(outdir, "phase-diagram", params) as run_dir:
         diagram = phase_diagram(axis1, axis2, base, jobs=jobs, progress=progress)
@@ -252,25 +253,28 @@ _JSON_TYPES = {
     "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
 }
 
-_PHYSICS = dict.fromkeys(("K", "eta", "hbar", "epsilon"), "a number")
+_PHYSICS = dict.fromkeys(("K", "eta", "hbar"), "a number")
+_EPSILON = {"epsilon": "a number"}
 _DIVISOR = {"kick_divisor": "a number"}
+_UNREAD_EPSILON = {**_DIVISOR, **_EPSILON}
 
 # Each command's runner, the JSON type of every params key it reads, and the
 # legacy keys that older manifests carry and no run reads. A manifest's params
-# hold every key its command reads, and may hold its legacy keys.
+# hold every key its command reads, and may hold its legacy keys. No spectrum
+# or norm-scan file reads the OTOC, so its shift epsilon is a legacy key there.
 _COMMANDS = {
-    "evolve": (run_evolve, {**_PHYSICS, "lam": "a number", "kicks": "an integer",
+    "evolve": (run_evolve, {**_PHYSICS, **_EPSILON, "lam": "a number", "kicks": "an integer",
                "lattice": "an integer", "snapshot_times": "a list of integers"}, _DIVISOR),
     "spectrum": (run_spectrum, {**_PHYSICS, "lam": "a number", "t": "an integer",
-                 "dim": "an integer", "with_fidelity": "true or false"}, _DIVISOR),
+                 "dim": "an integer", "with_fidelity": "true or false"}, _UNREAD_EPSILON),
     "phase-diagram": (run_phase_diagram, {
-        **_PHYSICS, "lam": "a number", "kicks": "an integer", "lattice": "an integer",
-        "gnuplot": "true or false", "axis1_name": "a string", "axis2_name": "a string",
-        "axis1_values": "a list of numbers", "axis2_values": "a list of numbers"},
-        {**_DIVISOR, "jobs": "an integer"}),
+        **_PHYSICS, **_EPSILON, "lam": "a number", "kicks": "an integer",
+        "lattice": "an integer", "gnuplot": "true or false", "axis1_name": "a string",
+        "axis2_name": "a string", "axis1_values": "a list of numbers",
+        "axis2_values": "a list of numbers"}, {**_DIVISOR, "jobs": "an integer"}),
     "norm-scan": (run_norm_scan, {
         **_PHYSICS, "kicks": "an integer", "lattice": "an integer", "tolerance": "a number",
-        "lambdas": "a list of numbers", "hbars": "a list of numbers"}, _DIVISOR),
+        "lambdas": "a list of numbers", "hbars": "a list of numbers"}, _UNREAD_EPSILON),
     "reproduce": (run_reproduce, {"figure_id": "a string"}, {}),
 }
 
@@ -323,11 +327,14 @@ def rerun_manifest(manifest_path: str | Path, outdir: str) -> Path:
 def _common_physics_options(fn):
     fn = click.option("--eta", default=ETA_DEFAULT, show_default=True,
                       help="Modulation strength.")(fn)
-    fn = click.option("--hbar", default=HBAR_DEFAULT, show_default=True,
-                      help="Effective Planck constant.")(fn)
-    fn = click.option("--epsilon", default=EPSILON_DEFAULT, show_default=True,
-                      help="OTOC translation parameter.")(fn)
-    return fn
+    return click.option("--hbar", default=HBAR_DEFAULT, show_default=True,
+                        help="Effective Planck constant.")(fn)
+
+
+def _otoc_physics_options(fn):
+    """The common options plus the OTOC shift, for the commands whose output reads C."""
+    return click.option("--epsilon", default=EPSILON_DEFAULT, show_default=True,
+                        help="OTOC translation parameter.")(_common_physics_options(fn))
 
 
 @click.group()
@@ -347,7 +354,7 @@ def main():
               "at which to write momentum distributions.")
 @click.option("--outdir", default="runs", show_default=True,
               help="Parent directory for run output.")
-@_common_physics_options
+@_otoc_physics_options
 def evolve(outdir, **kwargs):
     """Evolve the rotor and write the OTOC time series."""
     snapshot_times = _parse_list(kwargs["snapshot_times"], int)
@@ -395,12 +402,12 @@ def spectrum(outdir, **kwargs):
 @click.option("--lattice", default=LATTICE_DEFAULT, show_default=True)
 @click.option("--gnuplot", is_flag=True, help="Also emit a gnuplot matrix file.")
 @click.option("--outdir", default="runs", show_default=True)
-@_common_physics_options
+@_otoc_physics_options
 def phase_diagram_cmd(outdir, plane, eta_range, lambda_range, k_range, jobs, **kwargs):
     """Sweep a 2-D parameter plane and classify each point."""
     axis1_name, axis1_range = ("eta", eta_range) if plane == "eta-K" else ("lambda", lambda_range)
-    axis1_values = [float(v) for v in parse_range(axis1_range)]
-    k_values = [float(v) for v in parse_range(k_range)]
+    axis1_values = parse_range(axis1_range)
+    k_values = parse_range(k_range)
     # the base config sits at the first grid point; the eta-K plane is unitary
     params = {
         **kwargs, "lam": 0.0,
@@ -422,7 +429,7 @@ def phase_diagram_cmd(outdir, plane, eta_range, lambda_range, k_range, jobs, **k
 @click.option("--hbar-list", default="", help="Comma-separated hbar values "
               "[default: the --hbar value].")
 @click.option("--kicks", type=int, required=True)
-@click.option("--tolerance", default=0.05, show_default=True,
+@click.option("--tolerance", default=LAMBDA_C_TOLERANCE, show_default=True,
               help="lambda_c reports the first lambda with mean norm > 1+tolerance.")
 @click.option("--lattice", default=LATTICE_DEFAULT, show_default=True)
 @click.option("--outdir", default="runs", show_default=True)
@@ -434,7 +441,7 @@ def norm_scan_cmd(outdir, lambda_list, lambda_range, hbar_list, **kwargs):
     if lambda_list:
         lambdas = _parse_list(lambda_list)
     elif lambda_range:
-        lambdas = [float(v) for v in parse_range(lambda_range)]
+        lambdas = parse_range(lambda_range)
     else:
         raise click.UsageError("provide --lambda-list or --lambda-range")
     hbars = _parse_list(hbar_list) if hbar_list else [kwargs["hbar"]]

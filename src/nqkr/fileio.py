@@ -15,7 +15,7 @@ import numpy as np
 from .lattice import MomentumDistribution
 from .observables import OtocSeries
 from .phases import NormScanResult, PhaseDiagram
-from .spectrum import FidelityRecord, QuasiSpectrum, SpectrumError
+from .spectrum import FidelityRecord, QuasiSpectrum
 
 
 _FLOAT_FORMAT = "{:.15g}"
@@ -74,18 +74,15 @@ def spectrum_summary(spec: QuasiSpectrum, fid: FidelityRecord | None = None) -> 
 
     max_valid_eps_i is None when every state leans on the truncation edge.
     """
-    try:
-        max_valid = float(spec.eps_i[spec.top_valid_index()])
-    except SpectrumError:
-        max_valid = None
+    valid = spec.valid_mask()
     summary = {
         "t": spec.t,
         "dim": spec.lattice.size,
         "max_eps_i": float(spec.eps_i.max()),
         "max_eps_i_tail_weight": float(spec.tail_weights[int(np.argmax(spec.eps_i))]),
-        "max_valid_eps_i": max_valid,
+        "max_valid_eps_i": float(spec.eps_i[valid].max()) if valid.any() else None,
         "max_residual": float(spec.residuals.max()),
-        "tail_safe_states": int(np.count_nonzero(spec.valid_mask())),
+        "tail_safe_states": int(np.count_nonzero(valid)),
         "flagged_states": int(np.count_nonzero(spec.flagged_mask())),
     }
     if fid is not None:

@@ -279,12 +279,9 @@ def fit_gaussian_profile(
     return _fit_profile(dist, window, "gaussian")
 
 
-def compare_profiles(
-    dist: MomentumDistribution,
-    window: tuple[float, float] | None = None,
-) -> tuple[ProfileFit, ProfileFit, str]:
+def compare_profiles(dist: MomentumDistribution) -> tuple[ProfileFit, ProfileFit, str]:
     """Fit both model classes on identical points; winner is the higher r^2."""
-    exp_fit = fit_exponential_profile(dist, window)
+    exp_fit = fit_exponential_profile(dist)
     gauss_fit = fit_gaussian_profile(dist, exp_fit.fit_window)
     winner = "exponential" if exp_fit.r_squared >= gauss_fit.r_squared else "gaussian"
     return exp_fit, gauss_fit, winner
@@ -296,24 +293,22 @@ def _grid_spacing(dist: MomentumDistribution) -> float:
     return float(dist.p[1] - dist.p[0])
 
 
-def _late_fit(
+def _late_points(
     series: OtocSeries, column: np.ndarray, window: tuple[float, float] | None, name: str
-) -> tuple[float, float, float, tuple[float, float]]:
-    """Slope, intercept and r^2 of column versus t over a window (default second half)."""
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """t and column over a kick-time window (default: the second half) of >= 10 kicks."""
     if window is None:
         window = (float(series.t[-1]) / 2.0, float(series.t[-1])) if len(series) else (0.0, 0.0)
     mask = _window_mask(series.t.astype(float), window)
     if np.count_nonzero(mask) < 10:
         raise FitError(f"{name} window {window} holds fewer than 10 kicks")
-    return *_linear_fit(series.t[mask].astype(float), column[mask]), window
+    return series.t[mask].astype(float), column[mask], window
 
 
-def fit_norm_growth(
-    series: OtocSeries,
-    window: tuple[float, float] | None = None,
-) -> NormGrowthFit:
-    """Fit norm_log = mu*t + b over a kick-time window (default second half)."""
-    mu, intercept, r2, window = _late_fit(series, series.norm_log, window, "norm-growth")
+def fit_norm_growth(series: OtocSeries) -> NormGrowthFit:
+    """Fit norm_log = mu*t + b over the second half of the run."""
+    t, norm_log, window = _late_points(series, series.norm_log, None, "norm-growth")
+    mu, intercept, r2 = _linear_fit(t, norm_log)
     return NormGrowthFit(mu, intercept, window, r2)
 
 
@@ -322,7 +317,8 @@ def scrambling_rate(
     window: tuple[float, float] | None = None,
 ) -> float:
     """Late-time slope D of c_approx versus t (default window: second half)."""
-    return _late_fit(series, series.c_approx, window, "scrambling-rate")[0]
+    t, c_approx, _ = _late_points(series, series.c_approx, window, "scrambling-rate")
+    return _linear_fit(t, c_approx)[0]
 
 
 def log_mean_norm(series: OtocSeries) -> float:

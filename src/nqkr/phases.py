@@ -27,6 +27,7 @@ import numpy as np
 from .observables import (
     NormGrowthFit,
     OtocSeries,
+    _late_points,
     _linear_fit,
     fit_norm_growth,
     log_mean_norm,
@@ -36,6 +37,8 @@ from .propagator import SimConfig
 
 MIN_SERIES_LENGTH = 200
 MIN_PHASE_KICKS = 500
+# lambda_c is the first lambda whose time-averaged norm exceeds 1 + this
+LAMBDA_C_TOLERANCE = 0.05
 
 # Sweep axes set these scalar parameters on the kick schedule.
 AXIS_FIELDS = {"eta": "eta", "lambda": "lam", "K": "K"}
@@ -96,8 +99,7 @@ def extract_features(series: OtocSeries) -> Features:
         return Features(0.0, 1.0, 1.0)
 
     t_max = t[-1]
-    late_window = t >= t_max / 2.0
-    late, t_late = c[late_window], t[late_window]
+    t_late, late, _ = _late_points(series, c, None, "feature")
     slope, _, _ = _linear_fit(t_late, late)
     mean_late = float(late.mean())
     slope_norm = slope / mean_late if mean_late > 0.0 else 0.0
@@ -251,8 +253,8 @@ def _norm_point(config: SimConfig) -> tuple[NormGrowthFit, float]:
 def norm_scan(
     base_config: SimConfig,
     lambdas: Sequence[float],
-    hbars: Sequence[float] | None = None,
-    tolerance: float = 0.05,
+    hbars: Sequence[float],
+    tolerance: float = LAMBDA_C_TOLERANCE,
 ) -> NormScanResult:
     """Per-(hbar, lambda) norm-growth fits plus a threshold estimate.
 
@@ -261,8 +263,6 @@ def norm_scan(
     1 + tolerance. Raises ValueError if either list is empty or the
     tolerance lies outside [0, inf).
     """
-    if hbars is None:
-        hbars = [base_config.lattice.hbar_eff]
     if len(lambdas) == 0 or len(hbars) == 0:
         raise ValueError("a norm scan needs at least one lambda and one hbar")
     if not 0.0 <= tolerance < math.inf:

@@ -42,7 +42,7 @@ from .observables import (
     record_series,
     scrambling_rate,
 )
-from .phases import extract_features
+from .phases import LAMBDA_C_TOLERANCE, extract_features
 from .propagator import KickSchedule, SimConfig
 from .spectrum import SpectrumError
 
@@ -72,6 +72,16 @@ def _within(value: float, target: float, rel: float) -> bool:
     return abs(value - target) <= rel * abs(target)
 
 
+def _diffusion_rate(K: float) -> float:
+    """The normal-diffusion scrambling rate (eps*K)^2/2 at the default shift."""
+    return (EPSILON_DEFAULT * K) ** 2 / 2.0
+
+
+def _ladder(values) -> str:
+    """The values a recipe ran, as the tuple literal its plot script loops over."""
+    return f"({', '.join(f'{v:g}' for v in values)})"
+
+
 def _emit_plot_script(path: Path, body: str) -> None:
     script = (
         "#!/usr/bin/env python3\n"
@@ -86,25 +96,21 @@ def _emit_plot_script(path: Path, body: str) -> None:
 
 def recipe_fig1a(outdir: Path) -> list[Check]:
     """OTOC growth curves across kick strengths in the Hermitian case."""
-    checks = []
-    theory = {}
     series_by_k = {}
     for K in (1, 4, 5, 7, 10):
-        cfg = base_config(K, 0.0, 1000)
-        series_by_k[K] = record_series(cfg).series
+        series_by_k[K] = record_series(base_config(K, 0.0, 1000)).series
         write_series_csv(outdir / f"otoc_K{K}.csv", series_by_k[K])
-        theory[K] = (cfg.epsilon_shift * K) ** 2 / 2.0
-    d10 = scrambling_rate(series_by_k[10], DIFFUSION_WINDOW)
-    checks.append(
+    d10, theory = scrambling_rate(series_by_k[10], DIFFUSION_WINDOW), _diffusion_rate(10)
+    checks = [
         Check(
             "K=10 scrambling rate within 30% of (eps*K)^2/2",
-            _within(d10, theory[10], 0.30),
-            f"D={d10:.3e}, theory={theory[10]:.3e}",
+            _within(d10, theory, 0.30),
+            f"D={d10:.3e}, theory={theory:.3e}",
         )
-    )
+    ]
     _emit_plot_script(
         outdir / "plot_fig1a.py",
-        "for K in (1, 4, 5, 7, 10):\n"
+        f"for K in {_ladder(series_by_k)}:\n"
         "    d = np.loadtxt(f'otoc_K{K}.csv', delimiter=',', skiprows=1)\n"
         "    plt.plot(d[:, 0], d[:, 1], label=f'K={K}')\n"
         "t = np.arange(1, 1001)\n"
@@ -117,7 +123,8 @@ def recipe_fig1a(outdir: Path) -> list[Check]:
 def recipe_fig1b(outdir: Path) -> list[Check]:
     """Momentum profiles at t=1000: localized (K=4) vs diffusive (K=10)."""
     checks = []
-    for K, expect in ((4, "exponential"), (10, "gaussian")):
+    expected = {4: "exponential", 10: "gaussian"}
+    for K, expect in expected.items():
         record = record_series(base_config(K, 0.0, 1000), snapshot_times=(1000,))
         dist = record.snapshots[1000]
         write_distribution_csv(outdir / f"profile_K{K}_t1000.csv", dist)
@@ -131,7 +138,7 @@ def recipe_fig1b(outdir: Path) -> list[Check]:
         )
     _emit_plot_script(
         outdir / "plot_fig1b.py",
-        "for K in (4, 10):\n"
+        f"for K in {_ladder(expected)}:\n"
         "    d = np.loadtxt(f'profile_K{K}_t1000.csv', delimiter=',', skiprows=1)\n"
         "    plt.semilogy(d[:, 0], d[:, 1], '.', ms=2, label=f'K={K}')\n"
         "plt.xlabel('p'); plt.ylabel('|psi(p)|^2'); plt.legend()\n",
@@ -146,7 +153,7 @@ def recipe_fig1d(outdir: Path) -> list[Check]:
     for K in (5, 6, 7, 8, 9, 10):
         series = record_series(base_config(K, 0.0, 1000)).series
         d = scrambling_rate(series, DIFFUSION_WINDOW)
-        theory = (EPSILON_DEFAULT * K) ** 2 / 2.0
+        theory = _diffusion_rate(K)
         rows.append((K, d, theory))
         checks.append(
             Check(
@@ -190,7 +197,7 @@ def recipe_fig2a(outdir: Path) -> list[Check]:
     )
     _emit_plot_script(
         outdir / "plot_fig2a.py",
-        "for lam in (0, 1.5, 2, 5):\n"
+        f"for lam in {_ladder(ratios)}:\n"
         "    d = np.loadtxt(f'otoc_lam{lam:g}.csv', delimiter=',', skiprows=1)\n"
         "    plt.plot(d[:, 0], d[:, 1], label=f'lambda={lam}')\n"
         "plt.xlabel('t'); plt.ylabel('C(t)'); plt.legend(); plt.loglog()\n",
@@ -201,7 +208,8 @@ def recipe_fig2a(outdir: Path) -> list[Check]:
 def recipe_fig2b(outdir: Path) -> list[Check]:
     """Exponential localization lengths in the frozen phase."""
     checks = []
-    for lam, target in ((2.0, 14.0), (5.0, 4.5)):
+    targets = {2.0: 14.0, 5.0: 4.5}
+    for lam, target in targets.items():
         record = record_series(base_config(10, lam, 1000), snapshot_times=(1000,))
         dist = record.snapshots[1000]
         write_distribution_csv(outdir / f"profile_lam{lam:g}_t1000.csv", dist)
@@ -215,7 +223,7 @@ def recipe_fig2b(outdir: Path) -> list[Check]:
         )
     _emit_plot_script(
         outdir / "plot_fig2b.py",
-        "for lam in (2, 5):\n"
+        f"for lam in {_ladder(targets)}:\n"
         "    d = np.loadtxt(f'profile_lam{lam:g}_t1000.csv', delimiter=',', skiprows=1)\n"
         "    plt.semilogy(d[:, 0], d[:, 1], '.', ms=2, label=f'lambda={lam}')\n"
         "plt.xlabel('p'); plt.ylabel('|psi(p)|^2'); plt.legend()\n",
@@ -262,7 +270,7 @@ def recipe_fig3a(outdir: Path) -> list[Check]:
     )
     _emit_plot_script(
         outdir / "plot_fig3a.py",
-        "for lam in (0, 0.3, 0.5, 1, 1.5, 2):\n"
+        f"for lam in {_ladder(mus)}:\n"
         "    d = np.loadtxt(f'norm_lam{lam:g}.csv', delimiter=',', skiprows=1)\n"
         "    plt.semilogy(d[:, 0], np.exp(d[:, 3]), label=f'lambda={lam}')\n"
         "plt.xlabel('t'); plt.ylabel('N(t)'); plt.legend()\n",
@@ -278,7 +286,7 @@ def recipe_fig3c(outdir: Path) -> list[Check]:
     lambdas = np.linspace(0.0, 0.15, 16)
     # hbar=0.5 outgrows 4096 sites before t=500; at 8192 no run wraps around
     base = base_config(10, 0.0, 500, lattice_size=8192)
-    result = norm_scan_files(outdir, base, lambdas, hbars, tolerance=0.05)
+    result = norm_scan_files(outdir, base, lambdas, hbars, tolerance=LAMBDA_C_TOLERANCE)
     lc = [result.lambda_c[h] for h in hbars]
     ordered = all(a is not None for a in lc) and lc[0] < lc[2] and lc[0] <= lc[1] <= lc[2]
     checks = [
@@ -291,10 +299,10 @@ def recipe_fig3c(outdir: Path) -> list[Check]:
     _emit_plot_script(
         outdir / "plot_fig3c.py",
         "d = np.loadtxt('norm_scan.csv', delimiter=',', skiprows=1)\n"
-        "for h in (0.5, 1.5, 2.89):\n"
+        f"for h in {_ladder(hbars)}:\n"
         "    sel = d[:, 0] == h\n"
         "    plt.semilogy(d[sel, 1], np.exp(d[sel, 4]), 'o-', label=f'hbar={h}')\n"
-        "plt.axhline(1.05, color='k', ls=':')\n"
+        f"plt.axhline({1 + LAMBDA_C_TOLERANCE:g}, color='k', ls=':')\n"
         "plt.xlabel('lambda'); plt.ylabel('mean N'); plt.legend()\n",
     )
     return checks

@@ -363,9 +363,9 @@ MANIFEST_PARAM_KEYS = [
       "--snapshot-times", "5"],
      {"K", "lam", "kicks", "eta", "hbar", "epsilon", "lattice", "snapshot_times"}),
     (["spectrum", "--K", "3", "--lambda", "0.5", "--t", "2", "--dim", "16"],
-     {"K", "lam", "t", "dim", "with_fidelity", "eta", "hbar", "epsilon"}),
+     {"K", "lam", "t", "dim", "with_fidelity", "eta", "hbar"}),
     (["norm-scan", "--K", "3", "--lambda-list", "0,0.2", "--kicks", "20", "--lattice", "64"],
-     {"K", "lambdas", "hbars", "kicks", "tolerance", "eta", "hbar", "epsilon", "lattice"}),
+     {"K", "lambdas", "hbars", "kicks", "tolerance", "eta", "hbar", "lattice"}),
     (PHASE_DIAGRAM_ARGS + ["--jobs", "1"],
      {"axis1_name", "axis1_values", "axis2_name", "axis2_values", "kicks", "gnuplot", "K",
       "lam", "eta", "hbar", "epsilon", "lattice"}),
@@ -420,7 +420,7 @@ class TestRerunCommand:
          "manifest has no params object"),
         (json.dumps({"schema": "nqkr.run-manifest/1", "command": "spectrum",
                      "params": {"K": 1.0, "lam": 0.0, "t": 1}}),
-         "manifest params lack 'dim', 'epsilon', 'eta', 'hbar'"),
+         "manifest params lack 'dim', 'eta', 'hbar'"),
         (json.dumps({"schema": "nqkr.run-manifest/1", "command": "reproduce",
                      "params": {"figure_id": "fig9z"}}),
          "unknown figure id 'fig9z'"),
@@ -485,19 +485,41 @@ SEED_MANIFESTS = sorted((Path(__file__).parent / "data").glob("seed-*-manifest.j
 
 @pytest.mark.parametrize("path", SEED_MANIFESTS, ids=[p.name for p in SEED_MANIFESTS])
 def test_seed_manifest_reruns(runner, tmp_path, path):
-    # written by the first release, which recorded kick_divisor and phase-diagram's jobs
+    # written by the first release, which recorded kick_divisor, phase-diagram's jobs,
+    # and an epsilon that no spectrum or norm-scan file reads
     result = runner.invoke(main, ["rerun", str(path), "--outdir", str(tmp_path)])
     assert result.exit_code == 0, result.output
     # the first release recorded no environment, so rerun has nothing to compare
     assert "note:" not in result.stderr
-    seed = json.loads(path.read_text())["params"]
+    seed = json.loads(path.read_text())
+    legacy = {"kick_divisor", "jobs"}
+    if seed["command"] in ("spectrum", "norm-scan"):
+        legacy.add("epsilon")
     params = json.loads((only_run_dir(tmp_path) / "manifest.json").read_text())["params"]
-    assert params == {k: v for k, v in seed.items() if k not in ("kick_divisor", "jobs")}
+    assert params == {k: v for k, v in seed["params"].items() if k not in legacy}
 
 
 def test_seed_manifests_cover_four_commands():
     assert {json.loads(p.read_text())["command"] for p in SEED_MANIFESTS} == {
         "evolve", "spectrum", "norm-scan", "phase-diagram"}
+
+
+@pytest.mark.parametrize("args", [args for args, _ in MANIFEST_PARAM_KEYS[1:3]],
+                         ids=["spectrum", "norm-scan"])
+def test_rerun_drops_an_unread_epsilon_whatever_its_value(runner, tmp_path, args):
+    assert runner.invoke(main, args + ["--outdir", str(tmp_path / "orig")]).exit_code == 0
+    orig = only_run_dir(tmp_path / "orig")
+    manifest = json.loads((orig / "manifest.json").read_text())
+    manifest["params"]["epsilon"] = 3e-3
+    (tmp_path / "legacy.json").write_text(json.dumps(manifest))
+    result = runner.invoke(
+        main, ["rerun", str(tmp_path / "legacy.json"), "--outdir", str(tmp_path / "again")])
+    assert result.exit_code == 0, result.output
+    again = only_run_dir(tmp_path / "again")
+    assert "epsilon" not in json.loads((again / "manifest.json").read_text())["params"]
+    for name in manifest["outputs"]:
+        if name != "manifest.json":
+            assert (orig / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def evolve_manifest(**params):
@@ -650,7 +672,7 @@ INVALID_INPUTS = [
       "--kick-divisor", "2"], "--kick-divisor"),
     (["spectrum", "--K", "1", "--lambda", "0", "--t", "-1", "--dim", "16"],
      "kick_count must be >= 0, got -1"),
-    (["spectrum", "--K", "1", "--lambda", "0", "--t", "1", "--dim", "16",
+    (["evolve", "--K", "1", "--lambda", "0", "--kicks", "5", "--lattice", "32",
       "--epsilon", "0.5"], "epsilon_shift must be a small positive number, got 0.5"),
     (["evolve", "--K", "nan", "--lambda", "0", "--kicks", "5", "--lattice", "32"],
      "K must be finite and >= 0, got nan"),

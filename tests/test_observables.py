@@ -270,9 +270,10 @@ class TestNormGrowthFit:
         assert mus[0] < mus[1] < mus[2]
 
     def test_window_too_small_fails(self):
-        series = synthetic_series(np.arange(1, 31), np.zeros(30))
+        # the second half, t in [8.5, 17], holds 9 kicks
+        series = synthetic_series(np.arange(1, 18), np.zeros(17))
         with pytest.raises(FitError):
-            fit_norm_growth(series, window=(25, 30))
+            fit_norm_growth(series)
 
 
 class TestScramblingRate:
@@ -308,7 +309,7 @@ class TestNormScan:
         base = SimConfig(
             MomentumLattice(256, HBAR), KickSchedule(K=5.0, lam=0.0), 120
         )
-        result = norm_scan(base, lambdas=[0.0, 0.2, 0.5])
+        result = norm_scan(base, lambdas=[0.0, 0.2, 0.5], hbars=[HBAR])
         assert len(result.rows) == 3
         assert result.rows[0].log_mean_norm == pytest.approx(0.0, abs=1e-8)
         assert result.lambda_c[HBAR] == 0.2
@@ -317,7 +318,7 @@ class TestNormScan:
         base = SimConfig(
             MomentumLattice(128, HBAR), KickSchedule(K=3.0, lam=0.0), 60
         )
-        result = norm_scan(base, lambdas=[0.0])
+        result = norm_scan(base, lambdas=[0.0], hbars=[HBAR])
         assert result.lambda_c[HBAR] is None
 
 
