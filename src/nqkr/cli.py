@@ -13,6 +13,11 @@ current process and runs anyway. All numerical output is deterministic on
 one build and CPU type; only manifest timestamps and durations differ
 between reruns.
 
+Only evolve and phase-diagram take --epsilon, the OTOC shift, since only
+their outputs read the OTOC; spectrum and norm-scan run at the default, and
+their manifests' epsilon is a legacy key. A flag that a run would ignore,
+such as --eta on the eta-K plane, is refused rather than dropped.
+
 Exit codes: 0 ok, 1 numerical failure, 2 invalid input. Input is rejected
 before any data file is written, and a rejected run leaves no directory.
 """
@@ -337,6 +342,12 @@ def _otoc_physics_options(fn):
                         help="OTOC translation parameter.")(_common_physics_options(fn))
 
 
+def _given(name: str) -> bool:
+    """Whether the current command's parameter `name` was set rather than left at its default."""
+    source = click.get_current_context().get_parameter_source(name)
+    return source is not click.core.ParameterSource.DEFAULT
+
+
 @click.group()
 @click.version_option(version=__version__)
 def main():
@@ -405,6 +416,10 @@ def spectrum(outdir, **kwargs):
 @_otoc_physics_options
 def phase_diagram_cmd(outdir, plane, eta_range, lambda_range, k_range, jobs, **kwargs):
     """Sweep a 2-D parameter plane and classify each point."""
+    # the eta-K plane sweeps eta over --eta-range; the lambda-K plane holds eta fixed
+    for name in ("lambda_range", "eta") if plane == "eta-K" else ("eta_range",):
+        if _given(name):
+            raise click.UsageError(f"--plane {plane} does not read --{name.replace('_', '-')}")
     axis1_name, axis1_range = ("eta", eta_range) if plane == "eta-K" else ("lambda", lambda_range)
     axis1_values = parse_range(axis1_range)
     k_values = parse_range(k_range)
@@ -444,6 +459,8 @@ def norm_scan_cmd(outdir, lambda_list, lambda_range, hbar_list, **kwargs):
         lambdas = parse_range(lambda_range)
     else:
         raise click.UsageError("provide --lambda-list or --lambda-range")
+    if hbar_list and _given("hbar"):
+        raise click.UsageError("give --hbar or --hbar-list, not both")
     hbars = _parse_list(hbar_list) if hbar_list else [kwargs["hbar"]]
     _guarded(run_norm_scan, {**kwargs, "lambdas": lambdas, "hbars": hbars}, outdir)
 

@@ -15,7 +15,9 @@ from one run, so `fig4a` and `fig4b` name the same recipe.
 The diffusion-law fits use the early window t in [1, 75]: that window lies
 inside the normal-diffusion epoch for every K scanned here, whereas by the
 second half of a 1000-kick run the smaller K have already dynamically
-localized and their late-time slope measures saturation instead.
+localized and their late-time slope measures saturation instead. fig1a and
+fig1d compare against one law, `_diffusion_rate`. Each recipe states its
+parameter ladder once, and its plot script loops over the values it ran.
 """
 
 from __future__ import annotations

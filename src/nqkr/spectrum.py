@@ -56,6 +56,12 @@ EIGENSTATE_TAIL_LIMIT = 1e-10
 # Largest coupling between the parity sectors, relative to max|U|, that
 # quasi_spectrum accepts; the assembled U(t) measures ~1e-15.
 PARITY_TOLERANCE = 1e-12
+# States are sorted by eps_i rounded to a multiple of this, then by eps_r, so
+# eps_i that agree to roundoff tie instead of swapping rows whenever the last
+# digits move. Builds and thread counts move eps by ~7e-14, and fig4's top
+# multiplet is 1e-3 wide. Two states can still swap if roundoff carries an
+# eps_i across an odd multiple of EPS_I_TIE / 2.
+EPS_I_TIE = 1e-10
 _SQRT_HALF = np.sqrt(0.5)
 # Rows or columns per pass of the blocked loops over U and its eigenvectors;
 # their temporaries are a few (M, _BLOCK) arrays, 1 MB each at M = 1024.
@@ -73,7 +79,9 @@ class QuasiSpectrum:
     eigenstates holds one unit-norm column per quasienergy, phase-fixed so the
     largest-magnitude component is real positive. residuals are ||U phi - u phi||
     per pair; tail_weights the probability each state puts on the outer 5% of
-    lattice sites. Entries are sorted by descending eps_i. residual_scale is
+    lattice sites. Entries are sorted by descending eps_i rounded to a multiple
+    of EPS_I_TIE, then by ascending eps_r, so roundoff in eps_i does not
+    reorder states. residual_scale is
     max(1, max|U|), the scale of the roundoff any eigensolver leaves in U.
     """
 
@@ -246,8 +254,9 @@ def _parity_eig(matrix: np.ndarray, max_abs: float) -> tuple[np.ndarray, np.ndar
     One eig call, on one BLAS thread, solves the block stack; max_abs is
     max|U|, for the parity check. The odd slice's two padding pairs
     are dropped by their support on the padded coordinates. The pairs come
-    out sorted by descending eps_i, then eps_r: each block eigenvector is
-    embedded once, straight into its sorted column of the M x M output.
+    out sorted by descending eps_i (to EPS_I_TIE), then eps_r: each block
+    eigenvector is embedded once, straight into its sorted column of the
+    M x M output.
     """
     m = matrix.shape[0]
     h = m // 2
@@ -258,7 +267,7 @@ def _parity_eig(matrix: np.ndarray, max_abs: float) -> tuple[np.ndarray, np.ndar
     keep = np.sort(np.argsort(padding_support, kind="stable")[:h - 1])
     vals = np.concatenate((vals[0], vals[1, keep]))
     eps_r, eps_i = _eps_parts(vals)
-    order = np.lexsort((eps_r, -eps_i))
+    order = np.lexsort((eps_r, np.round(-eps_i / EPS_I_TIE)))
     column = np.argsort(order)  # the sorted column of each pair
 
     out = np.zeros((m, m), dtype=np.complex128)

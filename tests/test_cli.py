@@ -701,6 +701,15 @@ INVALID_INPUTS = [
     # 256 GiB of amplitudes: refused before anything is allocated
     (["evolve", "--K", "1", "--lambda", "0", "--kicks", "1", "--lattice", "17179869184"],
      "lattice size 17179869184 exceeds the budget 4194304"),
+    # flags that the run would ignore
+    (["phase-diagram", "--plane", "eta-K", "--lambda-range", "0:1:2", "--kicks", "500",
+      "--lattice", "64"], "--plane eta-K does not read --lambda-range"),
+    (["phase-diagram", "--plane", "eta-K", "--eta", "0.3", "--kicks", "500",
+      "--lattice", "64"], "--plane eta-K does not read --eta"),
+    (["phase-diagram", "--plane", "lambda-K", "--eta-range", "0.1:1:2", "--kicks", "500",
+      "--lattice", "64"], "--plane lambda-K does not read --eta-range"),
+    (["norm-scan", "--K", "5", "--lambda-list", "0.1", "--hbar", "1", "--hbar-list", "0.5",
+      "--kicks", "20", "--lattice", "32"], "give --hbar or --hbar-list, not both"),
 ]
 
 
@@ -788,3 +797,30 @@ def test_spectrum_files_do_not_depend_on_the_blas_thread_count(tmp_path):
         runs[threads] = only_run_dir(tmp_path / threads)
     for name in SPECTRUM_FILES:
         assert (runs["1"] / name).read_bytes() == (runs["2"] / name).read_bytes(), name
+
+
+# What the runtime-dependencies CI job runs after `pip install .` without extras
+RUNTIME_COMMANDS = [
+    ["evolve", "--K", "3", "--lambda", "0.5", "--kicks", "5", "--lattice", "32"],
+    ["spectrum", "--K", "3", "--lambda", "0.5", "--t", "2", "--dim", "16", "--with-fidelity"],
+    ["norm-scan", "--K", "3", "--lambda-list", "0,0.2", "--kicks", "20", "--lattice", "64"],
+    PHASE_DIAGRAM_ARGS + ["--jobs", "2"],
+    ["reproduce", "fig1b"],
+]
+
+
+def test_commands_load_no_test_only_dependency(tmp_path):
+    # scipy, hypothesis and pytest are test extras, so no command may import them
+    script = (
+        "import json, sys\n"
+        "from nqkr.cli import main\n"
+        f"for args in {RUNTIME_COMMANDS!r}:\n"
+        f"    main(args + ['--outdir', {str(tmp_path)!r}], standalone_mode=False)\n"
+        "extras = ('scipy', 'hypothesis', 'pytest')\n"
+        "print(json.dumps(sorted(m for m in extras if m in sys.modules)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=checkout_env(), timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert len([p for p in tmp_path.iterdir() if p.is_dir()]) == len(RUNTIME_COMMANDS)
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -466,6 +466,23 @@ class TestParityBlocks:
         assert spec.residual_scale == max(1.0, float(np.abs(
             build_floquet_matrix(config(10.0, 5.0), t=7, m_spec=64)).max()))
 
+    def test_roundoff_in_eps_i_does_not_reorder_states(self, monkeypatch):
+        # a unitary operator: every eps_i lies within roundoff of 0, so the
+        # row order must come from eps_r, not from the last digits of eps_i
+        cfg = config(4.0, 0.0, m=256)
+        exact = spectrum_at(cfg, t=20, m_spec=256)
+        eig = np.linalg.eig
+        rng = np.random.default_rng(0)
+
+        def perturbed(a):
+            vals, vecs = eig(a)
+            return vals * (1.0 + 1e-14 * rng.standard_normal(vals.shape)), vecs
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        moved = spectrum_at(cfg, t=20, m_spec=256)
+        assert np.abs(moved.eps_r - exact.eps_r).max() <= 1e-12
+        assert np.abs(moved.eps_i - exact.eps_i).max() <= 1e-12
+
 
 def blas_counts():
     return [get() for get, _ in _blas._libraries()]
