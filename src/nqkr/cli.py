@@ -148,18 +148,17 @@ def _run(outdir: str, command: str, params: dict, config: SimConfig | None = Non
     })
 
 
-def _build_config(params: dict, epsilon: float = EPSILON_DEFAULT) -> SimConfig:
-    """The config params describe; epsilon is the OTOC shift, read only where an output uses C."""
+def _build_config(params: dict) -> SimConfig:
     return SimConfig(
         lattice=MomentumLattice(params["lattice"], params["hbar"]),
         schedule=KickSchedule(K=params["K"], lam=params["lam"], eta=params["eta"]),
         kick_count=params["kicks"],
-        epsilon_shift=epsilon,
+        epsilon_shift=params["epsilon"],
     )
 
 
 def run_evolve(params: dict, outdir: str) -> Path:
-    config = _build_config(params, params["epsilon"])
+    config = _build_config(params)
     with _run(outdir, "evolve", params, config) as run_dir:
         record = record_series(config, snapshot_times=params["snapshot_times"])
         write_series_csv(run_dir / "otoc_series.csv", record.series)
@@ -194,7 +193,9 @@ def spectrum_files(run_dir: Path, config: SimConfig, with_fidelity: bool) -> dic
 
 
 def run_spectrum(params: dict, outdir: str) -> Path:
-    config = _build_config({**params, "lattice": params["dim"], "kicks": params["t"]})
+    # no spectrum file reads the OTOC, so it runs at the default shift
+    config = _build_config({**params, "epsilon": EPSILON_DEFAULT, "lattice": params["dim"],
+                            "kicks": params["t"]})
     with _run(outdir, "spectrum", params, config) as run_dir:
         spectrum_files(run_dir, config, params["with_fidelity"])
     return run_dir
@@ -204,7 +205,7 @@ def run_phase_diagram(params: dict, outdir: str, jobs: int | None = None, progre
     # jobs is not in params: the worker count never changes a result
     axis1 = AxisSpec(params["axis1_name"], np.asarray(params["axis1_values"]))
     axis2 = AxisSpec(params["axis2_name"], np.asarray(params["axis2_values"]))
-    base = _build_config(params, params["epsilon"])
+    base = _build_config(params)
     jobs = default_jobs() if jobs is None else jobs
     with _run(outdir, "phase-diagram", params) as run_dir:
         diagram = phase_diagram(axis1, axis2, base, jobs=jobs, progress=progress)
@@ -225,7 +226,7 @@ def norm_scan_files(run_dir: Path, base: SimConfig, lambdas: Sequence[float],
 
 
 def run_norm_scan(params: dict, outdir: str) -> Path:
-    base = _build_config({**params, "lam": 0.0})
+    base = _build_config({**params, "lam": 0.0, "epsilon": EPSILON_DEFAULT})
     with _run(outdir, "norm-scan", params) as run_dir:
         norm_scan_files(run_dir, base, params["lambdas"], params["hbars"], params["tolerance"])
     return run_dir
@@ -261,7 +262,7 @@ _JSON_TYPES = {
 _PHYSICS = dict.fromkeys(("K", "eta", "hbar"), "a number")
 _EPSILON = {"epsilon": "a number"}
 _DIVISOR = {"kick_divisor": "a number"}
-_UNREAD_EPSILON = {**_DIVISOR, **_EPSILON}
+_DIVISOR_AND_EPSILON = {**_DIVISOR, **_EPSILON}
 
 # Each command's runner, the JSON type of every params key it reads, and the
 # legacy keys that older manifests carry and no run reads. A manifest's params
@@ -271,7 +272,7 @@ _COMMANDS = {
     "evolve": (run_evolve, {**_PHYSICS, **_EPSILON, "lam": "a number", "kicks": "an integer",
                "lattice": "an integer", "snapshot_times": "a list of integers"}, _DIVISOR),
     "spectrum": (run_spectrum, {**_PHYSICS, "lam": "a number", "t": "an integer",
-                 "dim": "an integer", "with_fidelity": "true or false"}, _UNREAD_EPSILON),
+                 "dim": "an integer", "with_fidelity": "true or false"}, _DIVISOR_AND_EPSILON),
     "phase-diagram": (run_phase_diagram, {
         **_PHYSICS, **_EPSILON, "lam": "a number", "kicks": "an integer",
         "lattice": "an integer", "gnuplot": "true or false", "axis1_name": "a string",
@@ -279,7 +280,7 @@ _COMMANDS = {
         "axis2_values": "a list of numbers"}, {**_DIVISOR, "jobs": "an integer"}),
     "norm-scan": (run_norm_scan, {
         **_PHYSICS, "kicks": "an integer", "lattice": "an integer", "tolerance": "a number",
-        "lambdas": "a list of numbers", "hbars": "a list of numbers"}, _UNREAD_EPSILON),
+        "lambdas": "a list of numbers", "hbars": "a list of numbers"}, _DIVISOR_AND_EPSILON),
     "reproduce": (run_reproduce, {"figure_id": "a string"}, {}),
 }
 
