@@ -15,8 +15,10 @@ between reruns.
 
 Only evolve and phase-diagram take --epsilon, the OTOC shift, since only
 their outputs read the OTOC; spectrum and norm-scan run at the default, and
-their manifests' epsilon is a legacy key. A flag that a run would ignore,
-such as --eta on the eta-K plane, is refused rather than dropped.
+their manifests' epsilon is a legacy key. norm-scan folds --hbar into its
+list of hbar values, so its manifests' hbar is a legacy key too. A flag that
+a run would ignore, such as --eta on the eta-K plane, is refused rather than
+dropped.
 
 Exit codes: 0 ok, 1 numerical failure, 2 invalid input. Input is rejected
 before any data file is written, and a rejected run leaves no directory.
@@ -226,7 +228,10 @@ def norm_scan_files(run_dir: Path, base: SimConfig, lambdas: Sequence[float],
 
 
 def run_norm_scan(params: dict, outdir: str) -> Path:
-    base = _build_config({**params, "lam": 0.0, "epsilon": EPSILON_DEFAULT})
+    # norm_scan gives each row its own hbar, so the base lattice takes the
+    # first one; an empty list reaches norm_scan's ValueError
+    hbar = params["hbars"][0] if params["hbars"] else HBAR_DEFAULT
+    base = _build_config({**params, "hbar": hbar, "lam": 0.0, "epsilon": EPSILON_DEFAULT})
     with _run(outdir, "norm-scan", params) as run_dir:
         norm_scan_files(run_dir, base, params["lambdas"], params["hbars"], params["tolerance"])
     return run_dir
@@ -267,7 +272,8 @@ _DIVISOR_AND_EPSILON = {**_DIVISOR, **_EPSILON}
 # Each command's runner, the JSON type of every params key it reads, and the
 # legacy keys that older manifests carry and no run reads. A manifest's params
 # hold every key its command reads, and may hold its legacy keys. No spectrum
-# or norm-scan file reads the OTOC, so its shift epsilon is a legacy key there.
+# or norm-scan file reads the OTOC, so its shift epsilon is a legacy key there;
+# norm-scan reads its hbar values from hbars alone, so hbar is legacy there too.
 _COMMANDS = {
     "evolve": (run_evolve, {**_PHYSICS, **_EPSILON, "lam": "a number", "kicks": "an integer",
                "lattice": "an integer", "snapshot_times": "a list of integers"}, _DIVISOR),
@@ -279,8 +285,9 @@ _COMMANDS = {
         "axis2_name": "a string", "axis1_values": "a list of numbers",
         "axis2_values": "a list of numbers"}, {**_DIVISOR, "jobs": "an integer"}),
     "norm-scan": (run_norm_scan, {
-        **_PHYSICS, "kicks": "an integer", "lattice": "an integer", "tolerance": "a number",
-        "lambdas": "a list of numbers", "hbars": "a list of numbers"}, _DIVISOR_AND_EPSILON),
+        "K": "a number", "eta": "a number", "kicks": "an integer", "lattice": "an integer",
+        "tolerance": "a number", "lambdas": "a list of numbers", "hbars": "a list of numbers"},
+        {**_DIVISOR_AND_EPSILON, "hbar": "a number"}),
     "reproduce": (run_reproduce, {"figure_id": "a string"}, {}),
 }
 
@@ -462,7 +469,8 @@ def norm_scan_cmd(outdir, lambda_list, lambda_range, hbar_list, **kwargs):
         raise click.UsageError("provide --lambda-list or --lambda-range")
     if hbar_list and _given("hbar"):
         raise click.UsageError("give --hbar or --hbar-list, not both")
-    hbars = _parse_list(hbar_list) if hbar_list else [kwargs["hbar"]]
+    hbar = kwargs.pop("hbar")
+    hbars = _parse_list(hbar_list) if hbar_list else [hbar]
     _guarded(run_norm_scan, {**kwargs, "lambdas": lambdas, "hbars": hbars}, outdir)
 
 

@@ -312,11 +312,8 @@ def fit_norm_growth(series: OtocSeries) -> NormGrowthFit:
     return NormGrowthFit(mu, intercept, window, r2)
 
 
-def scrambling_rate(
-    series: OtocSeries,
-    window: tuple[float, float] | None = None,
-) -> float:
-    """Late-time slope D of c_approx versus t (default window: second half)."""
+def scrambling_rate(series: OtocSeries, window: tuple[float, float]) -> float:
+    """Late-time slope D of c_approx versus t over a kick-time window of >= 10 kicks."""
     t, c_approx, _ = _late_points(series, series.c_approx, window, "scrambling-rate")
     return _linear_fit(t, c_approx)[0]
 

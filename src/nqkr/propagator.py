@@ -23,7 +23,10 @@ are fixed by the plastic number kappa (`constants`). Conventions:
   q = 0..M//4 instead of a complex one on M points, and the factor on angles
   m > M/2 is the mirrored slice of angles 0..M/2. The factor is therefore
   exactly parity-symmetric, F[m] == F[(M-m) % M], and the forward FFT
-  writes into the inverse FFT's output (timings in `BENCH_13.json`);
+  writes into the inverse FFT's output (timings in `BENCH_13.json`). The
+  half-wave factor of the last kick is cached (`_half_wave_factor`), so the
+  M columns of `spectrum.build_floquet_matrix`, all kicked at one t, compute
+  it once, while a modulated evolution computes one per kick;
 * the kick's maximal amplitude gain e^g, g = |lam|*a, is factored out
   analytically before exponentiation (|lam*a*cos(theta)| <= g), so the
   pointwise factors never exceed 1 in magnitude, and the stored amplitudes
@@ -134,23 +137,36 @@ def _free_phases(size: int, hbar: float) -> np.ndarray:
     return phases
 
 
+@lru_cache(maxsize=1)
+def _half_wave_factor(size: int, lam_a: float, k_a: float, gain_shift: float) -> np.ndarray:
+    """Read-only exp((lam_a - i*k_a)*cos(theta_m) - gain_shift) for m = 0..M/2.
+
+    One complex exponential on the quarter-wave table gives the factor at
+    +cos(theta_q), m = q = 0..M//4; the factor at -cos(theta_q), m = M/2 - q,
+    is its conjugate times the real e^(-2*lam_a*cos(theta_q)) <= 1. Only the
+    last factor is kept: matrix assembly kicks every column at one t, while
+    each kick of a modulated evolution needs a new one.
+    """
+    cos_q = _quarter_cos(size)
+    factor = np.empty(size // 2 + 1, dtype=complex)
+    upper = factor[: cos_q.size - 1 : -1]  # upper[q] is the factor at m = M/2 - q
+    np.exp((lam_a - 1j * k_a) * cos_q - gain_shift, out=factor[: cos_q.size])
+    np.conjugate(factor[: upper.size], out=upper)
+    upper *= np.exp((-2.0 * lam_a) * cos_q[: upper.size])
+    factor.flags.writeable = False
+    return factor
+
+
 def _multiply_kick_factor(
     angle: np.ndarray, lam_a: float, k_a: float, gain_shift: float
 ) -> None:
     """Multiply angle samples in place by exp((lam_a - i*k_a)*cos(theta_m) - gain_shift).
 
-    One complex exponential on the quarter-wave table gives the factor at
-    +cos(theta_q), m = q = 0..M//4; the factor at -cos(theta_q), m = M/2 - q,
-    is its conjugate times the real e^(-2*lam_a*cos(theta_q)) <= 1, and
-    angles m > M/2 take the mirrored slice.
+    Angles m <= M/2 take the half-wave factor, and angles m > M/2 its
+    mirrored slice.
     """
     half = angle.size // 2
-    cos_q = _quarter_cos(angle.size)
-    factor = np.empty(half + 1, dtype=complex)
-    upper = factor[: cos_q.size - 1 : -1]  # upper[q] is the factor at m = M/2 - q
-    np.exp((lam_a - 1j * k_a) * cos_q - gain_shift, out=factor[: cos_q.size])
-    np.conjugate(factor[: upper.size], out=upper)
-    upper *= np.exp((-2.0 * lam_a) * cos_q[: upper.size])
+    factor = _half_wave_factor(angle.size, lam_a, k_a, gain_shift)
     angle[: half + 1] *= factor
     angle[half + 1 :] *= factor[half - 1 : 0 : -1]
 

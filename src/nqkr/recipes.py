@@ -116,7 +116,7 @@ def recipe_fig1a(outdir: Path) -> list[Check]:
         "    d = np.loadtxt(f'otoc_K{K}.csv', delimiter=',', skiprows=1)\n"
         "    plt.plot(d[:, 0], d[:, 1], label=f'K={K}')\n"
         "t = np.arange(1, 1001)\n"
-        "plt.plot(t, (1e-5 * 10)**2 * t / 2, 'r--', label='(eps K)^2 t / 2')\n"
+        f"plt.plot(t, {theory!r} * t, 'r--', label='(eps K)^2 t / 2')\n"
         "plt.xlabel('t'); plt.ylabel('C(t)'); plt.legend(); plt.loglog()\n",
     )
     return checks

@@ -18,10 +18,14 @@ eigenstate it returns has definite parity. Residuals are still measured
 against the full matrix, and one that overflows double range is a
 SpectrumError.
 
-The stacked eig runs on one BLAS thread (`_blas.one_thread`). On a 2-CPU host
-a second OpenBLAS thread cut the dim-1024 eig's wall time by only 5-10% while
-doubling its CPU time, gave nothing at dim 512, and moved the last digits of
-eps with the thread count. On one thread the spectrum files do not depend on
+`quasi_spectrum` and `fidelity_profile` run on one BLAS thread
+(`_blas.one_thread`): the stacked eig, the blocked residual products
+U @ phi and the fidelity overlaps. On a 2-CPU host a second OpenBLAS thread
+cut the dim-1024 eig's wall time by only 5-10% while doubling its CPU time,
+gave nothing at dim 512, and moved the last digits of eps with the thread
+count. Threaded, the residual and fidelity products took about a sixth of the
+spectrum benchmark's CPU time to save about 4% of its wall time
+(`BENCH_20.json`). On one thread the spectrum files do not depend on
 OPENBLAS_NUM_THREADS. A BLAS other than OpenBLAS keeps its own threading.
 
 Memory: beside the input U, the spectrum path holds the (2, M/2+1, M/2+1)
@@ -251,17 +255,15 @@ def _eps_parts(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _parity_eig(matrix: np.ndarray, max_abs: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and storage-basis eigenvectors of U from its parity blocks.
 
-    One eig call, on one BLAS thread, solves the block stack; max_abs is
-    max|U|, for the parity check. The odd slice's two padding pairs
-    are dropped by their support on the padded coordinates. The pairs come
-    out sorted by descending eps_i (to EPS_I_TIE), then eps_r: each block
-    eigenvector is embedded once, straight into its sorted column of the
-    M x M output.
+    One eig call solves the block stack; max_abs is max|U|, for the parity
+    check. The odd slice's two padding pairs are dropped by their support on
+    the padded coordinates. The pairs come out sorted by descending eps_i (to
+    EPS_I_TIE), then eps_r: each block eigenvector is embedded once, straight
+    into its sorted column of the M x M output.
     """
     m = matrix.shape[0]
     h = m // 2
-    with _blas.one_thread():
-        vals, vecs = np.linalg.eig(_parity_blocks(matrix, max_abs))
+    vals, vecs = np.linalg.eig(_parity_blocks(matrix, max_abs))
 
     padding_support = np.sum(np.abs(vecs[1, h - 1:]) ** 2, axis=0)
     keep = np.sort(np.argsort(padding_support, kind="stable")[:h - 1])
@@ -292,6 +294,7 @@ def quasi_spectrum(
     max(1, max|U|) are flagged with a warning. Raises ValueError if U has
     non-finite entries, or if it couples the two parity sectors by more than
     PARITY_TOLERANCE * max|U|, and SpectrumError if a residual overflows.
+    max|U|, the eig and the residuals run on one BLAS thread.
 
     t and lattice are carried through for bookkeeping; lattice defaults to
     hbar = 1 if the matrix arrives without context.
@@ -307,32 +310,33 @@ def quasi_spectrum(
     if lattice.size != m:
         raise ValueError("lattice size does not match matrix dimension")
 
-    max_abs = _max_abs(matrix)
-    scale = max(1.0, max_abs)
-    try:
-        eigvals, vecs = _parity_eig(matrix, max_abs)
-    except np.linalg.LinAlgError as exc:
-        norm1 = float(np.linalg.norm(matrix, 1))
-        norm_inf = float(np.linalg.norm(matrix, np.inf))
-        raise SpectrumError(
-            f"eigensolver failed to converge (dim {m}, 1-norm {norm1:.3e}, "
-            f"inf-norm {norm_inf:.3e}): {exc}"
-        ) from exc
-    eps_r, eps_i = _eps_parts(eigvals)
+    with _blas.one_thread():
+        max_abs = _max_abs(matrix)
+        scale = max(1.0, max_abs)
+        try:
+            eigvals, vecs = _parity_eig(matrix, max_abs)
+        except np.linalg.LinAlgError as exc:
+            norm1 = float(np.linalg.norm(matrix, 1))
+            norm_inf = float(np.linalg.norm(matrix, np.inf))
+            raise SpectrumError(
+                f"eigensolver failed to converge (dim {m}, 1-norm {norm1:.3e}, "
+                f"inf-norm {norm_inf:.3e}): {exc}"
+            ) from exc
+        eps_r, eps_i = _eps_parts(eigvals)
 
-    residuals = np.empty(m)
-    for start in range(0, m, _BLOCK):
-        cols = slice(start, start + _BLOCK)
-        block = vecs[:, cols]
-        block /= np.linalg.norm(block, axis=0)
-        # deterministic phase: largest-magnitude component real positive
-        lead = np.argmax(np.abs(block), axis=0)
-        block *= np.exp(-1j * np.angle(block[lead, np.arange(block.shape[1])]))
-        defect = matrix @ block
-        # an overflowing residual is reported below, not warned about here
-        with np.errstate(over="ignore", invalid="ignore"):
-            defect -= block * eigvals[cols]
-            residuals[cols] = np.linalg.norm(defect, axis=0)
+        residuals = np.empty(m)
+        for start in range(0, m, _BLOCK):
+            cols = slice(start, start + _BLOCK)
+            block = vecs[:, cols]
+            block /= np.linalg.norm(block, axis=0)
+            # deterministic phase: largest-magnitude component real positive
+            lead = np.argmax(np.abs(block), axis=0)
+            block *= np.exp(-1j * np.angle(block[lead, np.arange(block.shape[1])]))
+            defect = matrix @ block
+            # an overflowing residual is reported below, not warned about here
+            with np.errstate(over="ignore", invalid="ignore"):
+                defect -= block * eigvals[cols]
+                residuals[cols] = np.linalg.norm(defect, axis=0)
     if not np.all(np.isfinite(residuals)):
         raise SpectrumError(
             f"eigenpair residuals overflow double range (dim {m}, max|U| {scale:.3e}); "
@@ -366,12 +370,13 @@ def mean_abs_imag(spec: QuasiSpectrum) -> float:
 
 
 def fidelity_profile(psi: WaveFunction, spec: QuasiSpectrum) -> FidelityRecord:
-    """F = |<psi_hat|phi_hat>| against every quasi-eigenstate."""
+    """F = |<psi_hat|phi_hat>| against every quasi-eigenstate, on one BLAS thread."""
     if psi.lattice.size != spec.lattice.size:
         raise ValueError(
             f"state dimension {psi.lattice.size} does not match spectrum "
             f"dimension {spec.lattice.size}"
         )
-    normed = psi.amps / np.linalg.norm(psi.amps)
-    fid = np.abs(normed.conj() @ spec.eigenstates)
+    with _blas.one_thread():
+        normed = psi.amps / np.linalg.norm(psi.amps)
+        fid = np.abs(normed.conj() @ spec.eigenstates)
     return FidelityRecord(spec.t, spec.eps_i.copy(), fid, int(np.argmax(fid)))

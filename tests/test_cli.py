@@ -365,7 +365,7 @@ MANIFEST_PARAM_KEYS = [
     (["spectrum", "--K", "3", "--lambda", "0.5", "--t", "2", "--dim", "16"],
      {"K", "lam", "t", "dim", "with_fidelity", "eta", "hbar"}),
     (["norm-scan", "--K", "3", "--lambda-list", "0,0.2", "--kicks", "20", "--lattice", "64"],
-     {"K", "lambdas", "hbars", "kicks", "tolerance", "eta", "hbar", "lattice"}),
+     {"K", "lambdas", "hbars", "kicks", "tolerance", "eta", "lattice"}),
     (PHASE_DIAGRAM_ARGS + ["--jobs", "1"],
      {"axis1_name", "axis1_values", "axis2_name", "axis2_values", "kicks", "gnuplot", "K",
       "lam", "eta", "hbar", "epsilon", "lattice"}),
@@ -486,7 +486,8 @@ SEED_MANIFESTS = sorted((Path(__file__).parent / "data").glob("seed-*-manifest.j
 @pytest.mark.parametrize("path", SEED_MANIFESTS, ids=[p.name for p in SEED_MANIFESTS])
 def test_seed_manifest_reruns(runner, tmp_path, path):
     # written by the first release, which recorded kick_divisor, phase-diagram's jobs,
-    # and an epsilon that no spectrum or norm-scan file reads
+    # an epsilon that no spectrum or norm-scan file reads, and norm-scan's hbar,
+    # which its hbars replace
     result = runner.invoke(main, ["rerun", str(path), "--outdir", str(tmp_path)])
     assert result.exit_code == 0, result.output
     # the first release recorded no environment, so rerun has nothing to compare
@@ -495,6 +496,8 @@ def test_seed_manifest_reruns(runner, tmp_path, path):
     legacy = {"kick_divisor", "jobs"}
     if seed["command"] in ("spectrum", "norm-scan"):
         legacy.add("epsilon")
+    if seed["command"] == "norm-scan":
+        legacy.add("hbar")
     params = json.loads((only_run_dir(tmp_path) / "manifest.json").read_text())["params"]
     assert params == {k: v for k, v in seed["params"].items() if k not in legacy}
 
@@ -517,6 +520,26 @@ def test_rerun_drops_an_unread_epsilon_whatever_its_value(runner, tmp_path, args
     assert result.exit_code == 0, result.output
     again = only_run_dir(tmp_path / "again")
     assert "epsilon" not in json.loads((again / "manifest.json").read_text())["params"]
+    for name in manifest["outputs"]:
+        if name != "manifest.json":
+            assert (orig / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_norm_scan_rerun_drops_a_recorded_hbar(runner, tmp_path):
+    # older norm-scan manifests recorded the --hbar default beside the hbars they ran
+    args = ["norm-scan", "--K", "3", "--lambda-list", "0,0.2", "--hbar-list", "0.5",
+            "--kicks", "20", "--lattice", "256"]
+    assert runner.invoke(main, args + ["--outdir", str(tmp_path / "orig")]).exit_code == 0
+    orig = only_run_dir(tmp_path / "orig")
+    manifest = json.loads((orig / "manifest.json").read_text())
+    assert "hbar" not in manifest["params"]
+    (tmp_path / "legacy.json").write_text(
+        json.dumps({**manifest, "params": {**manifest["params"], "hbar": 2.89}}))
+    result = runner.invoke(
+        main, ["rerun", str(tmp_path / "legacy.json"), "--outdir", str(tmp_path / "again")])
+    assert result.exit_code == 0, result.output
+    again = only_run_dir(tmp_path / "again")
+    assert json.loads((again / "manifest.json").read_text())["params"] == manifest["params"]
     for name in manifest["outputs"]:
         if name != "manifest.json":
             assert (orig / name).read_bytes() == (again / name).read_bytes(), name

@@ -280,12 +280,12 @@ class TestScramblingRate:
     def test_exact_linear_series(self):
         t = np.arange(1, 201)
         series = synthetic_series(t, 7e-9 * t)
-        assert scrambling_rate(series) == pytest.approx(7e-9, rel=1e-12)
+        assert scrambling_rate(series, (100.0, 200.0)) == pytest.approx(7e-9, rel=1e-12)
 
     def test_frozen_series_is_flat(self):
         t = np.arange(1, 201)
         series = synthetic_series(t, np.full(200, 4.2e-9))
-        assert abs(scrambling_rate(series)) < 1e-20
+        assert abs(scrambling_rate(series, (100.0, 200.0))) < 1e-20
 
 
 class TestLogMeanNorm:

@@ -17,6 +17,7 @@ from nqkr import (
     WrapAroundWarning,
     apply_free,
     apply_kick,
+    build_floquet_matrix,
     evolve,
     ground_state,
     modulation_factor,
@@ -222,6 +223,45 @@ class TestKickFactor:
         assert np.max(np.abs(factor)) <= 1.0 + np.finfo(float).eps
         assert np.array_equal(factor, factor[mirror])
         assert np.max(np.abs(factor - direct)) <= 1e-13 * np.max(np.abs(factor))
+
+
+def uncached_half_wave_factor(m, lam_a, k_a, gain_shift):
+    """The half-wave factor as every kick computed it before it was cached."""
+    cos_q = np.cos(2.0 * np.pi * np.arange(m // 4 + 1) / m)
+    factor = np.empty(m // 2 + 1, dtype=complex)
+    upper = factor[: cos_q.size - 1 : -1]
+    np.exp((lam_a - 1j * k_a) * cos_q - gain_shift, out=factor[: cos_q.size])
+    np.conjugate(factor[: upper.size], out=upper)
+    upper *= np.exp((-2.0 * lam_a) * cos_q[: upper.size])
+    return factor
+
+
+class TestHalfWaveFactorCache:
+    @pytest.mark.parametrize("m", [2, 4, 6, 64])
+    def test_cached_factor_is_read_only_and_unchanged(self, m):
+        sched = KickSchedule(10.0, 5.0)
+        for t in (1, 7, 200):
+            a = modulation_factor(sched, t) / HBAR
+            args = (m, sched.lam * a, sched.K * a, sched.lam * a)
+            factor = propagator._half_wave_factor(*args)
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0] = 0.0
+            assert np.array_equal(factor, uncached_half_wave_factor(*args))
+            assert propagator._half_wave_factor(*args) is factor
+
+    def test_matrix_assembly_computes_it_once(self):
+        propagator._half_wave_factor.cache_clear()
+        build_floquet_matrix(config(10.0, 5.0, 1), t=3, m_spec=64)
+        info = propagator._half_wave_factor.cache_info()
+        assert (info.misses, info.hits) == (1, 63)
+
+    def test_evolution_computes_it_every_kick(self):
+        # the modulation gives each kick time its own factor
+        propagator._half_wave_factor.cache_clear()
+        evolve(config(10.0, 5.0, 10))
+        info = propagator._half_wave_factor.cache_info()
+        assert (info.misses, info.hits) == (10, 0)
 
 
 class TestEvolutionAgainstDirectKick:

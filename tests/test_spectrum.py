@@ -503,7 +503,7 @@ def two_blas_threads():
 
 
 class TestOneBlasThread:
-    """The stacked eig runs on one BLAS thread, and the count is restored."""
+    """The spectrum path runs on one BLAS thread, and the count is restored."""
 
     def matrix(self):
         return build_floquet_matrix(config(10.0, 5.0), t=3, m_spec=64)
@@ -518,6 +518,27 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(np.linalg, "eig", counted)
         quasi_spectrum(self.matrix())
+        assert seen == [[1] * len(blas_counts())]
+        assert set(blas_counts()) == {2}
+
+    def test_residuals_and_fidelities_see_one_thread(self, two_blas_threads, monkeypatch):
+        # np.linalg.norm runs only in the residual loop and in the fidelity profile
+        matrix = self.matrix()
+        psi = ground_state(MomentumLattice(64, HBAR))
+        seen = []
+        norm = np.linalg.norm
+
+        def counted(*args, **kwargs):
+            seen.append(blas_counts())
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        spec = quasi_spectrum(matrix)
+        # a normalization and a residual norm per block of columns
+        assert seen == [[1] * len(blas_counts())] * (2 * 64 // nqkr.spectrum._BLOCK)
+        assert set(blas_counts()) == {2}
+        seen.clear()
+        fidelity_profile(psi, spec)
         assert seen == [[1] * len(blas_counts())]
         assert set(blas_counts()) == {2}
 
