@@ -20,8 +20,9 @@ list of hbar values, so its manifests' hbar is a legacy key too. A flag that
 a run would ignore, such as --eta on the eta-K plane, is refused rather than
 dropped.
 
-Exit codes: 0 ok, 1 numerical failure, 2 invalid input. Input is rejected
-before any data file is written, and a rejected run leaves no directory.
+Exit codes: 0 ok, 1 numerical failure, 2 invalid input, an --outdir where
+no run directory can be made included. Input is rejected before any data file
+is written, and a rejected run leaves no directory.
 """
 
 from __future__ import annotations
@@ -119,16 +120,24 @@ def _run(outdir: str, command: str, params: dict, config: SimConfig | None = Non
          name: str | None = None):
     """Fresh <stamp>-<name> run directory; manifest.json is written after the block.
 
-    config is None where no one SimConfig describes the run. A block that
-    raises before writing a file leaves no directory behind.
+    config is None where no one SimConfig describes the run. An outdir where
+    the directory cannot be made is a ValueError. A block that raises before
+    writing a file leaves no directory behind.
     """
     started = time.monotonic()
     base = Path(outdir) / f"{time.strftime('%Y%m%dT%H%M%S', time.gmtime())}-{name or command}"
-    run_dir, suffix = base, 1
-    while run_dir.exists():
-        run_dir, suffix = Path(f"{base}-{suffix}"), suffix + 1
-    created = [d for d in (run_dir, *run_dir.parents) if not d.exists()]
-    run_dir.mkdir(parents=True)
+    created = []
+    try:
+        run_dir, suffix = base, 1
+        while run_dir.exists():
+            run_dir, suffix = Path(f"{base}-{suffix}"), suffix + 1
+        created = [d for d in (run_dir, *run_dir.parents) if not d.exists()]
+        run_dir.mkdir(parents=True)
+    except OSError as exc:
+        for d in created:
+            if os.path.isdir(d):  # False, not an error, for a name too long to stat
+                d.rmdir()
+        raise ValueError(f"cannot make a run directory in {outdir}: {exc.strerror or exc}") from exc
     try:
         yield run_dir
     except BaseException:

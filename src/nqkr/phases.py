@@ -5,6 +5,11 @@
 scrambling; `norm_scan` fits norm growth over a (hbar, lambda) ladder and
 estimates the non-Hermitian threshold lambda_c per hbar.
 
+The pool is looked up as `concurrent.futures.ProcessPoolExecutor` only when a
+sweep starts one, and that is what first loads `multiprocessing`: a serial
+sweep, such as every norm scan, and the evolve, spectrum and reproduce
+commands never load it.
+
 The classifier deliberately uses no learned sequence model: three deterministic,
 scale-free features of the OTOC series feed a fixed logistic score, giving a
 reproducible rho in [0, 1] with documented calibration anchors (exact
@@ -15,9 +20,9 @@ touching the sweep machinery.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
@@ -146,11 +151,13 @@ def sweep(
     """evaluate(task) for every task, in task order, on min(jobs, len(tasks)) workers.
 
     With more than one worker a process pool runs them, so evaluate and the
-    tasks must pickle. progress(done, total) is called after each result.
+    tasks must pickle; the pool machinery (multiprocessing) is loaded only
+    then. progress(done, total) is called after each result.
     """
     results = []
     workers = min(jobs, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
         for result in (map if pool is None else pool.map)(evaluate, tasks):
             results.append(result)
             if progress is not None:

@@ -30,10 +30,11 @@ OPENBLAS_NUM_THREADS. A BLAS other than OpenBLAS keeps its own threading.
 
 Memory: beside the input U, the spectrum path holds the (2, M/2+1, M/2+1)
 block stack and its eigenvectors, then one (M, M) eigenvector array, built
-straight in sorted order and normalized in place, plus working blocks of at
-most (M, M/2+1) while the stack is built and (M, _BLOCK) after it. From
-M = 512 up, quasi_spectrum's allocations above U peak at 1.8 x U.nbytes, and
-a fidelity profile allocates only vectors.
+straight in sorted order from views of the block eigenvectors and normalized
+in place, plus working blocks of at most (M, M/2+1) while the stack is built
+and (M, _BLOCK) after it. quasi_spectrum's allocations above U peak at
+1.57 x U.nbytes at M = 512 and 1.52 x at M = 1024, and a fidelity profile
+allocates only vectors.
 
 The FFT propagator makes momentum periodic, and the truncated ring supports
 eigenstates pinned to the n = +-M/2 seam whose eps_i can exceed every
@@ -214,7 +215,8 @@ def _parity_blocks(matrix: np.ndarray, max_abs: float) -> np.ndarray:
 
     One sector at a time, U's columns are folded into a reused (M, M/2+1)
     buffer, and its rows are folded straight into the stack. The coupling to
-    the other sector is reduced to its max and dropped. Raises ValueError if
+    the other sector is folded _BLOCK columns at a time into a reused band,
+    reduced to its max and dropped. Raises ValueError if
     that coupling exceeds PARITY_TOLERANCE * max_abs, where max_abs = max|U|.
     """
     m = matrix.shape[0]
@@ -222,15 +224,17 @@ def _parity_blocks(matrix: np.ndarray, max_abs: float) -> np.ndarray:
     limit = PARITY_TOLERANCE * max_abs
     stack = np.zeros((2, h + 1, h + 1), dtype=np.complex128)
     buffer = np.empty((m, h + 1), dtype=np.complex128)
+    band = np.empty((h + 1, _BLOCK), dtype=np.complex128)
     leak = 0.0
     for sector, sign in enumerate((1, -1)):
         size = h + sign
         cols = buffer[:, :size]
         _fold(matrix.T, sign, cols.T)
         _fold(cols, sign, stack[sector, :size, :size])
-        coupling = np.empty((m - size, size), dtype=np.complex128)
-        _fold(cols, -sign, coupling)
-        leak = max(leak, float(np.abs(coupling).max(initial=0.0)))
+        for start in range(0, size, _BLOCK):
+            coupling = band[:m - size, :min(_BLOCK, size - start)]
+            _fold(cols[:, start:start + _BLOCK], -sign, coupling)
+            leak = max(leak, float(np.abs(coupling).max(initial=0.0)))
     if leak > limit:
         raise ValueError(
             f"matrix does not commute with momentum parity n -> -n: the "
@@ -259,7 +263,9 @@ def _parity_eig(matrix: np.ndarray, max_abs: float) -> tuple[np.ndarray, np.ndar
     check. The odd slice's two padding pairs are dropped by their support on
     the padded coordinates. The pairs come out sorted by descending eps_i (to
     EPS_I_TIE), then eps_r: each block eigenvector is embedded once, straight
-    into its sorted column of the M x M output.
+    into its sorted column of the M x M output. The odd slice's kept columns
+    are embedded as views, one per run of consecutive columns (at most three
+    around the two padding pairs), so no copy of them is made.
     """
     m = matrix.shape[0]
     h = m // 2
@@ -274,8 +280,17 @@ def _parity_eig(matrix: np.ndarray, max_abs: float) -> tuple[np.ndarray, np.ndar
 
     out = np.zeros((m, m), dtype=np.complex128)
     _unfold(vecs[0], 1, out, column[:h + 1])
-    _unfold(vecs[1, :h - 1][:, keep], -1, out, column[h + 1:])
+    done = h + 1
+    for start, stop in _runs(keep):
+        _unfold(vecs[1, :h - 1, start:stop], -1, out, column[done:done + stop - start])
+        done += stop - start
     return vals[order], out
+
+
+def _runs(indices: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each maximal run of consecutive values in sorted indices."""
+    breaks = np.flatnonzero(np.diff(indices) != 1) + 1
+    return [(int(run[0]), int(run[-1]) + 1) for run in np.split(indices, breaks) if len(run)]
 
 
 def quasi_spectrum(

@@ -148,6 +148,24 @@ class TestEvolveCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("outdir,reason", [
+        ("file", "Not a directory"),
+        ("file/sub", "Not a directory"),
+        # `new` is made before the over-long name fails, and must be removed
+        ("new/" + "x" * 300, "File name too long"),
+    ])
+    def test_unusable_outdir_exits_2_without_run_dir(self, runner, tmp_path, outdir, reason):
+        (tmp_path / "file").write_text("")
+        result = runner.invoke(
+            main,
+            ["evolve", "--K", "1", "--lambda", "0", "--kicks", "3", "--lattice", "32",
+             "--outdir", str(tmp_path / outdir)],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines()[-1] == (
+            f"Error: cannot make a run directory in {tmp_path / outdir}: {reason}")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
 
 class TestSpectrumCommand:
     def test_unitary_spectrum_output(self, runner, tmp_path):
@@ -525,6 +543,18 @@ def test_rerun_drops_an_unread_epsilon_whatever_its_value(runner, tmp_path, args
             assert (orig / name).read_bytes() == (again / name).read_bytes(), name
 
 
+def test_rerun_into_an_unusable_outdir_exits_2(runner, tmp_path):
+    args = ["evolve", "--K", "1", "--lambda", "0", "--kicks", "3", "--lattice", "32"]
+    assert runner.invoke(main, args + ["--outdir", str(tmp_path / "orig")]).exit_code == 0
+    manifest = only_run_dir(tmp_path / "orig") / "manifest.json"
+    (tmp_path / "file").write_text("")
+    result = runner.invoke(main, ["rerun", str(manifest), "--outdir", str(tmp_path / "file")])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines()[-1] == (
+        f"Error: cannot make a run directory in {tmp_path / 'file'}: Not a directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "orig"]
+
+
 def test_norm_scan_rerun_drops_a_recorded_hbar(runner, tmp_path):
     # older norm-scan manifests recorded the --hbar default beside the hbars they ran
     args = ["norm-scan", "--K", "3", "--lambda-list", "0,0.2", "--hbar-list", "0.5",
@@ -847,3 +877,22 @@ def test_commands_load_no_test_only_dependency(tmp_path):
     assert result.returncode == 0, result.stderr
     assert len([p for p in tmp_path.iterdir() if p.is_dir()]) == len(RUNTIME_COMMANDS)
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_only_a_pooled_sweep_loads_multiprocessing(tmp_path):
+    # a serial sweep runs in-process, so only phase-diagram --jobs 2 starts a pool
+    pool_modules = ["multiprocessing", "concurrent.futures.process"]
+    serial = [args for args in RUNTIME_COMMANDS if args[0] != "phase-diagram"]
+    script = (
+        "import json, sys\n"
+        "from nqkr.cli import main\n"
+        f"for args in {serial + [PHASE_DIAGRAM_ARGS + ['--jobs', '2']]!r}:\n"
+        f"    main(args + ['--outdir', {str(tmp_path)!r}], standalone_mode=False)\n"
+        f"    print('loaded', json.dumps([m for m in {pool_modules!r} if m in sys.modules]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=checkout_env(), timeout=300)
+    assert result.returncode == 0, result.stderr
+    loaded = [json.loads(line.split(" ", 1)[1]) for line in result.stdout.splitlines()
+              if line.startswith("loaded ")]
+    assert loaded == [[]] * len(serial) + [pool_modules]

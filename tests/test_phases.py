@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -225,7 +226,7 @@ class RecordingPool:
     (64, [-3, 1], [2]), (64, [-3], []), (3, [-3, 1, -2, 4, -5], [3]), (64, [], []),
 ])
 def test_sweep_starts_no_more_workers_than_tasks(monkeypatch, jobs, tasks, pools):
-    monkeypatch.setattr(nqkr.phases, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "created", [])
     assert sweep(abs, tasks, jobs=jobs) == [abs(t) for t in tasks]
     assert RecordingPool.created == pools
