@@ -2,7 +2,9 @@
 
 Every command writes into a fresh runs/<timestamp>-<command>/ directory:
 the data files plus a schema-versioned manifest.json, whose format lives
-here (`_run`), from which `nqkr rerun` re-executes the run exactly. The
+here (`_run`), from which `nqkr rerun` re-executes the run exactly, printing
+what its command printed: reproduce's verdict lines and phase-diagram's
+progress lines come from their runners, not from the click commands. The
 manifest's `params` hold exactly the keys its command reads; `_COMMANDS`
 declares them, with their JSON types, once per command, and `nqkr rerun`
 checks a manifest against it key by key. The manifest's `config` is null
@@ -27,12 +29,13 @@ is written, and a rejected run leaves no directory.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import platform
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -72,7 +75,7 @@ from .phases import (AXIS_FIELDS, LAMBDA_C_TOLERANCE, AxisSpec, NormScanResult, 
                      norm_scan, phase_diagram)
 from .propagator import KickSchedule, SimConfig
 from .recipes import FIGURE_IDS, run_recipe
-from .spectrum import SpectrumError, fidelity_profile, spectrum_at
+from .spectrum import SPECTRUM_DIM_BUDGET, SpectrumError, fidelity_profile, spectrum_at
 
 NUMERICAL_ERRORS = (NormCollapseError, SpectrumError)
 MANIFEST_SCHEMA = "nqkr.run-manifest/1"
@@ -115,35 +118,41 @@ def environment() -> dict:
     }
 
 
+def _remove_dirs(dirs: list[Path]) -> None:
+    """rmdir each of dirs in turn, skipping one never made or one a concurrent run writes into."""
+    for d in dirs:
+        with suppress(OSError):
+            d.rmdir()
+
+
 @contextmanager
 def _run(outdir: str, command: str, params: dict, config: SimConfig | None = None,
          name: str | None = None):
     """Fresh <stamp>-<name> run directory; manifest.json is written after the block.
 
-    config is None where no one SimConfig describes the run. An outdir where
-    the directory cannot be made is a ValueError. A block that raises before
-    writing a file leaves no directory behind.
+    The name is claimed by mkdir itself; where it is taken, also by a
+    concurrent run, the next free -1, -2, ... suffix is. config is None where
+    no one SimConfig describes the run. An outdir where the directory cannot
+    be made is a ValueError. A block that raises before writing a file leaves
+    no directory behind.
     """
     started = time.monotonic()
     base = Path(outdir) / f"{time.strftime('%Y%m%dT%H%M%S', time.gmtime())}-{name or command}"
     created = []
     try:
-        run_dir, suffix = base, 1
-        while run_dir.exists():
-            run_dir, suffix = Path(f"{base}-{suffix}"), suffix + 1
-        created = [d for d in (run_dir, *run_dir.parents) if not d.exists()]
-        run_dir.mkdir(parents=True)
+        created = [d for d in base.parents if not d.exists()]
+        for run_dir in (Path(f"{base}-{i}") if i else base for i in itertools.count()):
+            with suppress(FileExistsError):
+                run_dir.mkdir(parents=True)
+                break
     except OSError as exc:
-        for d in created:
-            if os.path.isdir(d):  # False, not an error, for a name too long to stat
-                d.rmdir()
+        _remove_dirs(created)
         raise ValueError(f"cannot make a run directory in {outdir}: {exc.strerror or exc}") from exc
     try:
         yield run_dir
     except BaseException:
         if not any(run_dir.iterdir()):
-            for d in created:
-                d.rmdir()
+            _remove_dirs([run_dir, *created])
         raise
     derived = {"kappa": PLASTIC, "omega1": OMEGA1, "omega2": OMEGA2}
     write_json(run_dir / "manifest.json", {
@@ -212,14 +221,15 @@ def run_spectrum(params: dict, outdir: str) -> Path:
     return run_dir
 
 
-def run_phase_diagram(params: dict, outdir: str, jobs: int | None = None, progress=None) -> Path:
+def run_phase_diagram(params: dict, outdir: str, jobs: int | None = None) -> Path:
     # jobs is not in params: the worker count never changes a result
     axis1 = AxisSpec(params["axis1_name"], np.asarray(params["axis1_values"]))
     axis2 = AxisSpec(params["axis2_name"], np.asarray(params["axis2_values"]))
     base = _build_config(params)
     jobs = default_jobs() if jobs is None else jobs
     with _run(outdir, "phase-diagram", params) as run_dir:
-        diagram = phase_diagram(axis1, axis2, base, jobs=jobs, progress=progress)
+        diagram = phase_diagram(axis1, axis2, base, jobs=jobs, progress=lambda done, total:
+                                click.echo(f"point {done}/{total} done", err=True))
         write_diagram_csv(run_dir / "phase_diagram.csv", diagram)
         write_diagram_json(run_dir / "phase_diagram.json", diagram)
         if params["gnuplot"]:
@@ -246,7 +256,7 @@ def run_norm_scan(params: dict, outdir: str) -> Path:
     return run_dir
 
 
-def run_reproduce(params: dict, outdir: str, echo=None) -> Path:
+def run_reproduce(params: dict, outdir: str) -> Path:
     figure_id = params["figure_id"]
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}")
@@ -256,8 +266,7 @@ def run_reproduce(params: dict, outdir: str, echo=None) -> Path:
             verdict = "PASS" if check.passed else "FAIL"
             line = f"[{verdict}] {check.name}: {check.detail}"
             lines.append(line)
-            if echo is not None:
-                echo(line)
+            click.echo(line)
         (run_dir / "checks.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return run_dir
 
@@ -406,7 +415,7 @@ def _guarded(runner, *args, **kwargs):
 @click.option("--lambda", "lam", type=float, required=True)
 @click.option("--t", "t", type=int, required=True, help="Kick time of the operator.")
 @click.option("--dim", default=SPECTRUM_DIM_DEFAULT, show_default=True,
-              help="Floquet matrix dimension (even, <= 2048).")
+              help=f"Floquet matrix dimension (even, <= {SPECTRUM_DIM_BUDGET}).")
 @click.option("--with-fidelity", is_flag=True,
               help="Also evolve to t and record fidelities against eigenstates.")
 @click.option("--outdir", default="runs", show_default=True)
@@ -447,11 +456,7 @@ def phase_diagram_cmd(outdir, plane, eta_range, lambda_range, k_range, jobs, **k
         "axis2_name": "K", "axis2_values": k_values, "K": k_values[0],
         AXIS_FIELDS[axis1_name]: axis1_values[0],
     }
-
-    def progress(done, total):
-        click.echo(f"point {done}/{total} done", err=True)
-
-    _guarded(run_phase_diagram, params, outdir, jobs=jobs, progress=progress)
+    _guarded(run_phase_diagram, params, outdir, jobs=jobs)
 
 
 @main.command("norm-scan")
@@ -488,7 +493,7 @@ def norm_scan_cmd(outdir, lambda_list, lambda_range, hbar_list, **kwargs):
 @click.option("--outdir", default="runs", show_default=True)
 def reproduce(figure_id, outdir):
     """Re-run a canned figure recipe and print pass/fail per threshold."""
-    _guarded(run_reproduce, {"figure_id": figure_id}, outdir, echo=click.echo)
+    _guarded(run_reproduce, {"figure_id": figure_id}, outdir)
 
 
 @main.command()

@@ -80,7 +80,7 @@ def spectrum_summary(spec: QuasiSpectrum, fid: FidelityRecord | None = None) -> 
         "dim": spec.lattice.size,
         "max_eps_i": float(spec.eps_i.max()),
         "max_eps_i_tail_weight": float(spec.tail_weights[int(np.argmax(spec.eps_i))]),
-        "max_valid_eps_i": float(spec.eps_i[valid].max()) if valid.any() else None,
+        "max_valid_eps_i": float(spec.eps_i[spec.top_valid_index()]) if valid.any() else None,
         "max_residual": float(spec.residuals.max()),
         "tail_safe_states": int(np.count_nonzero(valid)),
         "flagged_states": int(np.count_nonzero(spec.flagged_mask())),

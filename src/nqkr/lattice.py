@@ -7,7 +7,9 @@ propagator's business; nothing in this module depends on it.
 Every distribution here and every expectation value and OTOC in
 `observables` reads psi_n's squared real and imaginary parts from one
 probability pass, `_squared_parts`, and the propagator's tail check and the
-spectrum's eigenstate tail weights share one edge band, `edge_sites`.
+spectrum's eigenstate tail weights share one edge band, `edge_sites`. The
+spectrum's eigenvector embedding and the profile fits' window split index
+sets into runs with one helper, `_runs`.
 """
 
 from __future__ import annotations
@@ -96,9 +98,6 @@ class WaveFunction:
         _check_norm(s)
         return self.log_norm + float(np.log(s))
 
-    def copy(self) -> "WaveFunction":
-        return WaveFunction(self.lattice, self.amps.copy(), self.log_norm)
-
 
 class MomentumDistribution(NamedTuple):
     """Normalized momentum-space probabilities paired with their momenta."""
@@ -136,6 +135,12 @@ def ground_state(lattice: MomentumLattice) -> WaveFunction:
     amps = np.zeros(lattice.size, dtype=np.complex128)
     amps[lattice.size // 2] = 1.0
     return WaveFunction(lattice, amps, 0.0)
+
+
+def _runs(indices: np.ndarray, max_step: int) -> list[tuple[int, int]]:
+    """(start, stop) of each maximal run of sorted indices that step by at most max_step."""
+    breaks = np.flatnonzero(np.diff(indices) > max_step) + 1
+    return [(int(run[0]), int(run[-1]) + 1) for run in np.split(indices, breaks) if len(run)]
 
 
 def momentum_distribution(psi: WaveFunction) -> MomentumDistribution:

@@ -32,6 +32,7 @@ from .lattice import (
     MomentumLattice,
     WaveFunction,
     _check_norm,
+    _runs,
     _squared_parts,
     momentum_distribution,
 )
@@ -39,6 +40,8 @@ from .propagator import SimConfig, evolve
 
 PROBABILITY_FLOOR = 1e-30
 FIT_WINDOW_PROB = 1e-25
+# The default fit window bridges at most this many sub-threshold sites in a row.
+FIT_WINDOW_GAP = 8
 
 
 class FitError(ValueError):
@@ -195,30 +198,21 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def _default_window(dist: MomentumDistribution) -> tuple[float, float]:
-    """Contiguous region around the peak where prob > 1e-25.
+    """(0, max |p|) over the run of sites with prob > 1e-25 that holds the peak.
 
-    Walking outward from the peak tolerates short sub-threshold dips (noise)
-    but stops once the profile has genuinely fallen off. Isolated far-out
-    noise excursions (e.g. roundoff amplified near the truncation seam of a
-    long non-Hermitian run) therefore cannot stretch the window.
+    The run, in storage order, bridges short sub-threshold dips (noise) of up
+    to FIT_WINDOW_GAP sites but ends once the profile has genuinely fallen
+    off. Isolated far-out noise excursions (e.g. roundoff amplified near the
+    truncation seam of a long non-Hermitian run) therefore cannot stretch the
+    window.
     """
     above = dist.prob > FIT_WINDOW_PROB
     if not np.any(above):
         raise FitError("no probabilities above the fit-window threshold")
-    peak = int(np.argmax(dist.prob))
-    max_gap = 8
-    edge = 0.0
-    for direction in (1, -1):
-        gap = 0
-        i = peak
-        while 0 <= i < len(dist.prob) and gap <= max_gap:
-            if above[i]:
-                gap = 0
-                edge = max(edge, abs(float(dist.p[i])))
-            else:
-                gap += 1
-            i += direction
-    return (0.0, edge)
+    peak = int(np.nanargmax(dist.prob))  # a NaN is not above, so it cannot be the peak
+    start, stop = next(run for run in _runs(np.flatnonzero(above), FIT_WINDOW_GAP + 1)
+                       if run[0] <= peak < run[1])
+    return (0.0, float(np.abs(dist.p[start:stop][above[start:stop]]).max()))
 
 
 def _profile_points(

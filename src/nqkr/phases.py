@@ -165,6 +165,12 @@ def sweep(
     return results
 
 
+def _refuse_repeats(name: str, values: Sequence[float]) -> None:
+    """ValueError if a value comes twice: the sweep would only run that point again."""
+    if len({float(v) for v in values}) < len(values):
+        raise ValueError(f"{name} values repeat: {', '.join(str(float(v)) for v in values)}")
+
+
 def _evaluate_point(config: SimConfig) -> tuple[float, Features]:
     features = extract_features(record_series(config).series)
     return classify(features), features
@@ -188,6 +194,7 @@ def phase_diagram(
             raise ValueError(f"unknown sweep axis {axis.name!r}")
         if len(axis.values) < 2:
             raise ValueError(f"axis {axis.name} needs at least 2 values")
+        _refuse_repeats(f"axis {axis.name}", axis.values)
     if axis1.name == axis2.name:
         # axis 2's value would overwrite axis 1's at every point
         raise ValueError(f"both sweep axes set {axis1.name}")
@@ -267,11 +274,13 @@ def norm_scan(
 
     Rows run hbar-major with lambdas in ascending order per hbar; the
     threshold estimate is the first value whose long-time mean norm exceeds
-    1 + tolerance. Raises ValueError if either list is empty or the
-    tolerance lies outside [0, inf).
+    1 + tolerance. Raises ValueError if either list is empty or repeats a
+    value, or the tolerance lies outside [0, inf).
     """
     if len(lambdas) == 0 or len(hbars) == 0:
         raise ValueError("a norm scan needs at least one lambda and one hbar")
+    _refuse_repeats("lambda", lambdas)
+    _refuse_repeats("hbar", hbars)
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     hbars = [float(h) for h in hbars]

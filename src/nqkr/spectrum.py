@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _blas
-from .lattice import MomentumLattice, WaveFunction, edge_sites, ground_state
+from .lattice import MomentumLattice, WaveFunction, _runs, edge_sites, ground_state
 from .propagator import SimConfig, step
 
 SPECTRUM_DIM_BUDGET = 2048
@@ -281,16 +281,10 @@ def _parity_eig(matrix: np.ndarray, max_abs: float) -> tuple[np.ndarray, np.ndar
     out = np.zeros((m, m), dtype=np.complex128)
     _unfold(vecs[0], 1, out, column[:h + 1])
     done = h + 1
-    for start, stop in _runs(keep):
+    for start, stop in _runs(keep, 1):
         _unfold(vecs[1, :h - 1, start:stop], -1, out, column[done:done + stop - start])
         done += stop - start
     return vals[order], out
-
-
-def _runs(indices: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) of each maximal run of consecutive values in sorted indices."""
-    breaks = np.flatnonzero(np.diff(indices) != 1) + 1
-    return [(int(run[0]), int(run[-1]) + 1) for run in np.split(indices, breaks) if len(run)]
 
 
 def quasi_spectrum(

@@ -166,6 +166,51 @@ class TestEvolveCommand:
             f"Error: cannot make a run directory in {tmp_path / outdir}: {reason}")
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
+    def test_a_name_taken_by_a_concurrent_run_is_skipped(self, runner, tmp_path, monkeypatch):
+        # another run makes the same <stamp>-evolve directory just before this one does
+        raced = []
+        mkdir = Path.mkdir
+
+        def racing_mkdir(path, *args, **kwargs):
+            if path.name.endswith("-evolve") and not raced:
+                raced.append(path)
+                mkdir(path, parents=True)
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", racing_mkdir)
+        result = runner.invoke(
+            main,
+            ["evolve", "--K", "1", "--lambda", "0", "--kicks", "3", "--lattice", "32",
+             "--outdir", str(tmp_path / "new")],
+        )
+        assert result.exit_code == 0, result.output
+        assert sorted((tmp_path / "new").iterdir()) == [raced[0], Path(f"{raced[0]}-1")]
+        assert not any(raced[0].iterdir())
+        assert (Path(f"{raced[0]}-1") / "otoc_series.csv").exists()
+
+    def test_a_failed_run_keeps_a_parent_a_concurrent_run_writes_into(
+            self, runner, tmp_path, monkeypatch):
+        # the concurrent run makes its directory in `new` after this run made `new`
+        mkdir = Path.mkdir
+        other = tmp_path / "new" / "other-run"
+
+        def racing_mkdir(path, *args, **kwargs):
+            mkdir(path, *args, **kwargs)
+            if path.name.endswith("-evolve") and not other.exists():
+                mkdir(other)
+
+        monkeypatch.setattr(Path, "mkdir", racing_mkdir)
+        monkeypatch.setattr(propagator, "_free_phases",
+                            lambda size, hbar: np.full(size, np.nan, dtype=complex))
+        result = runner.invoke(
+            main,
+            ["evolve", "--K", "1", "--lambda", "0", "--kicks", "3", "--lattice", "32",
+             "--outdir", str(tmp_path / "new")],
+        )
+        assert result.exit_code == 1, result.output
+        assert "numerical failure: state norm is not finite" in result.output
+        assert [p.name for p in (tmp_path / "new").iterdir()] == ["other-run"]
+
 
 class TestSpectrumCommand:
     def test_unitary_spectrum_output(self, runner, tmp_path):
@@ -498,6 +543,20 @@ def test_unread_manifest_param_exits_2_without_run_dir(runner, tmp_path, args, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args", MANIFEST_ARGS, ids=[args[0] for args in MANIFEST_ARGS])
+def test_rerun_prints_what_its_command_printed(runner, tmp_path, monkeypatch, args):
+    # the rerun's phase diagram takes its worker count from NQKR_JOBS; one keeps it serial
+    monkeypatch.setenv("NQKR_JOBS", "1")
+    first = runner.invoke(main, args + ["--outdir", str(tmp_path / "orig")])
+    assert first.exit_code == 0, first.output
+    manifest = only_run_dir(tmp_path / "orig") / "manifest.json"
+    again = runner.invoke(main, ["rerun", str(manifest), "--outdir", str(tmp_path / "again")])
+    assert again.exit_code == 0, again.output
+    printed = [[line for line in result.output.splitlines() if not line.startswith("wrote ")]
+               for result in (first, again)]
+    assert printed[0] == printed[1]
+
+
 SEED_MANIFESTS = sorted((Path(__file__).parent / "data").glob("seed-*-manifest.json"))
 
 
@@ -763,6 +822,15 @@ INVALID_INPUTS = [
       "--lattice", "64"], "--plane lambda-K does not read --eta-range"),
     (["norm-scan", "--K", "5", "--lambda-list", "0.1", "--hbar", "1", "--hbar-list", "0.5",
       "--kicks", "20", "--lattice", "32"], "give --hbar or --hbar-list, not both"),
+    # a repeated value would only run the same point again
+    (["phase-diagram", "--plane", "lambda-K", "--lambda-range", "0:3:2", "--k-range", "5:5:3",
+      "--kicks", "500", "--lattice", "64"], "axis K values repeat: 5.0, 5.0, 5.0"),
+    (["phase-diagram", "--plane", "eta-K", "--eta-range", "0.5:0.5:2", "--kicks", "500",
+      "--lattice", "64"], "axis eta values repeat: 0.5, 0.5"),
+    (["norm-scan", "--K", "3", "--lambda-list", "0,0", "--hbar-list", "2.89,2.89",
+      "--kicks", "20", "--lattice", "64"], "lambda values repeat: 0.0, 0.0"),
+    (["norm-scan", "--K", "3", "--lambda-list", "0,0.2", "--hbar-list", "2.89,2.89",
+      "--kicks", "20", "--lattice", "64"], "hbar values repeat: 2.89, 2.89"),
 ]
 
 

@@ -27,7 +27,7 @@ from nqkr import (
     scrambling_rate,
 )
 from nqkr.lattice import ground_state
-from nqkr.observables import compare_profiles
+from nqkr.observables import FIT_WINDOW_PROB, _default_window, compare_profiles
 
 HBAR = 2.89
 
@@ -243,6 +243,77 @@ class TestProfileFits:
         g1 = fit_gaussian_profile(dist, window)
         g2 = fit_gaussian_profile(scaled, window)
         assert abs(g1.xi_or_sigma - g2.xi_or_sigma) < 1e-10
+
+
+def walk_window(dist):
+    """Reference fit window: walk out from the peak both ways, stopping after 8 dips in a row."""
+    above = dist.prob > FIT_WINDOW_PROB
+    if not np.any(above):
+        raise FitError("no probabilities above the fit-window threshold")
+    peak = int(np.argmax(dist.prob))
+    edge = 0.0
+    for direction in (1, -1):
+        gap, i = 0, peak
+        while 0 <= i < len(dist.prob) and gap <= 8:
+            if above[i]:
+                gap = 0
+                edge = max(edge, abs(float(dist.p[i])))
+            else:
+                gap += 1
+            i += direction
+    return (0.0, edge)
+
+
+def random_window_case(rng):
+    """Sites above or below the fit-window threshold at a random density, some
+    at the threshold itself, with a dip of exactly 8 or 9 sites planted, on
+    momenta that are shuffled half the time."""
+    m = 2 * int(rng.integers(1, 100))
+    above = rng.random(m) < rng.uniform(0.02, 0.98)
+    start = int(rng.integers(0, m))
+    above[start:start + int(rng.integers(8, 10))] = False
+    prob = np.where(above, 10.0 ** rng.uniform(-24.9, 0.0, m),
+                    10.0 ** rng.uniform(-40.0, -25.0, m))
+    prob[~above & (rng.random(m) < 0.1)] = FIT_WINDOW_PROB
+    p = MomentumLattice(m, HBAR).momenta
+    return MomentumDistribution(rng.permutation(p) if rng.random() < 0.5 else p, prob)
+
+
+class TestDefaultWindow:
+    def test_equals_the_walk_on_random_distributions(self):
+        rng = np.random.default_rng(20)
+        for _ in range(4000):
+            dist = random_window_case(rng)
+            if not np.any(dist.prob > FIT_WINDOW_PROB):
+                with pytest.raises(FitError):
+                    walk_window(dist)
+                with pytest.raises(FitError):
+                    _default_window(dist)
+            else:
+                assert _default_window(dist) == walk_window(dist)
+
+    @pytest.mark.parametrize("side", [1, -1])
+    @pytest.mark.parametrize("gap,bridged", [(8, True), (9, False)])
+    def test_bridges_a_dip_of_8_sites_not_9(self, side, gap, bridged):
+        # the peak at n = 0 and its neighbours, the dip, then one site above
+        m = 64
+        p = MomentumLattice(m, HBAR).momenta
+        prob = np.full(m, 1e-30)
+        prob[m // 2 - 2:m // 2 + 3] = 1e-3
+        prob[m // 2] = 1.0
+        far = m // 2 + side * (3 + gap)
+        prob[far] = 1e-20
+        expected = abs(p[far]) if bridged else 2 * HBAR
+        dist = MomentumDistribution(p, prob)
+        assert _default_window(dist) == walk_window(dist) == (0.0, expected)
+
+    def test_nothing_above_the_threshold_fails(self):
+        p = MomentumLattice(16, HBAR).momenta
+        dist = MomentumDistribution(p, np.full(16, FIT_WINDOW_PROB))
+        with pytest.raises(FitError, match="no probabilities above the fit-window threshold"):
+            _default_window(dist)
+        with pytest.raises(FitError):
+            walk_window(dist)
 
 
 class TestNormGrowthFit:

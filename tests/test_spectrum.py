@@ -549,16 +549,19 @@ class TestOddSliceEmbedding:
         monkeypatch.setattr(np.linalg, "eig", reordered)
         vals, vecs = nqkr.spectrum._parity_eig(matrix, float(np.abs(matrix).max()))
         expected_vals, expected_vecs, keep = embed_by_copy(*solved[0])
-        assert len(nqkr.spectrum._runs(keep)) == runs
+        assert len(nqkr.spectrum._runs(keep, 1)) == runs
         assert vals.tobytes() == expected_vals.tobytes()
         assert vecs.tobytes() == expected_vecs.tobytes()
 
-    @pytest.mark.parametrize("indices,runs", [
-        ([], []), ([4], [(4, 5)]), ([0, 1, 2], [(0, 3)]),
-        ([0, 2, 3, 5], [(0, 1), (2, 4), (5, 6)]),
+    @pytest.mark.parametrize("indices,max_step,runs", [
+        ([], 1, []), ([4], 1, [(4, 5)]), ([0, 1, 2], 1, [(0, 3)]),
+        ([0, 2, 3, 5], 1, [(0, 1), (2, 4), (5, 6)]),
+        # the profile fits' window: a step of 9 bridges 8 missing sites, not 9
+        ([], 9, []), ([4], 9, [(4, 5)]), ([0, 2, 3, 5], 9, [(0, 6)]),
+        ([0, 9, 19, 20, 30], 9, [(0, 10), (19, 21), (30, 31)]),
     ])
-    def test_runs(self, indices, runs):
-        assert nqkr.spectrum._runs(np.array(indices, dtype=int)) == runs
+    def test_runs(self, indices, max_step, runs):
+        assert nqkr.spectrum._runs(np.array(indices, dtype=int), max_step) == runs
 
 
 class TestOneBlasThread:
