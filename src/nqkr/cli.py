@@ -142,9 +142,12 @@ def _run(outdir: str, command: str, params: dict, config: SimConfig | None = Non
     try:
         created = [d for d in base.parents if not d.exists()]
         for run_dir in (Path(f"{base}-{i}") if i else base for i in itertools.count()):
-            with suppress(FileExistsError):
+            try:
                 run_dir.mkdir(parents=True)
                 break
+            except FileExistsError:
+                if not base.parent.is_dir():  # not a taken name: a dangling symlink, say
+                    raise
     except OSError as exc:
         _remove_dirs(created)
         raise ValueError(f"cannot make a run directory in {outdir}: {exc.strerror or exc}") from exc

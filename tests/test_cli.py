@@ -153,9 +153,13 @@ class TestEvolveCommand:
         ("file/sub", "Not a directory"),
         # `new` is made before the over-long name fails, and must be removed
         ("new/" + "x" * 300, "File name too long"),
+        # a symlink to a missing directory, such as an unmounted disk
+        ("dangling", "File exists"),
+        ("dangling/sub", "File exists"),
     ])
     def test_unusable_outdir_exits_2_without_run_dir(self, runner, tmp_path, outdir, reason):
         (tmp_path / "file").write_text("")
+        (tmp_path / "dangling").symlink_to(tmp_path / "missing")
         result = runner.invoke(
             main,
             ["evolve", "--K", "1", "--lambda", "0", "--kicks", "3", "--lattice", "32",
@@ -164,7 +168,7 @@ class TestEvolveCommand:
         assert result.exit_code == 2, result.output
         assert result.output.splitlines()[-1] == (
             f"Error: cannot make a run directory in {tmp_path / outdir}: {reason}")
-        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling", "file"]
 
     def test_a_name_taken_by_a_concurrent_run_is_skipped(self, runner, tmp_path, monkeypatch):
         # another run makes the same <stamp>-evolve directory just before this one does

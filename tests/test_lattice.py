@@ -13,7 +13,7 @@ from nqkr import (
     momentum_distribution,
 )
 from nqkr.constants import EPSILON_DEFAULT
-from nqkr.lattice import LATTICE_SIZE_BUDGET
+from nqkr.lattice import LATTICE_SIZE_BUDGET, _runs
 from nqkr.observables import _observable_table
 from nqkr.propagator import _free_phases
 
@@ -107,6 +107,18 @@ class TestMomentumLattice:
         assert np.all(np.isfinite(_observable_table(lattice, EPSILON_DEFAULT)))
         edge = make_state(np.eye(32)[0], hbar=8e152)
         assert math.isfinite(expectation_p2(edge))
+
+
+
+@pytest.mark.parametrize("indices,max_step,runs", [
+    ([], 1, []), ([4], 1, [(4, 5)]), ([0, 1, 2], 1, [(0, 3)]),
+    ([0, 2, 3, 5], 1, [(0, 1), (2, 4), (5, 6)]),
+    # the profile fits' window: a step of 9 bridges 8 missing sites, not 9
+    ([], 9, []), ([4], 9, [(4, 5)]), ([0, 2, 3, 5], 9, [(0, 6)]),
+    ([0, 9, 19, 20, 30], 9, [(0, 10), (19, 21), (30, 31)]),
+])
+def test_runs(indices, max_step, runs):
+    assert _runs(np.array(indices, dtype=int), max_step) == runs
 
 
 class TestMomentumDistribution:

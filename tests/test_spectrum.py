@@ -26,7 +26,7 @@ from nqkr import (
     spectrum_at,
     step,
 )
-from nqkr.lattice import edge_sites
+from nqkr.lattice import _runs, edge_sites
 from nqkr.propagator import modulation_factor
 from nqkr.spectrum import EIGENSTATE_TAIL_LIMIT
 
@@ -549,19 +549,9 @@ class TestOddSliceEmbedding:
         monkeypatch.setattr(np.linalg, "eig", reordered)
         vals, vecs = nqkr.spectrum._parity_eig(matrix, float(np.abs(matrix).max()))
         expected_vals, expected_vecs, keep = embed_by_copy(*solved[0])
-        assert len(nqkr.spectrum._runs(keep, 1)) == runs
+        assert len(_runs(keep, 1)) == runs
         assert vals.tobytes() == expected_vals.tobytes()
         assert vecs.tobytes() == expected_vecs.tobytes()
-
-    @pytest.mark.parametrize("indices,max_step,runs", [
-        ([], 1, []), ([4], 1, [(4, 5)]), ([0, 1, 2], 1, [(0, 3)]),
-        ([0, 2, 3, 5], 1, [(0, 1), (2, 4), (5, 6)]),
-        # the profile fits' window: a step of 9 bridges 8 missing sites, not 9
-        ([], 9, []), ([4], 9, [(4, 5)]), ([0, 2, 3, 5], 9, [(0, 6)]),
-        ([0, 9, 19, 20, 30], 9, [(0, 10), (19, 21), (30, 31)]),
-    ])
-    def test_runs(self, indices, max_step, runs):
-        assert nqkr.spectrum._runs(np.array(indices, dtype=int), max_step) == runs
 
 
 class TestOneBlasThread:
