@@ -6,10 +6,11 @@ propagator's business; nothing in this module depends on it.
 
 Every distribution here and every expectation value and OTOC in
 `observables` reads psi_n's squared real and imaginary parts from one
-probability pass, `_squared_parts`, and the propagator's tail check and the
-spectrum's eigenstate tail weights share one edge band, `edge_sites`. The
-spectrum's eigenvector embedding and the profile fits' window split index
-sets into runs with one helper, `_runs`.
+probability pass, `_squared_parts`. The propagator's wrap-around check and
+the spectrum's eigenstate tail weights share one edge band, `edge_sites`,
+one weight on it, `tail_probability`, and one limit,
+`TAIL_PROBABILITY_LIMIT`. The spectrum's eigenvector embedding and the
+profile fits' window split index sets into runs with one helper, `_runs`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ NORM_COLLAPSE_FLOOR = 1e-300
 # Largest lattice size accepted: 512x the 8192 sites of the largest recipe,
 # so that a mistyped size is an error before anything is allocated.
 LATTICE_SIZE_BUDGET = 2**22
+# A state is tail-safe only while its two edge bands hold less than this much
+# probability; beyond it the periodic FFT lattice wraps amplitude around the
+# n = +-M/2 seam, and M must be enlarged.
+TAIL_PROBABILITY_LIMIT = 1e-10
 
 
 class NormCollapseError(ArithmeticError):
@@ -123,6 +128,20 @@ def _check_norm(norm_sq: float) -> float:
 def edge_sites(size: int) -> int:
     """Sites in each edge band: the outer 2 * edge_sites hold 5% of the lattice."""
     return max(1, size // 40)
+
+
+def tail_probability(amps: np.ndarray) -> float | np.ndarray:
+    """Probability on the two edge bands, the first and last edge_sites along axis 0.
+
+    A float for a state, one value per column for a matrix. Each column's
+    band is copied contiguous first, since a BLAS dot sums strided and
+    contiguous vectors in different orders; so a column's weight has the bits
+    of the state made of it, and the propagator's check on its unit-norm
+    amplitudes and the spectrum's unit-norm eigenvectors read one weight.
+    """
+    edge = edge_sites(amps.shape[0])
+    band = np.ascontiguousarray(np.concatenate((amps[:edge], amps[-edge:])).T)
+    return np.vecdot(band, band).real
 
 
 def _squared_parts(psi: WaveFunction) -> np.ndarray:

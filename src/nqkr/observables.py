@@ -288,27 +288,31 @@ def _grid_spacing(dist: MomentumDistribution) -> float:
 
 
 def _late_points(
-    series: OtocSeries, column: np.ndarray, window: tuple[float, float] | None, name: str
+    t: np.ndarray, column: np.ndarray, window: tuple[float, float] | None, name: str
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    """t and column over a kick-time window (default: the second half) of >= 10 kicks."""
+    """Kick times t and column over a window (default: the second half) of >= 10 kicks.
+
+    A run of T kicks records t = 1..T, so np.arange(1, T + 1) checks a run's
+    length before it runs.
+    """
     if window is None:
-        window = (float(series.t[-1]) / 2.0, float(series.t[-1])) if len(series) else (0.0, 0.0)
-    mask = _window_mask(series.t.astype(float), window)
+        window = (float(t[-1]) / 2.0, float(t[-1])) if len(t) else (0.0, 0.0)
+    mask = _window_mask(t.astype(float), window)
     if np.count_nonzero(mask) < 10:
         raise FitError(f"{name} window {window} holds fewer than 10 kicks")
-    return series.t[mask].astype(float), column[mask], window
+    return t[mask].astype(float), column[mask], window
 
 
 def fit_norm_growth(series: OtocSeries) -> NormGrowthFit:
     """Fit norm_log = mu*t + b over the second half of the run."""
-    t, norm_log, window = _late_points(series, series.norm_log, None, "norm-growth")
+    t, norm_log, window = _late_points(series.t, series.norm_log, None, "norm-growth")
     mu, intercept, r2 = _linear_fit(t, norm_log)
     return NormGrowthFit(mu, intercept, window, r2)
 
 
 def scrambling_rate(series: OtocSeries, window: tuple[float, float]) -> float:
     """Late-time slope D of c_approx versus t over a kick-time window of >= 10 kicks."""
-    t, c_approx, _ = _late_points(series, series.c_approx, window, "scrambling-rate")
+    t, c_approx, _ = _late_points(series.t, series.c_approx, window, "scrambling-rate")
     return _linear_fit(t, c_approx)[0]
 
 

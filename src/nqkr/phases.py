@@ -104,7 +104,7 @@ def extract_features(series: OtocSeries) -> Features:
         return Features(0.0, 1.0, 1.0)
 
     t_max = t[-1]
-    t_late, late, _ = _late_points(series, c, None, "feature")
+    t_late, late, _ = _late_points(t, c, None, "feature")
     slope, _, _ = _linear_fit(t_late, late)
     mean_late = float(late.mean())
     slope_norm = slope / mean_late if mean_late > 0.0 else 0.0
@@ -275,7 +275,8 @@ def norm_scan(
     Rows run hbar-major with lambdas in ascending order per hbar; the
     threshold estimate is the first value whose long-time mean norm exceeds
     1 + tolerance. Raises ValueError if either list is empty or repeats a
-    value, or the tolerance lies outside [0, inf).
+    value, or the tolerance lies outside [0, inf), and FitError before any
+    point runs if the run is too short for its norm-growth fit.
     """
     if len(lambdas) == 0 or len(hbars) == 0:
         raise ValueError("a norm scan needs at least one lambda and one hbar")
@@ -283,6 +284,9 @@ def norm_scan(
     _refuse_repeats("hbar", hbars)
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    # a run too short for its norm-growth fit is refused before any point runs
+    kicks = np.arange(1, base_config.kick_count + 1)
+    _late_points(kicks, kicks, None, "norm-growth")
     hbars = [float(h) for h in hbars]
     grid = [(hbar, lam) for hbar in hbars for lam in sorted(float(v) for v in lambdas)]
     tasks = [

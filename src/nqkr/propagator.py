@@ -36,6 +36,11 @@ are fixed by the plastic number kappa (`constants`). Conventions:
 
 Without that factoring and renormalization a lam=5 run would overflow doubles
 within a few hundred kicks.
+
+After each step `evolve` reads `lattice.tail_probability` of the stored
+amplitudes, which `step` leaves at unit norm, and warns once
+(`WrapAroundWarning`) when it reaches `lattice.TAIL_PROBABILITY_LIMIT`: the
+tail-safety rule that the spectrum's eigenstates also follow.
 """
 
 from __future__ import annotations
@@ -50,12 +55,7 @@ import numpy as np
 
 from .constants import EPSILON_DEFAULT, ETA_DEFAULT, OMEGA1, OMEGA2
 from .lattice import MomentumLattice, NormCollapseError, WaveFunction, _check_norm
-from .lattice import edge_sites, ground_state
-
-# An evolution is declared tail-safe only while the outer 5% of lattice sites
-# hold less than this much probability; beyond it the periodic FFT lattice
-# wraps amplitude around and M must be enlarged.
-TAIL_PROBABILITY_LIMIT = 1e-10
+from .lattice import TAIL_PROBABILITY_LIMIT, ground_state, tail_probability
 
 
 class WrapAroundWarning(UserWarning):
@@ -205,19 +205,6 @@ def step(psi: WaveFunction, config: SimConfig, t: int) -> WaveFunction:
     return apply_free(psi)
 
 
-def tail_probability(psi: WaveFunction) -> float:
-    """Probability in the outer 5% of lattice sites.
-
-    It reads the stored amplitudes as they are, which `step` leaves at unit
-    norm: `apply_kick` renormalizes them and `apply_free` keeps the norm.
-    """
-    edge = edge_sites(psi.lattice.size)
-    return (
-        float(np.vdot(psi.amps[:edge], psi.amps[:edge]).real)
-        + float(np.vdot(psi.amps[-edge:], psi.amps[-edge:]).real)
-    )
-
-
 Observer = Callable[[int, WaveFunction], None]
 
 
@@ -237,7 +224,7 @@ def evolve(config: SimConfig, observers: Sequence[Observer] = ()) -> WaveFunctio
             step(psi, config, t)
         except ArithmeticError as exc:
             raise type(exc)(f"{exc} (at kick t={t})") from exc
-        if not warned and tail_probability(psi) >= TAIL_PROBABILITY_LIMIT:
+        if not warned and tail_probability(psi.amps) >= TAIL_PROBABILITY_LIMIT:
             warnings.warn(
                 f"tail probability exceeded {TAIL_PROBABILITY_LIMIT:g} at kick "
                 f"t={t}; momentum lattice M={config.lattice.size} is too small "

@@ -38,9 +38,10 @@ allocates only vectors.
 
 The FFT propagator makes momentum periodic, and the truncated ring supports
 eigenstates pinned to the n = +-M/2 seam whose eps_i can exceed every
-physical state's. Each eigenstate therefore carries its edge-tail weight on
-the outer 5% of sites, the band `lattice.edge_sites` that the propagator's
-tail-safety check also uses, and max-eps_i queries can be restricted to
+physical state's. Each eigenstate therefore carries its weight on the two
+edge bands, `lattice.tail_probability` of its unit-norm column, and it is
+tail-safe below `lattice.TAIL_PROBABILITY_LIMIT`: the weight and the limit of
+the propagator's wrap-around check. max-eps_i queries can be restricted to
 tail-safe states.
 """
 
@@ -52,12 +53,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _blas
-from .lattice import MomentumLattice, WaveFunction, _runs, edge_sites, ground_state
+from .lattice import MomentumLattice, WaveFunction, _runs, ground_state
+from .lattice import TAIL_PROBABILITY_LIMIT, tail_probability
 from .propagator import SimConfig, step
 
 SPECTRUM_DIM_BUDGET = 2048
 RESIDUAL_TOLERANCE = 1e-8
-EIGENSTATE_TAIL_LIMIT = 1e-10
 # Largest coupling between the parity sectors, relative to max|U|, that
 # quasi_spectrum accepts; the assembled U(t) measures ~1e-15.
 PARITY_TOLERANCE = 1e-12
@@ -83,11 +84,11 @@ class QuasiSpectrum:
 
     eigenstates holds one unit-norm column per quasienergy, phase-fixed so the
     largest-magnitude component is real positive. residuals are ||U phi - u phi||
-    per pair; tail_weights the probability each state puts on the outer 5% of
-    lattice sites. Entries are sorted by descending eps_i rounded to a multiple
-    of EPS_I_TIE, then by ascending eps_r, so roundoff in eps_i does not
-    reorder states. residual_scale is
-    max(1, max|U|), the scale of the roundoff any eigensolver leaves in U.
+    per pair; tail_weights the probability each state puts on the two edge
+    bands, `lattice.tail_probability`. Entries are sorted by descending eps_i
+    rounded to a multiple of EPS_I_TIE, then by ascending eps_r, so roundoff in
+    eps_i does not reorder states. residual_scale is max(1, max|U|), the scale
+    of the roundoff any eigensolver leaves in U.
     """
 
     t: int
@@ -108,7 +109,7 @@ class QuasiSpectrum:
 
     def valid_mask(self) -> np.ndarray:
         """States that do not lean on the truncation seam."""
-        return self.tail_weights < EIGENSTATE_TAIL_LIMIT
+        return self.tail_weights < TAIL_PROBABILITY_LIMIT
 
     def flagged_mask(self) -> np.ndarray:
         """Pairs whose residual exceeds RESIDUAL_TOLERANCE * residual_scale.
@@ -351,10 +352,8 @@ def quasi_spectrum(
             f"eigenpair residuals overflow double range (dim {m}, max|U| {scale:.3e}); "
             "U(t) grows too fast at this lambda, hbar and t"
         )
-    edge = edge_sites(m)
-    tails = (np.abs(vecs[:edge]) ** 2).sum(axis=0) + (np.abs(vecs[-edge:]) ** 2).sum(axis=0)
-
-    spec = QuasiSpectrum(t, lattice, eps_r + 1j * eps_i, vecs, residuals, tails, scale)
+    spec = QuasiSpectrum(t, lattice, eps_r + 1j * eps_i, vecs, residuals,
+                         tail_probability(vecs), scale)
     flagged = int(np.count_nonzero(spec.flagged_mask()))
     if flagged:
         warnings.warn(

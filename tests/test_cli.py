@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from nqkr import KickSchedule, MomentumLattice, SimConfig, WrapAroundWarning, spectrum_at
-from nqkr import _blas, cli, propagator
+from nqkr import _blas, cli, phases, propagator
 from nqkr.cli import main, parse_range, rerun_manifest
 from nqkr.fileio import read_series_csv
 
@@ -847,6 +847,19 @@ def test_invalid_input_exits_2_without_run_dir(runner, tmp_path, args, message):
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert not list(tmp_path.iterdir())
+
+
+def test_short_norm_scan_exits_2_before_any_point_runs(runner, tmp_path, monkeypatch):
+    runs = []
+    record_series = phases.record_series
+    monkeypatch.setattr(phases, "record_series",
+                        lambda *args: runs.append(args) or record_series(*args))
+    result = runner.invoke(main, ["norm-scan", "--K", "3", "--lambda-list", "0", "--kicks", "5",
+                                  "--lattice", "64", "--outdir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "Error: norm-growth window (2.5, 5.0) holds fewer than 10 kicks" in result.output
+    assert not (tmp_path / "out").exists()
+    assert runs == []
 
 
 def test_numerical_failure_exits_1_without_run_dir(runner, tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from nqkr import (
     momentum_distribution,
 )
 from nqkr.constants import EPSILON_DEFAULT
-from nqkr.lattice import LATTICE_SIZE_BUDGET, _runs
+from nqkr.lattice import LATTICE_SIZE_BUDGET, _runs, edge_sites, tail_probability
 from nqkr.observables import _observable_table
 from nqkr.propagator import _free_phases
 
@@ -150,6 +150,24 @@ class TestMomentumDistribution:
         assert np.array_equal(momentum_distribution(strided).prob,
                               momentum_distribution(contiguous).prob)
         assert expectation_p2(strided) == expectation_p2(contiguous)
+
+
+class TestTailProbability:
+    def test_state_weight_is_its_two_edge_bands(self):
+        amps = np.zeros(1024, dtype=complex)
+        edge = edge_sites(1024)  # 25 sites a band
+        amps[edge - 1], amps[edge], amps[-edge], amps[-edge - 1] = 0.6, 0.8, 0.6j, 0.8j
+        assert isinstance(tail_probability(amps), float)
+        assert tail_probability(amps) == pytest.approx(0.72, rel=1e-15)
+
+    def test_matrix_column_gives_the_bits_of_its_state(self):
+        # a BLAS dot sums strided and contiguous vectors in different orders
+        rng = np.random.default_rng(5)
+        vecs = rng.normal(size=(1024, 96)) + 1j * rng.normal(size=(1024, 96))
+        weights = tail_probability(vecs)
+        assert weights.shape == (96,)
+        assert np.array_equal(weights, [tail_probability(vecs[:, j].copy()) for j in range(96)])
+        assert np.array_equal(weights, [tail_probability(vecs[:, j]) for j in range(96)])
 
 
 class TestInvariants:

@@ -408,6 +408,17 @@ class TestEvolve:
         with pytest.warns(WrapAroundWarning):
             evolve(cfg)
 
+    def test_tail_at_the_limit_warns(self, monkeypatch):
+        monkeypatch.setattr(propagator, "tail_probability",
+                            lambda amps: propagator.TAIL_PROBABILITY_LIMIT)
+        with pytest.warns(WrapAroundWarning, match=r"exceeded 1e-10 at kick t=1;"):
+            evolve(config(2.0, 0.0, 3))
+
+    def test_tail_below_the_limit_does_not_warn(self, monkeypatch):
+        below = np.nextafter(propagator.TAIL_PROBABILITY_LIMIT, 0.0)
+        monkeypatch.setattr(propagator, "tail_probability", lambda amps: below)
+        evolve(config(2.0, 0.0, 3))  # a WrapAroundWarning fails every test here
+
     def test_wraparound_kick_of_the_sweep_norm_scan(self):
         # the benchmark sweep's norm scan at hbar=0.5 and its largest lambda on
         # 1024 sites; the tail check reads the unit-norm amplitudes as stored

@@ -26,9 +26,8 @@ from nqkr import (
     spectrum_at,
     step,
 )
-from nqkr.lattice import _runs, edge_sites
+from nqkr.lattice import TAIL_PROBABILITY_LIMIT, _runs, edge_sites, tail_probability
 from nqkr.propagator import modulation_factor
-from nqkr.spectrum import EIGENSTATE_TAIL_LIMIT
 
 HBAR = 2.89
 
@@ -206,6 +205,21 @@ class TestWrapArtifactHandling:
         assert closest < 1e-6
 
 
+class TestTailSafetyRule:
+    """The spectrum applies the tail weight and limit of evolution's wrap-around check."""
+
+    def test_tail_weights_are_each_columns_tail_probability(self):
+        spec = spectrum_at(config(10.0, 2.0), t=5, m_spec=64)
+        columns = [tail_probability(spec.eigenstates[:, j]) for j in range(64)]
+        assert np.array_equal(columns, spec.tail_weights)
+
+    def test_a_weight_at_the_limit_is_not_tail_safe(self):
+        spec = spectrum_at(config(10.0, 2.0), t=5, m_spec=64)
+        spec.tail_weights = np.array([TAIL_PROBABILITY_LIMIT, np.nextafter(
+            TAIL_PROBABILITY_LIMIT, 0.0)] * 32)
+        assert spec.valid_mask().tolist() == [False, True] * 32
+
+
 class TestConvergenceMechanism:
     def test_evolved_state_tracks_top_eigenstate(self):
         # F stays converged (>= 0.9) and does not ratchet down between
@@ -320,7 +334,7 @@ class TestDenseReference:
 
         edge = edge_sites(dim)
         prob = np.abs(ref_vecs) ** 2
-        ref_valid = prob[:edge].sum(axis=0) + prob[-edge:].sum(axis=0) < EIGENSTATE_TAIL_LIMIT
+        ref_valid = prob[:edge].sum(axis=0) + prob[-edge:].sum(axis=0) < TAIL_PROBABILITY_LIMIT
         if ref_valid.any():
             ref_top = float(np.log(np.abs(ref_vals[ref_valid])).max())
             assert abs(spec.eps_i[spec.top_valid_index()] - ref_top) <= 1e-10
