@@ -39,7 +39,6 @@ from .phases import (
     AxisSpec,
     Features,
     PhaseDiagram,
-    PhasePoint,
     classify,
     extract_features,
     norm_scan,

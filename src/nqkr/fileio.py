@@ -136,22 +136,22 @@ def write_norm_scan_csv(path: str | Path, result: NormScanResult) -> None:
 def write_diagram_csv(path: str | Path, diagram: PhaseDiagram) -> None:
     a1 = np.repeat(diagram.axis1.values, len(diagram.axis2.values))
     a2 = np.tile(diagram.axis2.values, len(diagram.axis1.values))
-    rho = np.array([pt.rho for row in diagram.points for pt in row])
-    _write_table(Path(path), ["axis1", "axis2", "rho"], [a1, a2, rho])
+    _write_table(Path(path), ["axis1", "axis2", "rho"], [a1, a2, diagram.rho.ravel()])
 
 
 def write_diagram_json(path: str | Path, diagram: PhaseDiagram) -> None:
+    """Each point's params are its (axis1, axis2) values; the boundary is derived."""
+    axis1 = [float(v) for v in diagram.axis1.values]
+    axis2 = [float(v) for v in diagram.axis2.values]
     payload = {
-        "axis1": {"name": diagram.axis1.name,
-                  "values": [float(v) for v in diagram.axis1.values]},
-        "axis2": {"name": diagram.axis2.name,
-                  "values": [float(v) for v in diagram.axis2.values]},
+        "axis1": {"name": diagram.axis1.name, "values": axis1},
+        "axis2": {"name": diagram.axis2.name, "values": axis2},
         "points": [
             [
-                {"params": list(pt.params), "rho": pt.rho, "features": pt.features._asdict()}
-                for pt in row
+                {"params": [v1, v2], "rho": rho, "features": features._asdict()}
+                for v2, rho, features in zip(axis2, rho_row, features_row)
             ]
-            for row in diagram.points
+            for v1, rho_row, features_row in zip(axis1, diagram.rho.tolist(), diagram.features)
         ],
         "boundary": [
             {"axis2": v2, "axis1_crossing": crossing}
@@ -164,16 +164,10 @@ def write_diagram_json(path: str | Path, diagram: PhaseDiagram) -> None:
 def write_diagram_gnuplot(path: str | Path, diagram: PhaseDiagram) -> None:
     """gnuplot nonuniform-matrix format: `plot ... matrix nonuniform`."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = [str(len(diagram.axis2.values))] + [
-            _fmt(float(v)) for v in diagram.axis2.values
-        ]
-        fh.write(" ".join(header) + "\n")
-        for i, v1 in enumerate(diagram.axis1.values):
-            row = [_fmt(float(v1))] + [
-                _fmt(diagram.points[i][j].rho)
-                for j in range(len(diagram.axis2.values))
-            ]
-            fh.write(" ".join(row) + "\n")
+        axis2 = [_fmt(float(v)) for v in diagram.axis2.values]
+        fh.write(" ".join([str(len(axis2)), *axis2]) + "\n")
+        for v1, rho_row in zip(diagram.axis1.values, diagram.rho.tolist()):
+            fh.write(" ".join(_fmt(x) for x in [float(v1), *rho_row]) + "\n")
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -3,7 +3,10 @@
 `sweep` evaluates independent tasks in order, serially or in a process pool.
 `phase_diagram` classifies one OTOC series per grid point as freezing or
 scrambling; `norm_scan` fits norm growth over a (hbar, lambda) ladder and
-estimates the non-Hermitian threshold lambda_c per hbar.
+estimates the non-Hermitian threshold lambda_c per hbar. Each result holds
+only what its runs measured (the rho grid and features, or the per-point fits
+and mean norms); the phase boundary and lambda_c are properties derived from
+that data, so a result cannot contradict itself.
 
 The pool is looked up as `concurrent.futures.ProcessPoolExecutor` only when a
 sweep starts one, and that is what first loads `multiprocessing`: a serial
@@ -64,26 +67,42 @@ class AxisSpec(NamedTuple):
     values: np.ndarray
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    params: tuple[float, float]
-    rho: float
-    features: Features
-
-
 @dataclass
 class PhaseDiagram:
     """Complete row-major grid of classifier outputs over a parameter plane.
 
-    points[i][j] belongs to axis1.values[i], axis2.values[j]. boundary holds,
-    per axis2 column, the interpolated axis1 value where rho crosses 0.5
-    (None where a column never crosses).
+    rho[i, j] and features[i][j] belong to axis1.values[i], axis2.values[j].
+    The boundary is derived from rho and the axes, never stored.
     """
 
     axis1: AxisSpec
     axis2: AxisSpec
-    points: list[list[PhasePoint]]
-    boundary: list[tuple[float, float | None]]
+    rho: np.ndarray
+    features: list[list[Features]]
+
+    @property
+    def boundary(self) -> list[tuple[float, float | None]]:
+        """(axis2 value, its column's rho = 0.5 crossing along axis1) per column."""
+        return [
+            (float(v2), _crossing(self.axis1.values, self.rho[:, j]))
+            for j, v2 in enumerate(self.axis2.values)
+        ]
+
+
+def _crossing(values: np.ndarray, column: np.ndarray) -> float | None:
+    """The first value at which column meets rho = 0.5, from either side.
+
+    Between grid points the value is linearly interpolated; an exact 0.5
+    counts at any point, the last one included. None if column never meets 0.5.
+    """
+    offsets = column - 0.5
+    for i, lo in enumerate(offsets):
+        if lo == 0.0:
+            return float(values[i])
+        if i + 1 < len(offsets) and lo * offsets[i + 1] < 0.0:
+            frac = lo / (lo - offsets[i + 1])
+            return float(values[i] + frac * (values[i + 1] - values[i]))
+    return None
 
 
 def extract_features(series: OtocSeries) -> Features:
@@ -206,36 +225,10 @@ def phase_diagram(
         for v1 in axis1.values
         for v2 in axis2.values
     ]
-    results = iter(sweep(_evaluate_point, tasks, jobs, progress))
-    points = [
-        [PhasePoint((float(v1), float(v2)), *next(results)) for v2 in axis2.values]
-        for v1 in axis1.values
-    ]
-    boundary = _boundary_per_column(axis1, axis2, points)
-    return PhaseDiagram(axis1, axis2, points, boundary)
-
-
-def _boundary_per_column(
-    axis1: AxisSpec, axis2: AxisSpec, points: list[list[PhasePoint]]
-) -> list[tuple[float, float | None]]:
-    """First rho = 0.5 crossing along axis1, linearly interpolated, per column."""
-    boundary: list[tuple[float, float | None]] = []
-    for j, v2 in enumerate(axis2.values):
-        rhos = np.array([points[i][j].rho for i in range(len(axis1.values))])
-        crossing = None
-        for i in range(len(rhos) - 1):
-            lo, hi = rhos[i] - 0.5, rhos[i + 1] - 0.5
-            if lo == 0.0:
-                crossing = float(axis1.values[i])
-                break
-            if lo * hi < 0.0:
-                frac = lo / (lo - hi)
-                crossing = float(
-                    axis1.values[i] + frac * (axis1.values[i + 1] - axis1.values[i])
-                )
-                break
-        boundary.append((float(v2), crossing))
-    return boundary
+    rhos, features = zip(*sweep(_evaluate_point, tasks, jobs, progress))
+    n2 = len(axis2.values)
+    rows = [list(features[k:k + n2]) for k in range(0, len(features), n2)]
+    return PhaseDiagram(axis1, axis2, np.reshape(rhos, (-1, n2)), rows)
 
 
 @dataclass(frozen=True)
@@ -248,15 +241,24 @@ class NormScanRow:
 
 @dataclass
 class NormScanResult:
-    """Growth-rate fits and time-averaged norms over a (hbar, lambda) grid.
-
-    lambda_c maps each hbar to the first scanned lambda whose time-averaged
-    norm exceeds 1 + tolerance (None if none does).
-    """
+    """Growth-rate fits and time-averaged norms over a (hbar, lambda) grid."""
 
     rows: list[NormScanRow]
-    lambda_c: dict[float, float | None]
     tolerance: float
+
+    @property
+    def lambda_c(self) -> dict[float, float | None]:
+        """Each hbar, in row order, mapped to its threshold estimate.
+
+        The estimate is the lambda of the hbar's first row whose time-averaged
+        norm exceeds 1 + tolerance, or None if no row does; norm_scan's rows
+        ascend in lambda, so it is the smallest such scanned lambda.
+        """
+        limit = math.log1p(self.tolerance)
+        return {
+            h: next((r.lam for r in self.rows if r.hbar == h and r.log_mean_norm > limit), None)
+            for h in dict.fromkeys(r.hbar for r in self.rows)
+        }
 
 
 def _norm_point(config: SimConfig) -> tuple[NormGrowthFit, float]:
@@ -301,9 +303,7 @@ def norm_scan(
         NormScanRow(hbar, lam, fit, lmn)
         for (hbar, lam), (fit, lmn) in zip(grid, sweep(_norm_point, tasks))
     ]
-    crossings = [r for r in rows if r.log_mean_norm > math.log1p(tolerance)]
-    lambda_c = {h: next((r.lam for r in crossings if r.hbar == h), None) for h in hbars}
-    return NormScanResult(rows, lambda_c, tolerance)
+    return NormScanResult(rows, tolerance)
 
 
 def default_jobs() -> int:

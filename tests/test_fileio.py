@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +24,15 @@ from nqkr.fileio import (
     write_distribution_csv,
     write_fidelity_json,
     write_json,
+    write_norm_scan_csv,
     write_series_csv,
     write_spectrum_csv,
 )
-from nqkr.phases import NormScanResult, NormScanRow, PhaseDiagram, PhasePoint
+from nqkr.phases import NormScanResult, NormScanRow, PhaseDiagram
 from nqkr.spectrum import FidelityRecord, QuasiSpectrum
 from nqkr.lattice import MomentumLattice
+
+DATA = Path(__file__).parent / "data"
 
 
 def sample_series(n=20, seed=0):
@@ -124,7 +128,7 @@ class TestTableBytes:
 class TestJsonPayloads:
     def test_fit_dicts(self, tmp_path):
         fit = NormGrowthFit(0.3, -0.1, (500.0, 1000.0), 1.0)
-        result = NormScanResult([NormScanRow(2.89, 0.5, fit, 0.2)], {2.89: 0.5}, 0.05)
+        result = NormScanResult([NormScanRow(2.89, 0.5, fit, 0.2)], 0.05)
         path = tmp_path / "scan.json"
         write_json(path, norm_scan_dict(result))
         assert read_json(path)["rows"][0]["fit"] == {
@@ -152,40 +156,63 @@ class TestJsonPayloads:
 
 
 def sample_diagram():
-    feats = Features(0.001, 2.0, 0.8)
+    # the K=4 and K=6 columns cross rho = 0.5 between the two eta rows; K=2 never does
     axis1 = AxisSpec("eta", np.array([0.1, 0.5]))
     axis2 = AxisSpec("K", np.array([2.0, 4.0, 6.0]))
-    points = [
-        [PhasePoint((v1, v2), 0.1 * i + 0.2 * j, feats)
-         for j, v2 in enumerate(axis2.values)]
-        for i, v1 in enumerate(axis1.values)
+    rho = np.array([[0.0, 0.1 + 0.2, 0.25], [0.1, 0.9, 0.75]])
+    features = [
+        [Features(1e-3 * (3 * i + j), 1.0 + 0.5 * j, 0.8 - 0.1 * i) for j in range(3)]
+        for i in range(2)
     ]
-    return PhaseDiagram(axis1, axis2, points, [(2.0, 0.3), (4.0, None), (6.0, 0.25)])
+    return PhaseDiagram(axis1, axis2, rho, features)
+
+
+def sample_norm_scan():
+    # hbar 2.89 passes log(1.05) at lambda 0.2; hbar 0.5 never does
+    window = (250.0, 500.0)
+    return NormScanResult([
+        NormScanRow(2.89, 0.0, NormGrowthFit(0.001, -0.02, window, 0.5), 0.01),
+        NormScanRow(2.89, 0.2, NormGrowthFit(0.1 + 0.2, 1.5, window, 0.999), 0.3),
+        NormScanRow(0.5, 0.0, NormGrowthFit(-1e-5, 0.0, window, 0.0), -0.02),
+        NormScanRow(0.5, 0.2, NormGrowthFit(2e-4, 0.01, window, 0.25), 0.04),
+    ], 0.05)
 
 
 class TestDiagramFormats:
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "d.csv"
         write_diagram_csv(path, sample_diagram())
-        lines = path.read_text().splitlines()
-        assert lines[0] == "axis1,axis2,rho"
-        assert len(lines) == 1 + 6  # row-major complete grid
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.1 and float(first[1]) == 2.0
+        assert path.read_bytes() == (
+            b"axis1,axis2,rho\n0.1,2,0\n0.1,4,0.3\n0.1,6,0.25\n"
+            b"0.5,2,0.1\n0.5,4,0.9\n0.5,6,0.75\n"
+        )
 
     def test_json_bundle(self, tmp_path):
         path = tmp_path / "d.json"
         write_diagram_json(path, sample_diagram())
+        assert path.read_bytes() == (DATA / "sample-phase-diagram.json").read_bytes()
         data = json.loads(path.read_text())
-        assert data["axis1"]["name"] == "eta"
-        assert data["points"][1][2]["rho"] == pytest.approx(0.5)
-        assert data["points"][0][0]["features"]["doubling_ratio"] == 2.0
-        assert data["boundary"][1]["axis1_crossing"] is None
+        assert data["points"][1][2]["params"] == [0.5, 6.0]
+        assert data["boundary"][0]["axis1_crossing"] is None
+        assert data["boundary"][2]["axis1_crossing"] == pytest.approx(0.3)
 
     def test_gnuplot_matrix(self, tmp_path):
         path = tmp_path / "d.matrix"
         write_diagram_gnuplot(path, sample_diagram())
-        lines = path.read_text().splitlines()
-        assert lines[0].split() == ["3", "2", "4", "6"]
-        assert len(lines) == 3
-        assert lines[1].split()[0] == "0.1"
+        assert path.read_bytes() == b"3 2 4 6\n0.1 0 0.3 0.25\n0.5 0.1 0.9 0.75\n"
+
+
+class TestNormScanFormats:
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "n.csv"
+        write_norm_scan_csv(path, sample_norm_scan())
+        assert path.read_bytes() == (
+            b"hbar,lambda,mu,r_squared,log_mean_norm\n2.89,0,0.001,0.5,0.01\n"
+            b"2.89,0.2,0.3,0.999,0.3\n0.5,0,-1e-05,0,-0.02\n0.5,0.2,0.0002,0.25,0.04\n"
+        )
+
+    def test_json_bytes(self, tmp_path):
+        path = tmp_path / "n.json"
+        write_json(path, norm_scan_dict(sample_norm_scan()))
+        assert path.read_bytes() == (DATA / "sample-norm-scan.json").read_bytes()
+        assert read_json(path)["lambda_c"] == {"2.89": 0.2, "0.5": None}

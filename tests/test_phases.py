@@ -19,7 +19,7 @@ from nqkr import (
     record_series,
 )
 import nqkr.phases
-from nqkr.phases import _boundary_per_column, default_jobs, norm_scan, sweep
+from nqkr.phases import PhaseDiagram, default_jobs, norm_scan, sweep
 
 HBAR = 2.89
 
@@ -141,21 +141,18 @@ class TestPhaseDiagram:
             AxisSpec("K", np.array([1.0, 10.0])),
             tiny_config(m=2048, kicks=1000),
         )
-        rho = {
-            (pt.params[0], pt.params[1]): pt.rho
-            for row in diagram.points
-            for pt in row
-        }
-        assert rho[(0.1, 1.0)] < 0.5 < rho[(1.0, 10.0)]
+        # rho[i, j] sits at (eta[i], K[j])
+        assert diagram.rho[0, 0] < 0.5 < diagram.rho[1, 1]
 
     def test_parallel_matches_serial(self):
         axis1 = AxisSpec("lambda", np.array([0.0, 3.0]))
         axis2 = AxisSpec("K", np.array([4.0, 8.0]))
         serial = phase_diagram(axis1, axis2, tiny_config(m=1024), jobs=1)
         parallel = phase_diagram(axis1, axis2, tiny_config(m=1024), jobs=2)
-        for i in range(2):
-            for j in range(2):
-                assert serial.points[i][j].rho == parallel.points[i][j].rho
+        assert parallel.rho.shape == (2, 2)
+        np.testing.assert_array_equal(parallel.rho, serial.rho)
+        assert parallel.features == serial.features
+        assert parallel.boundary == serial.boundary
 
     def test_grid_and_kick_validation(self):
         one = AxisSpec("eta", np.array([0.5]))
@@ -179,21 +176,22 @@ class TestPhaseDiagram:
                           AxisSpec("lambda", np.array([2.0, 3.0])), tiny_config())
 
     def test_boundary_interpolation(self):
-        # hand-built rho columns: crossing between axis1=0.2 (rho 0.8) and
-        # 0.4 (rho 0.2) -> linear interpolation at 0.3
-        from nqkr.phases import PhasePoint
-
-        axis1 = AxisSpec("eta", np.array([0.2, 0.4]))
-        axis2 = AxisSpec("K", np.array([1.0, 2.0]))
-        feats = Features(0.0, 1.0, 1.0)
-        points = [
-            [PhasePoint((0.2, 1.0), 0.8, feats), PhasePoint((0.2, 2.0), 0.2, feats)],
-            [PhasePoint((0.4, 1.0), 0.2, feats), PhasePoint((0.4, 2.0), 0.1, feats)],
-        ]
-        boundary = _boundary_per_column(axis1, axis2, points)
-        assert boundary[0][0] == 1.0
+        # hand-built rho columns over eta = (0.2, 0.4, 0.6):
+        # K=1 falls from 0.8 to 0.2 -> linear interpolation at 0.3;
+        # K=2 never reaches 0.5; K=3 reaches it exactly at the last eta;
+        # K=4 reaches it exactly at the middle eta
+        axis1 = AxisSpec("eta", np.array([0.2, 0.4, 0.6]))
+        axis2 = AxisSpec("K", np.array([1.0, 2.0, 3.0, 4.0]))
+        rho = np.array([[0.8, 0.2, 0.2, 0.2],
+                        [0.2, 0.1, 0.4, 0.5],
+                        [0.1, 0.3, 0.5, 0.7]])
+        features = [[Features(0.0, 1.0, 1.0)] * 4 for _ in range(3)]
+        boundary = PhaseDiagram(axis1, axis2, rho, features).boundary
+        assert [v2 for v2, _ in boundary] == [1.0, 2.0, 3.0, 4.0]
         assert boundary[0][1] == pytest.approx(0.3)
-        assert boundary[1][1] is None  # never crosses 0.5
+        assert boundary[1][1] is None
+        assert boundary[2][1] == 0.6
+        assert boundary[3][1] == 0.4
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
