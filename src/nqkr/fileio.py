@@ -7,7 +7,7 @@ floats, so files parse back to within one unit in the last printed digit.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,22 +43,9 @@ def read_distribution_csv(path: str | Path) -> MomentumDistribution:
 
 
 def write_series_csv(path: str | Path, series: OtocSeries) -> None:
-    _write_table(
-        Path(path),
-        ["t", "c_exact", "c_approx", "log_norm", "mean_p", "mean_p2"],
-        [series.t, series.c_exact, series.c_approx, series.norm_log,
-         series.mean_p, series.mean_p2],
-    )
-
-
-def read_series_csv(path: str | Path) -> OtocSeries:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.size == 0:
-        data = data.reshape(0, 6)
-    return OtocSeries(
-        data[:, 0].astype(np.int64), data[:, 1], data[:, 2], data[:, 3],
-        data[:, 4], data[:, 5],
-    )
+    """One column per `OtocSeries` field, in field order, headed by its name."""
+    names = [field.name for field in fields(series)]
+    _write_table(Path(path), names, [getattr(series, name) for name in names])
 
 
 def write_spectrum_csv(path: str | Path, spec: QuasiSpectrum) -> None:

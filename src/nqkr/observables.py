@@ -21,7 +21,7 @@ last record equals the functions applied to its final state bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -50,22 +50,33 @@ class FitError(ValueError):
 
 @dataclass
 class OtocSeries:
-    """Per-kick records of the scrambling and norm observables."""
+    """Per-kick records of the scrambling and norm observables.
+
+    The fields, in order, are the columns of `otoc_series.csv`: the kick
+    time t (strictly increasing integers), the rescaled OTOC
+    c_exact = 1 - |<e^(-i*eps*p)>|^2, its small-shift form
+    c_approx = eps^2 * (<p^2> - <p>^2), log_norm = ln of the true squared
+    norm, and the normalized <p> and <p^2>.
+    """
 
     t: np.ndarray
     c_exact: np.ndarray
     c_approx: np.ndarray
-    norm_log: np.ndarray
+    log_norm: np.ndarray
     mean_p: np.ndarray
     mean_p2: np.ndarray
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=np.int64)
-        for name in ("c_exact", "c_approx", "norm_log", "mean_p", "mean_p2"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+        t = np.asarray(self.t)
+        non_integer = t[~(np.isfinite(t) & (t == np.round(t)))]
+        if non_integer.size:
+            raise ValueError(f"kick times must be integers, got {non_integer.tolist()}")
+        self.t = t.astype(np.int64)
+        for field in fields(self)[1:]:
+            arr = np.asarray(getattr(self, field.name), dtype=np.float64)
             if arr.shape != self.t.shape:
-                raise ValueError(f"{name} length does not match t")
-            setattr(self, name, arr)
+                raise ValueError(f"{field.name} length does not match t")
+            setattr(self, field.name, arr)
         if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
             raise ValueError("records must be strictly ordered in t")
 
@@ -173,8 +184,7 @@ def record_series(
             snapshots[t] = momentum_distribution(psi)
 
     final = evolve(config, observers=[observer])
-    cols = list(zip(*rows)) if rows else [[]] * 6
-    series = OtocSeries(*[np.asarray(c) for c in cols])
+    series = OtocSeries(*np.reshape(rows, (len(rows), len(fields(OtocSeries)))).T)
     return EvolutionRecord(series, final, snapshots)
 
 
@@ -304,9 +314,13 @@ def _late_points(
 
 
 def fit_norm_growth(series: OtocSeries) -> NormGrowthFit:
-    """Fit norm_log = mu*t + b over the second half of the run."""
-    t, norm_log, window = _late_points(series.t, series.norm_log, None, "norm-growth")
-    mu, intercept, r2 = _linear_fit(t, norm_log)
+    """Fit log_norm = mu*t + b over the second half of the run.
+
+    log_norm is ln of the true squared norm, so mu is the growth rate of
+    ln N^2 per kick.
+    """
+    t, log_norm, window = _late_points(series.t, series.log_norm, None, "norm-growth")
+    mu, intercept, r2 = _linear_fit(t, log_norm)
     return NormGrowthFit(mu, intercept, window, r2)
 
 
@@ -322,7 +336,7 @@ def log_mean_norm(series: OtocSeries) -> float:
     Above threshold the norm reaches e.g. e^4000, so the mean must never be
     formed by exponentiating the raw log-norms.
     """
-    logs = series.norm_log
+    logs = series.log_norm
     if len(logs) == 0:
         return 0.0
     peak = float(logs.max())

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nqkr import KickSchedule, MomentumLattice, SimConfig, WrapAroundWarning, spectrum_at
+from nqkr import (KickSchedule, MomentumLattice, OtocSeries, SimConfig, WrapAroundWarning,
+                  spectrum_at)
 from nqkr import _blas, cli, phases, propagator
 from nqkr.cli import main, parse_range, rerun_manifest
-from nqkr.fileio import read_series_csv
 
 
 @pytest.fixture
@@ -59,7 +59,8 @@ class TestEvolveCommand:
         )
         assert result.exit_code == 0, result.output
         run_dir = only_run_dir(tmp_path)
-        series = read_series_csv(run_dir / "otoc_series.csv")
+        data = np.loadtxt(run_dir / "otoc_series.csv", delimiter=",", skiprows=1, ndmin=2)
+        series = OtocSeries(*data.T)
         assert np.all(np.abs(series.c_exact) < 1e-15)
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["schema"] == "nqkr.run-manifest/1"

@@ -69,4 +69,4 @@ def test_frozen_run_matches_the_reference_over_ten_kicks():
     c_exact, mean_p2, log_norm = reference_series(10.0, 2.0, 2.89, 1024, 10)
     assert np.all(np.abs(series.c_exact - c_exact) <= 1e-13 * np.abs(c_exact))
     assert np.all(np.abs(series.mean_p2 - mean_p2) <= 1e-13 * np.abs(mean_p2))
-    assert np.all(np.abs(series.norm_log - log_norm) <= 1e-12)
+    assert np.all(np.abs(series.log_norm - log_norm) <= 1e-12)

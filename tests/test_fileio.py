@@ -17,7 +17,6 @@ from nqkr.fileio import (
     norm_scan_dict,
     read_distribution_csv,
     read_json,
-    read_series_csv,
     write_diagram_csv,
     write_diagram_gnuplot,
     write_diagram_json,
@@ -69,9 +68,9 @@ class TestCsvRoundTrips:
         write_series_csv(path, series)
         header = path.read_text().splitlines()[0]
         assert header == "t,c_exact,c_approx,log_norm,mean_p,mean_p2"
-        back = read_series_csv(path)
+        back = OtocSeries(*np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T)
         assert np.array_equal(back.t, series.t)
-        for name in ("c_exact", "c_approx", "norm_log", "mean_p", "mean_p2"):
+        for name in ("c_exact", "c_approx", "log_norm", "mean_p", "mean_p2"):
             assert np.allclose(
                 getattr(back, name), getattr(series, name), rtol=1e-14, atol=1e-300
             )
@@ -99,6 +98,36 @@ def row_loop_table(path, header, columns):
         fh.write(",".join(header) + "\n")
         for i in range(rows):
             fh.write(",".join(_fmt(float(col[i])) for col in columns) + "\n")
+
+
+class TestWriterBytes:
+    """The exact bytes each writer gives on a small input."""
+
+    def test_series(self, tmp_path):
+        write_series_csv(tmp_path / "series.csv", sample_series(n=4))
+        assert (tmp_path / "series.csv").read_bytes() == (
+            b"t,c_exact,c_approx,log_norm,mean_p,mean_p2\n"
+            b"1,1.25730221093393e-10,5.35669373161111e-10,-0.703735235806993,"
+            b"-2.32503077463883,54.425898285731\n"
+            b"2,1.32104863291302e-10,3.61595054909485e-10,-1.26542147104605,"
+            b"-0.218791663932546,31.6300156369155\n"
+            b"3,6.40422650443282e-10,1.30400004513014e-09,-0.623274462537352,"
+            b"-1.24591094725307,41.1630536374133\n"
+            b"4,1.0490011715304e-10,9.47080963129242e-10,0.0413259793472436,"
+            b"-0.732267354703452,104.251336944268\n"
+        )
+
+    def test_zero_kick_series_is_the_header_line(self, tmp_path):
+        z = np.array([])
+        write_series_csv(tmp_path / "series.csv", OtocSeries(z, z, z, z, z, z))
+        assert (tmp_path / "series.csv").read_bytes() == (
+            b"t,c_exact,c_approx,log_norm,mean_p,mean_p2\n")
+
+    def test_distribution(self, tmp_path):
+        dist = MomentumDistribution(np.arange(-2, 2) * 2.89, np.array([1e-300, 1 / 3, 0.5, 1 / 6]))
+        write_distribution_csv(tmp_path / "dist.csv", dist)
+        assert (tmp_path / "dist.csv").read_bytes() == (
+            b"p,prob\n-5.78,1e-300\n-2.89,0.333333333333333\n0,0.5\n2.89,0.166666666666667\n")
 
 
 class TestTableBytes:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -37,12 +38,12 @@ def make_state(amps, hbar=HBAR, log_norm=0.0):
     return WaveFunction(MomentumLattice(len(amps), hbar), amps, log_norm)
 
 
-def synthetic_series(t, c, norm_log=None):
+def synthetic_series(t, c, log_norm=None):
     t = np.asarray(t)
     z = np.zeros_like(t, dtype=float)
     return OtocSeries(
         t, np.asarray(c, dtype=float), np.asarray(c, dtype=float),
-        z if norm_log is None else np.asarray(norm_log, dtype=float), z, z,
+        z if log_norm is None else np.asarray(log_norm, dtype=float), z, z,
     )
 
 
@@ -319,7 +320,7 @@ class TestDefaultWindow:
 class TestNormGrowthFit:
     def test_exact_linear_input(self):
         t = np.arange(1, 101)
-        series = synthetic_series(t, np.zeros(100), norm_log=0.3 * t)
+        series = synthetic_series(t, np.zeros(100), log_norm=0.3 * t)
         fit = fit_norm_growth(series)
         assert fit.mu == pytest.approx(0.3, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -363,13 +364,13 @@ class TestLogMeanNorm:
     def test_matches_logsumexp(self):
         t = np.arange(1, 51)
         logs = 0.17 * t
-        series = synthetic_series(t, np.zeros(50), norm_log=logs)
+        series = synthetic_series(t, np.zeros(50), log_norm=logs)
         expected = logsumexp(logs) - np.log(50)
         assert log_mean_norm(series) == pytest.approx(expected, rel=1e-13)
 
     def test_survives_huge_exponents(self):
         t = np.arange(1, 11)
-        series = synthetic_series(t, np.zeros(10), norm_log=400.0 * t)
+        series = synthetic_series(t, np.zeros(10), log_norm=400.0 * t)
         assert log_mean_norm(series) == pytest.approx(
             logsumexp(400.0 * t) - np.log(10), rel=1e-13
         )
@@ -391,6 +392,25 @@ class TestNormScan:
         )
         result = norm_scan(base, lambdas=[0.0], hbars=[HBAR])
         assert result.lambda_c[HBAR] is None
+
+
+SERIES_FIELDS = [field.name for field in dataclasses.fields(OtocSeries)]
+
+
+class TestSeriesValidation:
+    @pytest.mark.parametrize("t,named", [([1.5, 2.7], "[1.5, 2.7]"), ([1.0, np.nan], "[nan]"),
+                                         ([np.inf, 2.0], "[inf]")])
+    def test_non_integer_kick_times_refused(self, t, named):
+        z = np.zeros(2)
+        with pytest.raises(ValueError, match=re.escape(f"kick times must be integers, got {named}")):
+            OtocSeries(np.array(t), z, z, z, z, z)
+
+    @pytest.mark.parametrize("name", SERIES_FIELDS[1:])
+    def test_length_mismatch_names_its_field(self, name):
+        columns = {field: np.zeros(3) for field in SERIES_FIELDS}
+        columns[name] = np.zeros(2)
+        with pytest.raises(ValueError, match=f"^{name} length does not match t$"):
+            OtocSeries(**columns)
 
 
 class TestSeriesRecording:
@@ -423,9 +443,10 @@ class TestSeriesRecording:
         assert series.mean_p[-1] == expectation_p(final)
         assert series.mean_p2[-1] == expectation_p2(final)
 
-    def test_strict_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            synthetic_series([1, 3, 2], [0.0, 0.0, 0.0])
+    @pytest.mark.parametrize("t", [[1, 3, 2], [1, 2, 2], [3, 2, 1]])
+    def test_strict_ordering_enforced(self, t):
+        with pytest.raises(ValueError, match="^records must be strictly ordered in t$"):
+            synthetic_series(t, [0.0, 0.0, 0.0])
 
     def test_zero_kicks_gives_empty_series(self):
         cfg = SimConfig(
@@ -433,6 +454,9 @@ class TestSeriesRecording:
         )
         record = record_series(cfg)
         assert len(record.series) == 0
+        assert record.series.t.dtype == np.int64
+        for name in SERIES_FIELDS:
+            assert getattr(record.series, name).shape == (0,), name
 
     # before the first kick, after the last, and one of two times outside
     @pytest.mark.parametrize("times,kicks", [((0,), 1), ((2,), 1), ((1, 2), 1), ((5,), 4)])

@@ -275,7 +275,7 @@ class TestEvolutionAgainstDirectKick:
         for name in ("c_exact", "mean_p2"):
             new, ref = getattr(series, name), getattr(reference, name)
             assert np.all(np.abs(new - ref) <= 1e-12 * np.abs(ref)), name
-        assert np.max(np.abs(series.norm_log - reference.norm_log)) <= 1e-11
+        assert np.max(np.abs(series.log_norm - reference.log_norm)) <= 1e-11
 
 
 class TestApplyFree:
