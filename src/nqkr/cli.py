@@ -82,7 +82,11 @@ MANIFEST_SCHEMA = "nqkr.run-manifest/1"
 
 
 def parse_range(text: str) -> list[float]:
-    """Inclusive start:stop:count grid, e.g. '0:5:11' -> 0, 0.5, ..., 5."""
+    """Inclusive start:stop:count grid, e.g. '0:5:11' -> 0, 0.5, ..., 5.
+
+    A one-point grid must have start == stop: '2:2:1' -> 2, while '0:5:1'
+    is refused rather than cut to its start.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise click.BadParameter(f"expected start:stop:count, got {text!r}")
@@ -92,6 +96,8 @@ def parse_range(text: str) -> list[float]:
         raise click.BadParameter(f"cannot parse range {text!r}: {exc}") from exc
     if count < 1:
         raise click.BadParameter("range count must be >= 1")
+    if count == 1 and start != stop:
+        raise click.BadParameter(f"a one-point range must start where it stops, got {text!r}")
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
@@ -371,6 +377,17 @@ def _otoc_physics_options(fn):
                         help="OTOC translation parameter.")(_common_physics_options(fn))
 
 
+# the options several commands take, each declared once
+_k_option = click.option("--K", "K", type=float, required=True, help="Real kick strength.")
+_lambda_option = click.option("--lambda", "lam", type=float, required=True,
+                              help="Imaginary kick strength.")
+_kicks_option = click.option("--kicks", type=int, required=True, help="Number of kicks.")
+_lattice_option = click.option("--lattice", default=LATTICE_DEFAULT, show_default=True,
+                               help="Momentum lattice size (even).")
+_outdir_option = click.option("--outdir", default="runs", show_default=True,
+                              help="Parent directory for run output.")
+
+
 def _given(name: str) -> bool:
     """Whether the current command's parameter `name` was set rather than left at its default."""
     source = click.get_current_context().get_parameter_source(name)
@@ -384,16 +401,13 @@ def main():
 
 
 @main.command()
-@click.option("--K", "K", type=float, required=True, help="Real kick strength.")
-@click.option("--lambda", "lam", type=float, required=True,
-              help="Imaginary kick strength.")
-@click.option("--kicks", type=int, required=True, help="Number of kicks.")
-@click.option("--lattice", default=LATTICE_DEFAULT, show_default=True,
-              help="Momentum lattice size (even).")
+@_k_option
+@_lambda_option
+@_kicks_option
+@_lattice_option
 @click.option("--snapshot-times", default="", help="Comma-separated kick times "
               "at which to write momentum distributions.")
-@click.option("--outdir", default="runs", show_default=True,
-              help="Parent directory for run output.")
+@_outdir_option
 @_otoc_physics_options
 def evolve(outdir, **kwargs):
     """Evolve the rotor and write the OTOC time series."""
@@ -414,14 +428,14 @@ def _guarded(runner, *args, **kwargs):
 
 
 @main.command()
-@click.option("--K", "K", type=float, required=True)
-@click.option("--lambda", "lam", type=float, required=True)
+@_k_option
+@_lambda_option
 @click.option("--t", "t", type=int, required=True, help="Kick time of the operator.")
 @click.option("--dim", default=SPECTRUM_DIM_DEFAULT, show_default=True,
               help=f"Floquet matrix dimension (even, <= {SPECTRUM_DIM_BUDGET}).")
 @click.option("--with-fidelity", is_flag=True,
               help="Also evolve to t and record fidelities against eigenstates.")
-@click.option("--outdir", default="runs", show_default=True)
+@_outdir_option
 @_common_physics_options
 def spectrum(outdir, **kwargs):
     """Quasienergy spectrum of the instantaneous Floquet operator U(t)."""
@@ -436,12 +450,12 @@ def spectrum(outdir, **kwargs):
               help="lambda grid as start:stop:count (lambda-K plane).")
 @click.option("--k-range", default="1:10:10", show_default=True,
               help="K grid as start:stop:count.")
-@click.option("--kicks", type=int, required=True)
+@_kicks_option
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="Worker count [default: NQKR_JOBS or CPU count].")
-@click.option("--lattice", default=LATTICE_DEFAULT, show_default=True)
+@_lattice_option
 @click.option("--gnuplot", is_flag=True, help="Also emit a gnuplot matrix file.")
-@click.option("--outdir", default="runs", show_default=True)
+@_outdir_option
 @_otoc_physics_options
 def phase_diagram_cmd(outdir, plane, eta_range, lambda_range, k_range, jobs, **kwargs):
     """Sweep a 2-D parameter plane and classify each point."""
@@ -463,16 +477,16 @@ def phase_diagram_cmd(outdir, plane, eta_range, lambda_range, k_range, jobs, **k
 
 
 @main.command("norm-scan")
-@click.option("--K", "K", type=float, required=True)
+@_k_option
 @click.option("--lambda-list", default="", help="Comma-separated lambda values.")
 @click.option("--lambda-range", default="", help="lambda grid start:stop:count.")
 @click.option("--hbar-list", default="", help="Comma-separated hbar values "
               "[default: the --hbar value].")
-@click.option("--kicks", type=int, required=True)
+@_kicks_option
 @click.option("--tolerance", default=LAMBDA_C_TOLERANCE, show_default=True,
               help="lambda_c reports the first lambda with mean norm > 1+tolerance.")
-@click.option("--lattice", default=LATTICE_DEFAULT, show_default=True)
-@click.option("--outdir", default="runs", show_default=True)
+@_lattice_option
+@_outdir_option
 @_common_physics_options
 def norm_scan_cmd(outdir, lambda_list, lambda_range, hbar_list, **kwargs):
     """Norm-growth fits over a lambda ladder, with a threshold estimate."""
@@ -493,7 +507,7 @@ def norm_scan_cmd(outdir, lambda_list, lambda_range, hbar_list, **kwargs):
 
 @main.command()
 @click.argument("figure_id", type=click.Choice(list(FIGURE_IDS)))
-@click.option("--outdir", default="runs", show_default=True)
+@_outdir_option
 def reproduce(figure_id, outdir):
     """Re-run a canned figure recipe and print pass/fail per threshold."""
     _guarded(run_reproduce, {"figure_id": figure_id}, outdir)
@@ -501,7 +515,7 @@ def reproduce(figure_id, outdir):
 
 @main.command()
 @click.argument("manifest_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--outdir", default="runs", show_default=True)
+@_outdir_option
 def rerun(manifest_path, outdir):
     """Re-execute a run exactly from its manifest."""
     _guarded(rerun_manifest, manifest_path, outdir)

@@ -16,15 +16,23 @@ The diffusion-law fits use the early window t in [1, 75]: that window lies
 inside the normal-diffusion epoch for every K scanned here, whereas by the
 second half of a 1000-kick run the smaller K have already dynamically
 localized and their late-time slope measures saturation instead. fig1a and
-fig1d compare against one law, `_diffusion_rate`. Each recipe states its
-parameter ladder once, and its plot script loops over the values it ran.
+fig1d compare against one law, `_diffusion_rate`.
+
+fig1a, fig1b, fig2a, fig2b and fig3a are parameter ladders and run on one
+runner, `_run_ladder`. Each gives its ladder, a value -> config function, one
+file name such as 'otoc_lam{lam:g}.csv', its draw lines and its checks. The
+runner writes each run's OTOC series, or its momentum profile at the last
+kick, under that name with the value filled in, and the plot script loops
+over the values it ran, reading each file through the same name. So every
+data file is named once, for its writer and its plot script alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from string import Formatter
+from typing import Callable, Collection
 
 import numpy as np
 
@@ -96,41 +104,67 @@ def _emit_plot_script(path: Path, body: str) -> None:
     path.write_text(script, encoding="utf-8")
 
 
+def _run_ladder(outdir: Path, figure: str, name: str, values: Collection[float],
+                config_of: Callable[[float], SimConfig], plot: str,
+                profile: bool = False) -> dict:
+    """Run config_of(v) for each ladder value v; write each run's file and the plot script.
+
+    name's one field is the ladder variable: each run's OTOC series, or with
+    profile its momentum profile at its last kick, is written to name with
+    v filled in. plot_<figure>.py loops that variable over the values and
+    loads each file into d from the same name, so a file and the name its
+    plot reads cannot differ; plot follows, its first line the loop body.
+    Returns the series or profiles keyed by value.
+    """
+    var = next(field for _, field, _, _ in Formatter().parse(name) if field)
+    write = write_distribution_csv if profile else write_series_csv
+    runs = {}
+    for v in values:
+        config = config_of(v)
+        t = config.kick_count
+        record = record_series(config, snapshot_times=(t,) if profile else ())
+        runs[v] = record.snapshots[t] if profile else record.series
+        write(outdir / name.format(**{var: v}), runs[v])
+    _emit_plot_script(
+        outdir / f"plot_{figure}.py",
+        f"for {var} in {_ladder(values)}:\n"
+        f"    d = np.loadtxt(f{name!r}, delimiter=',', skiprows=1)\n" + plot,
+    )
+    return runs
+
+
 def recipe_fig1a(outdir: Path) -> list[Check]:
     """OTOC growth curves across kick strengths in the Hermitian case."""
-    series_by_k = {}
-    for K in (1, 4, 5, 7, 10):
-        series_by_k[K] = record_series(base_config(K, 0.0, 1000)).series
-        write_series_csv(outdir / f"otoc_K{K}.csv", series_by_k[K])
-    d10, theory = scrambling_rate(series_by_k[10], DIFFUSION_WINDOW), _diffusion_rate(10)
-    checks = [
+    theory = _diffusion_rate(10)
+    series = _run_ladder(
+        outdir, "fig1a", "otoc_K{K}.csv", (1, 4, 5, 7, 10), lambda K: base_config(K, 0.0, 1000),
+        "    plt.plot(d[:, 0], d[:, 1], label=f'K={K}')\n"
+        "t = np.arange(1, 1001)\n"
+        f"plt.plot(t, {theory!r} * t, 'r--', label='(eps K)^2 t / 2')\n"
+        "plt.xlabel('t'); plt.ylabel('C(t)'); plt.legend(); plt.loglog()\n",
+    )
+    d10 = scrambling_rate(series[10], DIFFUSION_WINDOW)
+    return [
         Check(
             "K=10 scrambling rate within 30% of (eps*K)^2/2",
             _within(d10, theory, 0.30),
             f"D={d10:.3e}, theory={theory:.3e}",
         )
     ]
-    _emit_plot_script(
-        outdir / "plot_fig1a.py",
-        f"for K in {_ladder(series_by_k)}:\n"
-        "    d = np.loadtxt(f'otoc_K{K}.csv', delimiter=',', skiprows=1)\n"
-        "    plt.plot(d[:, 0], d[:, 1], label=f'K={K}')\n"
-        "t = np.arange(1, 1001)\n"
-        f"plt.plot(t, {theory!r} * t, 'r--', label='(eps K)^2 t / 2')\n"
-        "plt.xlabel('t'); plt.ylabel('C(t)'); plt.legend(); plt.loglog()\n",
-    )
-    return checks
 
 
 def recipe_fig1b(outdir: Path) -> list[Check]:
     """Momentum profiles at t=1000: localized (K=4) vs diffusive (K=10)."""
-    checks = []
     expected = {4: "exponential", 10: "gaussian"}
+    profiles = _run_ladder(
+        outdir, "fig1b", "profile_K{K}_t1000.csv", expected, lambda K: base_config(K, 0.0, 1000),
+        "    plt.semilogy(d[:, 0], d[:, 1], '.', ms=2, label=f'K={K}')\n"
+        "plt.xlabel('p'); plt.ylabel('|psi(p)|^2'); plt.legend()\n",
+        profile=True,
+    )
+    checks = []
     for K, expect in expected.items():
-        record = record_series(base_config(K, 0.0, 1000), snapshot_times=(1000,))
-        dist = record.snapshots[1000]
-        write_distribution_csv(outdir / f"profile_K{K}_t1000.csv", dist)
-        exp_fit, gauss_fit, winner = compare_profiles(dist)
+        exp_fit, gauss_fit, winner = compare_profiles(profiles[K])
         checks.append(
             Check(
                 f"K={K} profile best fit is {expect}",
@@ -138,13 +172,6 @@ def recipe_fig1b(outdir: Path) -> list[Check]:
                 f"r2_exp={exp_fit.r_squared:.4f}, r2_gauss={gauss_fit.r_squared:.4f}",
             )
         )
-    _emit_plot_script(
-        outdir / "plot_fig1b.py",
-        f"for K in {_ladder(expected)}:\n"
-        "    d = np.loadtxt(f'profile_K{K}_t1000.csv', delimiter=',', skiprows=1)\n"
-        "    plt.semilogy(d[:, 0], d[:, 1], '.', ms=2, label=f'K={K}')\n"
-        "plt.xlabel('p'); plt.ylabel('|psi(p)|^2'); plt.legend()\n",
-    )
     return checks
 
 
@@ -177,45 +204,40 @@ def recipe_fig1d(outdir: Path) -> list[Check]:
 
 def recipe_fig2a(outdir: Path) -> list[Check]:
     """OTOC curves versus non-Hermiticity: growth shuts down at large lambda."""
-    checks = []
-    ratios = {}
-    for lam in (0.0, 1.5, 2.0, 5.0):
-        series = record_series(base_config(10, lam, 1000)).series
-        write_series_csv(outdir / f"otoc_lam{lam:g}.csv", series)
-        ratios[lam] = extract_features(series).doubling_ratio
-    checks.append(
+    series = _run_ladder(
+        outdir, "fig2a", "otoc_lam{lam:g}.csv", (0.0, 1.5, 2.0, 5.0),
+        lambda lam: base_config(10, lam, 1000),
+        "    plt.plot(d[:, 0], d[:, 1], label=f'lambda={lam}')\n"
+        "plt.xlabel('t'); plt.ylabel('C(t)'); plt.legend(); plt.loglog()\n",
+    )
+    ratios = {lam: extract_features(s).doubling_ratio for lam, s in series.items()}
+    return [
         Check(
             "lambda=0 series keeps growing (doubling ratio > 1.8)",
             ratios[0.0] > 1.8,
             f"R={ratios[0.0]:.3f}",
-        )
-    )
-    checks.append(
+        ),
         Check(
             "lambda=5 series saturates (doubling ratio < 1.2)",
             ratios[5.0] < 1.2,
             f"R={ratios[5.0]:.3f}",
-        )
-    )
-    _emit_plot_script(
-        outdir / "plot_fig2a.py",
-        f"for lam in {_ladder(ratios)}:\n"
-        "    d = np.loadtxt(f'otoc_lam{lam:g}.csv', delimiter=',', skiprows=1)\n"
-        "    plt.plot(d[:, 0], d[:, 1], label=f'lambda={lam}')\n"
-        "plt.xlabel('t'); plt.ylabel('C(t)'); plt.legend(); plt.loglog()\n",
-    )
-    return checks
+        ),
+    ]
 
 
 def recipe_fig2b(outdir: Path) -> list[Check]:
     """Exponential localization lengths in the frozen phase."""
-    checks = []
     targets = {2.0: 14.0, 5.0: 4.5}
+    profiles = _run_ladder(
+        outdir, "fig2b", "profile_lam{lam:g}_t1000.csv", targets,
+        lambda lam: base_config(10, lam, 1000),
+        "    plt.semilogy(d[:, 0], d[:, 1], '.', ms=2, label=f'lambda={lam}')\n"
+        "plt.xlabel('p'); plt.ylabel('|psi(p)|^2'); plt.legend()\n",
+        profile=True,
+    )
+    checks = []
     for lam, target in targets.items():
-        record = record_series(base_config(10, lam, 1000), snapshot_times=(1000,))
-        dist = record.snapshots[1000]
-        write_distribution_csv(outdir / f"profile_lam{lam:g}_t1000.csv", dist)
-        fit = fit_exponential_profile(dist)
+        fit = fit_exponential_profile(profiles[lam])
         checks.append(
             Check(
                 f"xi(lambda={lam:g}) within 30% of {target}",
@@ -223,13 +245,6 @@ def recipe_fig2b(outdir: Path) -> list[Check]:
                 f"xi={fit.xi_or_sigma:.2f}, r2={fit.r_squared:.4f}",
             )
         )
-    _emit_plot_script(
-        outdir / "plot_fig2b.py",
-        f"for lam in {_ladder(targets)}:\n"
-        "    d = np.loadtxt(f'profile_lam{lam:g}_t1000.csv', delimiter=',', skiprows=1)\n"
-        "    plt.semilogy(d[:, 0], d[:, 1], '.', ms=2, label=f'lambda={lam}')\n"
-        "plt.xlabel('p'); plt.ylabel('|psi(p)|^2'); plt.legend()\n",
-    )
     return checks
 
 
@@ -241,43 +256,32 @@ def recipe_fig3a(outdir: Path) -> list[Check]:
     nonzero lambda, so expect it to read FAIL while the monotonicity and
     linearity of the growing branch hold.
     """
-    checks = []
-    mus = {}
-    for lam in (0.0, 0.3, 0.5, 1.0, 1.5, 2.0):
-        series = record_series(base_config(10, lam, 1000)).series
-        write_series_csv(outdir / f"norm_lam{lam:g}.csv", series)
-        mus[lam] = fit_norm_growth(series).mu
+    series = _run_ladder(
+        outdir, "fig3a", "norm_lam{lam:g}.csv", (0.0, 0.3, 0.5, 1.0, 1.5, 2.0),
+        lambda lam: base_config(10, lam, 1000),
+        "    plt.semilogy(d[:, 0], np.exp(d[:, 3]), label=f'lambda={lam}')\n"
+        "plt.xlabel('t'); plt.ylabel('N(t)'); plt.legend()\n",
+    )
+    mus = {lam: fit_norm_growth(s).mu for lam, s in series.items()}
     _write_table(
         outdir / "mu_vs_lambda.csv", ["lambda", "mu"], list(zip(*sorted(mus.items())))
     )
-    checks.append(
+    growing = [mus[lam] for lam in (1.0, 1.5, 2.0)]
+    r2 = _linear_fit(np.array([1.0, 1.5, 2.0]), np.array(growing))[2]
+    return [
         Check(
             "mu < 1e-4 for lambda <= 0.5",
             all(mus[lam] < 1e-4 for lam in (0.0, 0.3, 0.5)),
             f"mu(0)={mus[0.0]:.2e}, mu(0.3)={mus[0.3]:.2e}, mu(0.5)={mus[0.5]:.2e}",
-        )
-    )
-    growing = [mus[lam] for lam in (1.0, 1.5, 2.0)]
-    checks.append(
+        ),
         Check(
             "mu strictly increasing over lambda in {1, 1.5, 2}",
             growing[0] < growing[1] < growing[2],
             f"mu={growing}",
-        )
-    )
-    r2 = _linear_fit(np.array([1.0, 1.5, 2.0]), np.array(growing))[2]
-    checks.append(
+        ),
         Check("mu vs lambda linear on the growing branch (r^2 > 0.9)",
-              r2 > 0.9, f"r2={r2:.4f}")
-    )
-    _emit_plot_script(
-        outdir / "plot_fig3a.py",
-        f"for lam in {_ladder(mus)}:\n"
-        "    d = np.loadtxt(f'norm_lam{lam:g}.csv', delimiter=',', skiprows=1)\n"
-        "    plt.semilogy(d[:, 0], np.exp(d[:, 3]), label=f'lambda={lam}')\n"
-        "plt.xlabel('t'); plt.ylabel('N(t)'); plt.legend()\n",
-    )
-    return checks
+              r2 > 0.9, f"r2={r2:.4f}"),
+    ]
 
 
 def recipe_fig3c(outdir: Path) -> list[Check]:
@@ -335,7 +339,8 @@ def recipe_fig4(outdir: Path) -> list[Check]:
         outdir / "plot_fig4.py",
         "import json\n"
         "fig, (ax_a, ax_b) = plt.subplots(1, 2, figsize=(10, 4))\n"
-        "rec = json.load(open('fidelity.json'))\n"
+        "with open('fidelity.json') as fh:\n"
+        "    rec = json.load(fh)\n"
         "eps = [o['eps_i'] for o in rec['overlaps']]\n"
         "f = [o['fidelity'] for o in rec['overlaps']]\n"
         "ax_a.plot(eps, f, '.', ms=3)\n"

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,11 +44,23 @@ class TestParseRange:
         vals = parse_range("0:5:11")
         assert vals[0] == 0.0 and vals[-1] == 5.0 and len(vals) == 11
 
-    def test_bad_syntax_rejected(self):
+    def test_one_point_range(self):
+        assert parse_range("2:2:1") == [2.0]
+
+    BAD_RANGES = {
+        "0-5-11": "expected start:stop:count, got '0-5-11'",
+        "a:0.15:2": "cannot parse range 'a:0.15:2'",
+        "0:5:0": "range count must be >= 1",
+        # one point cannot reach the stop, which would be dropped
+        "0:0.15:1": "a one-point range must start where it stops, got '0:0.15:1'",
+    }
+
+    @pytest.mark.parametrize("text", BAD_RANGES)
+    def test_bad_syntax_rejected(self, text):
         import click
 
-        with pytest.raises(click.BadParameter):
-            parse_range("0-5-11")
+        with pytest.raises(click.BadParameter, match=re.escape(self.BAD_RANGES[text])):
+            parse_range(text)
 
 
 class TestEvolveCommand:
@@ -836,6 +849,9 @@ INVALID_INPUTS = [
       "--kicks", "20", "--lattice", "64"], "lambda values repeat: 0.0, 0.0"),
     (["norm-scan", "--K", "3", "--lambda-list", "0,0.2", "--hbar-list", "2.89,2.89",
       "--kicks", "20", "--lattice", "64"], "hbar values repeat: 2.89, 2.89"),
+    # a one-point range would scan only its start
+    (["norm-scan", "--K", "10", "--lambda-range", "0:0.15:1", "--kicks", "20",
+      "--lattice", "64"], "a one-point range must start where it stops, got '0:0.15:1'"),
 ]
 
 
@@ -906,6 +922,18 @@ def test_residual_overflow_exits_1_without_run_dir(runner, tmp_path):
 
 def test_every_command_is_rerunnable():
     assert set(main.commands) - {"rerun"} == set(cli._COMMANDS)
+
+
+def test_shared_options_read_and_describe_the_same_everywhere():
+    """--K, --lambda, --kicks, --lattice and --outdir: one help, type and default per option."""
+    seen = {}
+    for command in main.commands.values():
+        for param in command.params:
+            if param.name in ("K", "lam", "kicks", "lattice", "outdir"):
+                info = param.to_info_dict()
+                assert info["help"], (command.name, param.name)
+                assert seen.setdefault(param.name, info) == info, (command.name, param.name)
+    assert len(seen) == 5
 
 
 class TestReproduceCommand:

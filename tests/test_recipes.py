@@ -73,11 +73,13 @@ def assert_plot_reads_run_files(script, monkeypatch):
     monkeypatch.setitem(sys.modules, "matplotlib", mock.MagicMock(pyplot=plt))
     monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
     monkeypatch.chdir(script.parent)
-    with warnings.catch_warnings():
-        # np.loadtxt warns on a file with no rows; an overflowing exp is a
-        # RuntimeWarning, which every test already fails on
-        warnings.simplefilter("error", UserWarning)
+    unraisable = []
+    with warnings.catch_warnings(), mock.patch.object(sys, "unraisablehook", unraisable.append):
+        # every warning is an error, np.loadtxt's on a file with no rows say;
+        # one raised in a finalizer, as an unclosed file's is, reaches the hook
+        warnings.simplefilter("error")
         runpy.run_path(str(script), run_name="__main__")
+    assert not unraisable, unraisable[0].exc_value
     plt.savefig.assert_called_once_with(str(script.with_suffix(".png")), dpi=200)
 
 
@@ -102,11 +104,25 @@ def test_fig1b_recipe_products(tmp_path):
 KNOWN_FAILURES = {"fig3a": {"mu < 1e-4 for lambda <= 0.5"}}
 
 
-@pytest.mark.parametrize("figure_id", ["fig1a", "fig1b", "fig1d", "fig2a", "fig2b", "fig3a"])
+# the data files each series or profile recipe writes, next to its plot script
+SERIES_RECIPE_FILES = {
+    "fig1a": ["otoc_K1.csv", "otoc_K4.csv", "otoc_K5.csv", "otoc_K7.csv", "otoc_K10.csv"],
+    "fig1b": ["profile_K4_t1000.csv", "profile_K10_t1000.csv"],
+    "fig1d": ["d_vs_k.csv"],
+    "fig2a": ["otoc_lam0.csv", "otoc_lam1.5.csv", "otoc_lam2.csv", "otoc_lam5.csv"],
+    "fig2b": ["profile_lam2_t1000.csv", "profile_lam5_t1000.csv"],
+    "fig3a": ["norm_lam0.csv", "norm_lam0.3.csv", "norm_lam0.5.csv", "norm_lam1.csv",
+              "norm_lam1.5.csv", "norm_lam2.csv", "mu_vs_lambda.csv"],
+}
+
+
+@pytest.mark.parametrize("figure_id", SERIES_RECIPE_FILES)
 def test_series_recipe_checks_and_plot_script(monkeypatch, tmp_path, figure_id):
     checks = run_recipe(figure_id, tmp_path)
     assert checks
     assert {c.name for c in checks if not c.passed} == KNOWN_FAILURES.get(figure_id, set())
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [*SERIES_RECIPE_FILES[figure_id], f"plot_{figure_id}.py"])
     assert_plot_reads_run_files(tmp_path / f"plot_{figure_id}.py", monkeypatch)
 
 

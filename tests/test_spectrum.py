@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -118,11 +119,14 @@ class TestQuasiSpectrum:
         assert np.max(np.abs(lead_vals.imag)) < 1e-12
         assert np.all(lead_vals.real > 0)
 
-    def test_nonfinite_matrix_rejected(self):
-        bad = np.eye(4, dtype=complex)
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            quasi_spectrum(bad)
+    @pytest.mark.parametrize("matrix,lattice,message", [
+        (np.diag([np.nan, 1, 1, 1]), None, "matrix has non-finite entries"),
+        (np.ones((4, 3)), None, "matrix must be square, got (4, 3)"),
+        (np.eye(4), MomentumLattice(8, 1.0), "lattice size does not match matrix dimension"),
+    ], ids=["nonfinite", "non-square", "lattice-size"])
+    def test_nonfinite_matrix_rejected(self, matrix, lattice, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            quasi_spectrum(matrix, lattice=lattice)
 
 
 class TestMeanAbsImag:
