@@ -5,22 +5,23 @@ the data files plus a schema-versioned manifest.json, whose format lives
 here (`_run`), from which `nqkr rerun` re-executes the run exactly, printing
 what its command printed: reproduce's verdict lines and phase-diagram's
 progress lines come from their runners, not from the click commands. The
-manifest's `params` hold exactly the keys its command reads; `_COMMANDS`
-declares them, with their JSON types, once per command, and `nqkr rerun`
-checks a manifest against it key by key. The manifest's `config` is null
-for phase-diagram, norm-scan and reproduce, which run many configs. Its
-`environment` records the Python, numpy and BLAS build, the BLAS thread
-count and the CPU count; `nqkr rerun` names any of them that differ from the
-current process and runs anyway. All numerical output is deterministic on
-one build and CPU type; only manifest timestamps and durations differ
-between reruns.
+manifest's `params` are its one record of the run: they hold exactly the
+keys its command reads; `_COMMANDS` declares them, with their JSON types,
+once per command, and `nqkr rerun` checks a manifest against it key by key.
+Every manifest also records the fixed modulation constants (kappa, omega1,
+omega2) under `constants`; an older manifest's `config` block is never
+read. Its `environment` records the Python, numpy and BLAS build, the BLAS
+thread count and the CPU count; `nqkr rerun` names any of them that differ
+from the current process and runs anyway. All numerical output is
+deterministic on one build and CPU type; only manifest timestamps and
+durations differ between reruns.
 
 Only evolve and phase-diagram take --epsilon, the OTOC shift, since only
 their outputs read the OTOC; spectrum and norm-scan run at the default, and
-their manifests' epsilon is a legacy key. norm-scan folds --hbar into its
-list of hbar values, so its manifests' hbar is a legacy key too. A flag that
-a run would ignore, such as --eta on the eta-K plane, is refused rather than
-dropped.
+their manifests' epsilon is a legacy key. norm-scan takes its hbar values
+from --hbar-list alone, so its manifests' hbar is a legacy key too. A flag
+that a run would ignore, such as --eta on the eta-K plane, is refused rather
+than dropped.
 
 Exit codes: 0 ok, 1 numerical failure, 2 invalid input, an --outdir where
 no run directory can be made included. Input is rejected before any data file
@@ -36,7 +37,6 @@ import platform
 import sys
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -132,15 +132,13 @@ def _remove_dirs(dirs: list[Path]) -> None:
 
 
 @contextmanager
-def _run(outdir: str, command: str, params: dict, config: SimConfig | None = None,
-         name: str | None = None):
+def _run(outdir: str, command: str, params: dict, name: str | None = None):
     """Fresh <stamp>-<name> run directory; manifest.json is written after the block.
 
     The name is claimed by mkdir itself; where it is taken, also by a
-    concurrent run, the next free -1, -2, ... suffix is. config is None where
-    no one SimConfig describes the run. An outdir where the directory cannot
-    be made is a ValueError. A block that raises before writing a file leaves
-    no directory behind.
+    concurrent run, the next free -1, -2, ... suffix is. An outdir where the
+    directory cannot be made is a ValueError. A block that raises before
+    writing a file leaves no directory behind.
     """
     started = time.monotonic()
     base = Path(outdir) / f"{time.strftime('%Y%m%dT%H%M%S', time.gmtime())}-{name or command}"
@@ -163,12 +161,11 @@ def _run(outdir: str, command: str, params: dict, config: SimConfig | None = Non
         if not any(run_dir.iterdir()):
             _remove_dirs([run_dir, *created])
         raise
-    derived = {"kappa": PLASTIC, "omega1": OMEGA1, "omega2": OMEGA2}
     write_json(run_dir / "manifest.json", {
         "schema": MANIFEST_SCHEMA,
         "command": command,
         "params": params,
-        "config": None if config is None else {**asdict(config), "derived": derived},
+        "constants": {"kappa": PLASTIC, "omega1": OMEGA1, "omega2": OMEGA2},
         "tool_version": __version__,
         "environment": environment(),
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
@@ -188,7 +185,7 @@ def _build_config(params: dict) -> SimConfig:
 
 def run_evolve(params: dict, outdir: str) -> Path:
     config = _build_config(params)
-    with _run(outdir, "evolve", params, config) as run_dir:
+    with _run(outdir, "evolve", params) as run_dir:
         record = record_series(config, snapshot_times=params["snapshot_times"])
         write_series_csv(run_dir / "otoc_series.csv", record.series)
         for t, dist in sorted(record.snapshots.items()):
@@ -225,7 +222,7 @@ def run_spectrum(params: dict, outdir: str) -> Path:
     # no spectrum file reads the OTOC, so it runs at the default shift
     config = _build_config({**params, "epsilon": EPSILON_DEFAULT, "lattice": params["dim"],
                             "kicks": params["t"]})
-    with _run(outdir, "spectrum", params, config) as run_dir:
+    with _run(outdir, "spectrum", params) as run_dir:
         spectrum_files(run_dir, config, params["with_fidelity"])
     return run_dir
 
@@ -364,19 +361,6 @@ def rerun_manifest(manifest_path: str | Path, outdir: str) -> Path:
     return runner({key: value for key, value in params.items() if key in read}, outdir)
 
 
-def _common_physics_options(fn):
-    fn = click.option("--eta", default=ETA_DEFAULT, show_default=True,
-                      help="Modulation strength.")(fn)
-    return click.option("--hbar", default=HBAR_DEFAULT, show_default=True,
-                        help="Effective Planck constant.")(fn)
-
-
-def _otoc_physics_options(fn):
-    """The common options plus the OTOC shift, for the commands whose output reads C."""
-    return click.option("--epsilon", default=EPSILON_DEFAULT, show_default=True,
-                        help="OTOC translation parameter.")(_common_physics_options(fn))
-
-
 # the options several commands take, each declared once
 _k_option = click.option("--K", "K", type=float, required=True, help="Real kick strength.")
 _lambda_option = click.option("--lambda", "lam", type=float, required=True,
@@ -386,6 +370,19 @@ _lattice_option = click.option("--lattice", default=LATTICE_DEFAULT, show_defaul
                                help="Momentum lattice size (even).")
 _outdir_option = click.option("--outdir", default="runs", show_default=True,
                               help="Parent directory for run output.")
+_eta_option = click.option("--eta", default=ETA_DEFAULT, show_default=True,
+                           help="Modulation strength.")
+
+
+def _common_physics_options(fn):
+    return click.option("--hbar", default=HBAR_DEFAULT, show_default=True,
+                        help="Effective Planck constant.")(_eta_option(fn))
+
+
+def _otoc_physics_options(fn):
+    """The common options plus the OTOC shift, for the commands whose output reads C."""
+    return click.option("--epsilon", default=EPSILON_DEFAULT, show_default=True,
+                        help="OTOC translation parameter.")(_common_physics_options(fn))
 
 
 def _given(name: str) -> bool:
@@ -480,14 +477,14 @@ def phase_diagram_cmd(outdir, plane, eta_range, lambda_range, k_range, jobs, **k
 @_k_option
 @click.option("--lambda-list", default="", help="Comma-separated lambda values.")
 @click.option("--lambda-range", default="", help="lambda grid start:stop:count.")
-@click.option("--hbar-list", default="", help="Comma-separated hbar values "
-              "[default: the --hbar value].")
+@click.option("--hbar-list", default=str(HBAR_DEFAULT), show_default=True,
+              help="Comma-separated hbar values.")
 @_kicks_option
 @click.option("--tolerance", default=LAMBDA_C_TOLERANCE, show_default=True,
               help="lambda_c reports the first lambda with mean norm > 1+tolerance.")
 @_lattice_option
 @_outdir_option
-@_common_physics_options
+@_eta_option
 def norm_scan_cmd(outdir, lambda_list, lambda_range, hbar_list, **kwargs):
     """Norm-growth fits over a lambda ladder, with a threshold estimate."""
     if lambda_list and lambda_range:
@@ -498,10 +495,7 @@ def norm_scan_cmd(outdir, lambda_list, lambda_range, hbar_list, **kwargs):
         lambdas = parse_range(lambda_range)
     else:
         raise click.UsageError("provide --lambda-list or --lambda-range")
-    if hbar_list and _given("hbar"):
-        raise click.UsageError("give --hbar or --hbar-list, not both")
-    hbar = kwargs.pop("hbar")
-    hbars = _parse_list(hbar_list) if hbar_list else [hbar]
+    hbars = _parse_list(hbar_list)
     _guarded(run_norm_scan, {**kwargs, "lambdas": lambdas, "hbars": hbars}, outdir)
 
 

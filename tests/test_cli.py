@@ -15,6 +15,7 @@ from nqkr import (KickSchedule, MomentumLattice, OtocSeries, SimConfig, WrapArou
                   spectrum_at)
 from nqkr import _blas, cli, phases, propagator
 from nqkr.cli import main, parse_range, rerun_manifest
+from nqkr.constants import OMEGA1, OMEGA2, PLASTIC
 
 
 @pytest.fixture
@@ -78,30 +79,36 @@ class TestEvolveCommand:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["schema"] == "nqkr.run-manifest/1"
         assert "otoc_series.csv" in manifest["outputs"]
-        assert manifest["config"]["derived"]["kappa"] == 1.3247179572447460
+        assert manifest["constants"]["kappa"] == 1.3247179572447460
+        assert "config" not in manifest
 
-    def test_manifest_config_records_every_field(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
-            ["evolve", "--K", "3", "--lambda", "0.5", "--kicks", "5", "--lattice", "32",
-             "--outdir", str(tmp_path)],
-        )
-        assert result.exit_code == 0, result.output
-        manifest = json.loads((only_run_dir(tmp_path) / "manifest.json").read_text())
-        config = cli._build_config(manifest["params"])
-        recorded = manifest["config"]
+    def test_params_set_every_config_field(self):
+        # params are a run's one record, so every leaf field of the config must
+        # come from its own evolve params key: a new field cannot escape the manifest
+        params = evolve_manifest()["params"]
+        changed_values = {"K": 3.5, "lam": 0.25, "kicks": 6, "eta": 0.5, "hbar": 1.5,
+                          "epsilon": 2e-5, "lattice": 64}
 
-        def assert_recorded(obj, block, extra=()):
-            names = [f.name for f in dataclasses.fields(obj)]
-            assert set(block) == set(names) | set(extra)
-            for name in names:
-                value = getattr(obj, name)
+        def leaves(obj, prefix=""):
+            found = {}
+            for field in dataclasses.fields(obj):
+                value = getattr(obj, field.name)
                 if dataclasses.is_dataclass(value):
-                    assert_recorded(value, block[name])
+                    found.update(leaves(value, f"{prefix}{field.name}."))
                 else:
-                    assert block[name] == value
+                    found[prefix + field.name] = value
+            return found
 
-        assert_recorded(config, recorded, extra=("derived",))
+        base = leaves(cli._build_config(params))
+        set_by = {}
+        for key, value in changed_values.items():
+            changed = leaves(cli._build_config({**params, key: value}))
+            moved = [leaf for leaf in base if changed[leaf] != base[leaf]]
+            assert len(moved) == 1, (key, moved)
+            set_by[moved[0]] = key
+        assert set(set_by) == set(base)
+        # snapshot_times picks the written kicks; it is the one key no config field holds
+        assert set(params) - set(changed_values) == {"snapshot_times"}
 
     def test_snapshots_written(self, runner, tmp_path):
         result = runner.invoke(
@@ -462,8 +469,9 @@ def test_manifest_param_keys(runner, tmp_path, args, keys):
     manifest = json.loads((only_run_dir(tmp_path) / "manifest.json").read_text())
     assert set(manifest["params"]) == keys
     assert set(cli._COMMANDS[args[0]][1]) == keys
-    # a sweep runs many configs, so no one config stands in for it
-    assert (manifest["config"] is None) == (args[0] in ("norm-scan", "phase-diagram"))
+    # params are the one record of the run; the fixed constants sit beside them
+    assert "config" not in manifest
+    assert manifest["constants"] == {"kappa": PLASTIC, "omega1": OMEGA1, "omega2": OMEGA2}
 
 
 class TestRerunCommand:
@@ -838,8 +846,9 @@ INVALID_INPUTS = [
       "--lattice", "64"], "--plane eta-K does not read --eta"),
     (["phase-diagram", "--plane", "lambda-K", "--eta-range", "0.1:1:2", "--kicks", "500",
       "--lattice", "64"], "--plane lambda-K does not read --eta-range"),
-    (["norm-scan", "--K", "5", "--lambda-list", "0.1", "--hbar", "1", "--hbar-list", "0.5",
-      "--kicks", "20", "--lattice", "32"], "give --hbar or --hbar-list, not both"),
+    # norm-scan takes its hbar values from --hbar-list alone
+    (["norm-scan", "--K", "5", "--lambda-list", "0.1", "--hbar", "1.5",
+      "--kicks", "20", "--lattice", "32"], "No such option '--hbar'"),
     # a repeated value would only run the same point again
     (["phase-diagram", "--plane", "lambda-K", "--lambda-range", "0:3:2", "--k-range", "5:5:3",
       "--kicks", "500", "--lattice", "64"], "axis K values repeat: 5.0, 5.0, 5.0"),
@@ -925,15 +934,17 @@ def test_every_command_is_rerunnable():
 
 
 def test_shared_options_read_and_describe_the_same_everywhere():
-    """--K, --lambda, --kicks, --lattice and --outdir: one help, type and default per option."""
+    """--K, --lambda, --kicks, --lattice, --outdir, --eta, --hbar and --epsilon: one
+    help, type and default per option."""
+    shared = ("K", "lam", "kicks", "lattice", "outdir", "eta", "hbar", "epsilon")
     seen = {}
     for command in main.commands.values():
         for param in command.params:
-            if param.name in ("K", "lam", "kicks", "lattice", "outdir"):
+            if param.name in shared:
                 info = param.to_info_dict()
                 assert info["help"], (command.name, param.name)
                 assert seen.setdefault(param.name, info) == info, (command.name, param.name)
-    assert len(seen) == 5
+    assert set(seen) == set(shared)
 
 
 class TestReproduceCommand:

@@ -60,13 +60,19 @@ def reference_series(K, lam, hbar, m, kicks, eta=ETA_DEFAULT, eps=EPSILON_DEFAUL
     return [np.array(col) for col in zip(*rows)]
 
 
-def test_frozen_run_matches_the_reference_over_ten_kicks():
-    # (K, lambda) = (10, 2) is the benchmark's frozen physics. The bounds
-    # were fixed before the first run: 1e-13 relative on c_exact and <p^2>,
-    # 1e-12 absolute on log_norm; a probe saw a relative gap of 8e-15 at t=10.
-    cfg = SimConfig(MomentumLattice(1024, 2.89), KickSchedule(K=10.0, lam=2.0), 10)
+# The benchmark's five seed-0 `series` points, spreading (lambda = 0) and frozen.
+SERIES_POINTS = [(10.0, 0.0), (7.0, 0.0), (4.0, 0.0), (10.0, 2.0), (10.0, 5.0)]
+
+
+@pytest.mark.parametrize("K,lam", SERIES_POINTS,
+                         ids=[f"K{K:g}-lam{lam:g}" for K, lam in SERIES_POINTS])
+def test_run_matches_the_reference_over_ten_kicks(K, lam):
+    # The bounds were fixed before the first run: 1e-13 relative on c_exact and
+    # <p^2>, 1e-12 absolute on log_norm. A probe saw relative gaps of at most
+    # 1.2e-14 (at (10, 2)) and an absolute log_norm gap of 1.5e-14 (at (10, 5)).
+    cfg = SimConfig(MomentumLattice(1024, 2.89), KickSchedule(K=K, lam=lam), 10)
     series = record_series(cfg).series
-    c_exact, mean_p2, log_norm = reference_series(10.0, 2.0, 2.89, 1024, 10)
+    c_exact, mean_p2, log_norm = reference_series(K, lam, 2.89, 1024, 10)
     assert np.all(np.abs(series.c_exact - c_exact) <= 1e-13 * np.abs(c_exact))
     assert np.all(np.abs(series.mean_p2 - mean_p2) <= 1e-13 * np.abs(mean_p2))
     assert np.all(np.abs(series.log_norm - log_norm) <= 1e-12)

@@ -28,7 +28,7 @@ from nqkr import (
     scrambling_rate,
 )
 from nqkr.lattice import ground_state
-from nqkr.observables import FIT_WINDOW_PROB, _default_window, compare_profiles
+from nqkr.observables import FIT_WINDOW_PROB, _default_window, _linear_fit, compare_profiles
 
 HBAR = 2.89
 
@@ -233,6 +233,11 @@ class TestProfileFits:
         with pytest.raises(FitError):
             fit_exponential_profile(dist)
 
+    def test_one_site_distribution_fails(self):
+        dist = MomentumDistribution(np.array([0.0]), np.array([1.0]))
+        with pytest.raises(FitError, match="^distribution has fewer than 2 momentum sites$"):
+            fit_exponential_profile(dist)
+
     def test_scale_invariance(self):
         # same window => same points; the constant goes into the intercept
         dist = synthetic_profile(512, "exponential", 7.0, noise=0.02, seed=4)
@@ -341,6 +346,13 @@ class TestNormGrowthFit:
             mus.append(fit_norm_growth(record_series(cfg).series).mu)
         assert mus[0] < mus[1] < mus[2]
 
+    def test_constant_data_fits_exactly(self):
+        # y has no variance to explain, so a fit with no residual has r^2 = 1
+        slope, intercept, r2 = _linear_fit(np.arange(1.0, 52.0), np.full(51, 2.5))
+        assert abs(slope) < 1e-15
+        assert intercept == pytest.approx(2.5, rel=1e-15)
+        assert r2 == 1.0
+
     def test_window_too_small_fails(self):
         # the second half, t in [8.5, 17], holds 9 kicks
         series = synthetic_series(np.arange(1, 18), np.zeros(17))
@@ -367,6 +379,10 @@ class TestLogMeanNorm:
         series = synthetic_series(t, np.zeros(50), log_norm=logs)
         expected = logsumexp(logs) - np.log(50)
         assert log_mean_norm(series) == pytest.approx(expected, rel=1e-13)
+
+    def test_zero_kick_run_averages_to_unit_norm(self):
+        cfg = SimConfig(MomentumLattice(64, HBAR), KickSchedule(K=3.0, lam=1.0), 0)
+        assert log_mean_norm(record_series(cfg).series) == 0.0
 
     def test_survives_huge_exponents(self):
         t = np.arange(1, 11)

@@ -18,6 +18,7 @@ import nqkr.cli
 import nqkr.recipes
 from nqkr import WrapAroundWarning, record_series
 from nqkr.cli import main
+from nqkr.constants import OMEGA1, OMEGA2, PLASTIC
 from nqkr.phases import norm_scan
 from nqkr.recipes import FIGURE_IDS, RECIPES, run_recipe
 
@@ -146,7 +147,8 @@ def test_reproduce_cli_prints_verdicts(tmp_path):
     assert (run_dir / "checks.txt").exists()
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["params"] == {"figure_id": "fig1b"}
-    assert manifest["config"] is None
+    assert "config" not in manifest
+    assert manifest["constants"] == {"kappa": PLASTIC, "omega1": OMEGA1, "omega2": OMEGA2}
 
 
 def test_fig3c_norm_scan_lattice_holds_hbar_half(monkeypatch, tmp_path):

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -635,6 +636,46 @@ class TestOneBlasThread:
         u, v = (np.exp(-1j * spec.quasienergies) for spec in (found, alone))
         gaps = np.abs(u[:, None] - v[None, :])
         assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-12
+
+
+class MapsText:
+    """A stand-in for _blas's Path: /proc/self/maps reads as text, or fails as unreadable."""
+
+    text = None
+
+    def __init__(self, path):
+        assert path == "/proc/self/maps"
+
+    def read_text(self):
+        if self.text is None:
+            raise PermissionError(13, "Permission denied")
+        return self.text
+
+
+@pytest.fixture
+def fresh_library_lookup():
+    """_blas looks its libraries up once per process: forget the lookup before and after."""
+    _blas._libraries.cache_clear()
+    yield
+    _blas._libraries.cache_clear()
+
+
+class TestLibraryLookup:
+    def test_unreadable_maps_find_no_library(self, fresh_library_lookup, monkeypatch):
+        monkeypatch.setattr(_blas, "Path", MapsText)
+        assert _blas._libraries() == ()
+        assert _blas.thread_count() is None
+        with _blas.one_thread():
+            assert _blas.thread_count() is None
+
+    def test_a_library_that_fails_to_load_is_skipped(self, fresh_library_lookup, monkeypatch):
+        found = _blas._libraries()
+        _blas._libraries.cache_clear()
+        maps = Path("/proc/self/maps").read_text() if Path("/proc/self/maps").exists() else ""
+        missing = "7f0000000000-7f0000001000 r-xp 00000000 00:00 0 /nonexistent/libopenblas.so\n"
+        monkeypatch.setattr(MapsText, "text", missing + maps)
+        monkeypatch.setattr(_blas, "Path", MapsText)
+        assert len(_blas._libraries()) == len(found)
 
 
 class TestParitySymmetry:
