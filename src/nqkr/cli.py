@@ -19,9 +19,12 @@ durations differ between reruns.
 Only evolve and phase-diagram take --epsilon, the OTOC shift, since only
 their outputs read the OTOC; spectrum and norm-scan run at the default, and
 their manifests' epsilon is a legacy key. norm-scan takes its hbar values
-from --hbar-list alone, so its manifests' hbar is a legacy key too. A flag
-that a run would ignore, such as --eta on the eta-K plane, is refused rather
-than dropped.
+from --hbar-list alone, so its manifests' hbar is a legacy key too. Its
+lambda_c threshold is the constant phases.LAMBDA_C_TOLERANCE, which no option
+sets, so its manifests' tolerance is legacy as well; like a kick_divisor
+other than 1, a tolerance other than that constant describes a run this code
+no longer makes and is refused. A flag that a run would ignore, such as --eta
+on the eta-K plane, is refused rather than dropped.
 
 Exit codes: 0 ok, 1 numerical failure, 2 invalid input, an --outdir where
 no run directory can be made included. Input is rejected before any data file
@@ -244,21 +247,19 @@ def run_phase_diagram(params: dict, outdir: str, jobs: int | None = None) -> Pat
 
 
 def norm_scan_files(run_dir: Path, base: SimConfig, lambdas: Sequence[float],
-                    hbars: Sequence[float], tolerance: float) -> NormScanResult:
+                    hbars: Sequence[float]) -> NormScanResult:
     """Write the norm-scan run's data files into run_dir and return its NormScanResult."""
-    result = norm_scan(base, lambdas, hbars, tolerance=tolerance)
+    result = norm_scan(base, lambdas, hbars)
     write_json(run_dir / "norm_scan.json", norm_scan_dict(result))
     write_norm_scan_csv(run_dir / "norm_scan.csv", result)
     return result
 
 
 def run_norm_scan(params: dict, outdir: str) -> Path:
-    # norm_scan gives each row its own hbar, so the base lattice takes the
-    # first one; an empty list reaches norm_scan's ValueError
-    hbar = params["hbars"][0] if params["hbars"] else HBAR_DEFAULT
-    base = _build_config({**params, "hbar": hbar, "lam": 0.0, "epsilon": EPSILON_DEFAULT})
+    # norm_scan gives each row its own hbar and lambda
+    base = _build_config({**params, "hbar": HBAR_DEFAULT, "lam": 0.0, "epsilon": EPSILON_DEFAULT})
     with _run(outdir, "norm-scan", params) as run_dir:
-        norm_scan_files(run_dir, base, params["lambdas"], params["hbars"], params["tolerance"])
+        norm_scan_files(run_dir, base, params["lambdas"], params["hbars"])
     return run_dir
 
 
@@ -297,7 +298,8 @@ _DIVISOR_AND_EPSILON = {**_DIVISOR, **_EPSILON}
 # legacy keys that older manifests carry and no run reads. A manifest's params
 # hold every key its command reads, and may hold its legacy keys. No spectrum
 # or norm-scan file reads the OTOC, so its shift epsilon is a legacy key there;
-# norm-scan reads its hbar values from hbars alone, so hbar is legacy there too.
+# norm-scan reads its hbar values from hbars alone, so hbar is legacy there too,
+# and so is tolerance: lambda_c always reads phases.LAMBDA_C_TOLERANCE.
 _COMMANDS = {
     "evolve": (run_evolve, {**_PHYSICS, **_EPSILON, "lam": "a number", "kicks": "an integer",
                "lattice": "an integer", "snapshot_times": "a list of integers"}, _DIVISOR),
@@ -310,8 +312,8 @@ _COMMANDS = {
         "axis2_values": "a list of numbers"}, {**_DIVISOR, "jobs": "an integer"}),
     "norm-scan": (run_norm_scan, {
         "K": "a number", "eta": "a number", "kicks": "an integer", "lattice": "an integer",
-        "tolerance": "a number", "lambdas": "a list of numbers", "hbars": "a list of numbers"},
-        {**_DIVISOR_AND_EPSILON, "hbar": "a number"}),
+        "lambdas": "a list of numbers", "hbars": "a list of numbers"},
+        {**_DIVISOR_AND_EPSILON, "hbar": "a number", "tolerance": "a number"}),
     "reproduce": (run_reproduce, {"figure_id": "a string"}, {}),
 }
 
@@ -323,9 +325,10 @@ def rerun_manifest(manifest_path: str | Path, outdir: str) -> Path:
     the JSON type `_COMMANDS` declares, and no key but these and the
     command's legacy keys. Anything else is rejected with a ValueError
     before any run directory is made. Legacy keys are dropped; a
-    kick_divisor other than 1 describes another run and is refused. Where
-    the manifest's environment differs from this process's, one line on
-    stderr names each differing field before the run.
+    kick_divisor other than 1, or a tolerance other than LAMBDA_C_TOLERANCE,
+    describes another run and is refused. Where the manifest's environment
+    differs from this process's, one line on stderr names each differing
+    field before the run.
     """
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
@@ -346,11 +349,16 @@ def rerun_manifest(manifest_path: str | Path, outdir: str) -> Path:
     for key, value in params.items():
         if not _JSON_TYPES[kind := types[key]](value):
             raise ValueError(f"manifest param {key!r} must be {kind}, got {json.dumps(value)}")
-    divisor = params.get("kick_divisor", 1)
-    if divisor != 1:
-        raise ValueError(
-            f"manifest kick_divisor {divisor!r} is no longer supported; its run has --K and "
-            f"--lambda (or their lists and ranges) divided by {divisor!r}")
+    # legacy keys that still name the run: each has one value this code runs,
+    # and any other describes a run it no longer makes
+    for key, runs, meaning in (
+            ("kick_divisor", 1,
+             "its run has --K and --lambda (or their lists and ranges) divided by"),
+            ("tolerance", LAMBDA_C_TOLERANCE, "its lambda_c threshold is a mean norm of 1 +")):
+        value = params.get(key, runs)
+        if value != runs:
+            raise ValueError(
+                f"manifest {key} {value!r} is no longer supported; {meaning} {value!r}")
     recorded = manifest.get("environment")
     if isinstance(recorded, dict):
         changed = [f"{key} {json.dumps(recorded.get(key))} -> {json.dumps(value)}"
@@ -480,8 +488,6 @@ def phase_diagram_cmd(outdir, plane, eta_range, lambda_range, k_range, jobs, **k
 @click.option("--hbar-list", default=str(HBAR_DEFAULT), show_default=True,
               help="Comma-separated hbar values.")
 @_kicks_option
-@click.option("--tolerance", default=LAMBDA_C_TOLERANCE, show_default=True,
-              help="lambda_c reports the first lambda with mean norm > 1+tolerance.")
 @_lattice_option
 @_outdir_option
 @_eta_option

@@ -14,7 +14,7 @@ import numpy as np
 
 from .lattice import MomentumDistribution
 from .observables import OtocSeries
-from .phases import NormScanResult, PhaseDiagram
+from .phases import LAMBDA_C_TOLERANCE, NormScanResult, PhaseDiagram
 from .spectrum import FidelityRecord, QuasiSpectrum
 
 
@@ -96,7 +96,7 @@ def write_fidelity_json(path: str | Path, record: FidelityRecord) -> None:
 def norm_scan_dict(result: NormScanResult) -> dict:
     """The norm_scan.json payload; lambda_c is keyed by repr(hbar), which round-trips."""
     return {
-        "tolerance": result.tolerance,
+        "tolerance": LAMBDA_C_TOLERANCE,
         "lambda_c": {repr(h): lc for h, lc in result.lambda_c.items()},
         "rows": [
             {

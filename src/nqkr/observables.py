@@ -200,10 +200,8 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     resid = y - design @ coef
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res < 1e-24 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
+    # constant y is fitted by a flat line; its ss_tot and ss_res are roundoff
+    r2 = 1.0 if np.ptp(y) == 0.0 else 1.0 - ss_res / ss_tot
     return float(coef[0]), float(coef[1]), r2
 
 

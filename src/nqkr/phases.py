@@ -244,17 +244,16 @@ class NormScanResult:
     """Growth-rate fits and time-averaged norms over a (hbar, lambda) grid."""
 
     rows: list[NormScanRow]
-    tolerance: float
 
     @property
     def lambda_c(self) -> dict[float, float | None]:
         """Each hbar, in row order, mapped to its threshold estimate.
 
         The estimate is the lambda of the hbar's first row whose time-averaged
-        norm exceeds 1 + tolerance, or None if no row does; norm_scan's rows
-        ascend in lambda, so it is the smallest such scanned lambda.
+        norm exceeds 1 + LAMBDA_C_TOLERANCE, or None if no row does; norm_scan's
+        rows ascend in lambda, so it is the smallest such scanned lambda.
         """
-        limit = math.log1p(self.tolerance)
+        limit = math.log1p(LAMBDA_C_TOLERANCE)
         return {
             h: next((r.lam for r in self.rows if r.hbar == h and r.log_mean_norm > limit), None)
             for h in dict.fromkeys(r.hbar for r in self.rows)
@@ -270,22 +269,19 @@ def norm_scan(
     base_config: SimConfig,
     lambdas: Sequence[float],
     hbars: Sequence[float],
-    tolerance: float = LAMBDA_C_TOLERANCE,
 ) -> NormScanResult:
     """Per-(hbar, lambda) norm-growth fits plus a threshold estimate.
 
     Rows run hbar-major with lambdas in ascending order per hbar; the
     threshold estimate is the first value whose long-time mean norm exceeds
-    1 + tolerance. Raises ValueError if either list is empty or repeats a
-    value, or the tolerance lies outside [0, inf), and FitError before any
-    point runs if the run is too short for its norm-growth fit.
+    1 + LAMBDA_C_TOLERANCE. Raises ValueError if either list is empty or
+    repeats a value, and FitError before any point runs if the run is too
+    short for its norm-growth fit.
     """
     if len(lambdas) == 0 or len(hbars) == 0:
         raise ValueError("a norm scan needs at least one lambda and one hbar")
     _refuse_repeats("lambda", lambdas)
     _refuse_repeats("hbar", hbars)
-    if not 0.0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     # a run too short for its norm-growth fit is refused before any point runs
     kicks = np.arange(1, base_config.kick_count + 1)
     _late_points(kicks, kicks, None, "norm-growth")
@@ -303,7 +299,7 @@ def norm_scan(
         NormScanRow(hbar, lam, fit, lmn)
         for (hbar, lam), (fit, lmn) in zip(grid, sweep(_norm_point, tasks))
     ]
-    return NormScanResult(rows, tolerance)
+    return NormScanResult(rows)
 
 
 def default_jobs() -> int:

@@ -453,7 +453,7 @@ MANIFEST_PARAM_KEYS = [
     (["spectrum", "--K", "3", "--lambda", "0.5", "--t", "2", "--dim", "16"],
      {"K", "lam", "t", "dim", "with_fidelity", "eta", "hbar"}),
     (["norm-scan", "--K", "3", "--lambda-list", "0,0.2", "--kicks", "20", "--lattice", "64"],
-     {"K", "lambdas", "hbars", "kicks", "tolerance", "eta", "lattice"}),
+     {"K", "lambdas", "hbars", "kicks", "eta", "lattice"}),
     (PHASE_DIAGRAM_ARGS + ["--jobs", "1"],
      {"axis1_name", "axis1_values", "axis2_name", "axis2_values", "kicks", "gnuplot", "K",
       "lam", "eta", "hbar", "epsilon", "lattice"}),
@@ -589,8 +589,8 @@ SEED_MANIFESTS = sorted((Path(__file__).parent / "data").glob("seed-*-manifest.j
 @pytest.mark.parametrize("path", SEED_MANIFESTS, ids=[p.name for p in SEED_MANIFESTS])
 def test_seed_manifest_reruns(runner, tmp_path, path):
     # written by the first release, which recorded kick_divisor, phase-diagram's jobs,
-    # an epsilon that no spectrum or norm-scan file reads, and norm-scan's hbar,
-    # which its hbars replace
+    # an epsilon that no spectrum or norm-scan file reads, norm-scan's hbar, which
+    # its hbars replace, and norm-scan's tolerance, which LAMBDA_C_TOLERANCE replaces
     result = runner.invoke(main, ["rerun", str(path), "--outdir", str(tmp_path)])
     assert result.exit_code == 0, result.output
     # the first release recorded no environment, so rerun has nothing to compare
@@ -600,7 +600,7 @@ def test_seed_manifest_reruns(runner, tmp_path, path):
     if seed["command"] in ("spectrum", "norm-scan"):
         legacy.add("epsilon")
     if seed["command"] == "norm-scan":
-        legacy.add("hbar")
+        legacy |= {"hbar", "tolerance"}
     params = json.loads((only_run_dir(tmp_path) / "manifest.json").read_text())["params"]
     assert params == {k: v for k, v in seed["params"].items() if k not in legacy}
 
@@ -658,6 +658,30 @@ def test_norm_scan_rerun_drops_a_recorded_hbar(runner, tmp_path):
     for name in manifest["outputs"]:
         if name != "manifest.json":
             assert (orig / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_norm_scan_rerun_reads_a_recorded_tolerance_as_its_constant(runner, tmp_path):
+    # older norm-scan manifests recorded the lambda_c tolerance: 0.05, the
+    # constant, reruns the same run; any other value names a run no longer made
+    args = ["norm-scan", "--K", "3", "--lambda-list", "0,0.2", "--kicks", "20", "--lattice", "64"]
+    assert runner.invoke(main, args + ["--outdir", str(tmp_path / "orig")]).exit_code == 0
+    orig = only_run_dir(tmp_path / "orig")
+    manifest = json.loads((orig / "manifest.json").read_text())
+    assert "tolerance" not in manifest["params"]
+    for tolerance, code in ((0.05, 0), (0.1, 2)):
+        legacy = tmp_path / f"legacy{tolerance}.json"
+        legacy.write_text(json.dumps(
+            {**manifest, "params": {**manifest["params"], "tolerance": tolerance}}))
+        outdir = tmp_path / f"again{tolerance}"
+        result = runner.invoke(main, ["rerun", str(legacy), "--outdir", str(outdir)])
+        assert result.exit_code == code, result.output
+    again = only_run_dir(tmp_path / "again0.05")
+    assert json.loads((again / "manifest.json").read_text())["params"] == manifest["params"]
+    for name in ("norm_scan.csv", "norm_scan.json"):
+        assert (orig / name).read_bytes() == (again / name).read_bytes(), name
+    assert "manifest tolerance 0.1 is no longer supported" in result.output
+    assert "its lambda_c threshold is a mean norm of 1 + 0.1" in result.output
+    assert not (tmp_path / "again0.1").exists()
 
 
 def evolve_manifest(**params):
@@ -830,10 +854,12 @@ INVALID_INPUTS = [
       "--hbar", "1e200"], "hbar_eff 1e+200 overflows p^2 = (n*hbar)^2 on 32 sites"),
     (["evolve", "--K", "1", "--lambda", "0", "--kicks", "5", "--lattice", "32",
       "--hbar", "1e-310"], "kick exponent (1+eta)*max(K, lam)/hbar = inf is not finite"),
+    # lambda_c's threshold is LAMBDA_C_TOLERANCE; no option sets it
     (["norm-scan", "--K", "5", "--lambda-list", "0.1", "--kicks", "20", "--lattice", "32",
-      "--tolerance", "nan"], "tolerance must be finite and >= 0, got nan"),
-    (["norm-scan", "--K", "5", "--lambda-list", "0.1", "--kicks", "20", "--lattice", "32",
-      "--tolerance", "-2"], "tolerance must be finite and >= 0, got -2.0"),
+      "--tolerance", "0.1"], "No such option '--tolerance'"),
+    # the scan's base lattice reads no hbar, so a bad one is refused wherever it stands
+    (["norm-scan", "--K", "5", "--lambda-list", "0.1", "--hbar-list", "2.89,0",
+      "--kicks", "20", "--lattice", "32"], "hbar_eff must be positive, got 0.0"),
     (["norm-scan", "--K", "5", "--lambda-list", "0", "--lambda-range", "0:0.1:3",
       "--kicks", "20", "--lattice", "32"], "give --lambda-list or --lambda-range, not both"),
     # 256 GiB of amplitudes: refused before anything is allocated

@@ -157,7 +157,7 @@ class TestTableBytes:
 class TestJsonPayloads:
     def test_fit_dicts(self, tmp_path):
         fit = NormGrowthFit(0.3, -0.1, (500.0, 1000.0), 1.0)
-        result = NormScanResult([NormScanRow(2.89, 0.5, fit, 0.2)], 0.05)
+        result = NormScanResult([NormScanRow(2.89, 0.5, fit, 0.2)])
         path = tmp_path / "scan.json"
         write_json(path, norm_scan_dict(result))
         assert read_json(path)["rows"][0]["fit"] == {
@@ -204,7 +204,7 @@ def sample_norm_scan():
         NormScanRow(2.89, 0.2, NormGrowthFit(0.1 + 0.2, 1.5, window, 0.999), 0.3),
         NormScanRow(0.5, 0.0, NormGrowthFit(-1e-5, 0.0, window, 0.0), -0.02),
         NormScanRow(0.5, 0.2, NormGrowthFit(2e-4, 0.01, window, 0.25), 0.04),
-    ], 0.05)
+    ])
 
 
 class TestDiagramFormats:

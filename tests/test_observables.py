@@ -347,11 +347,14 @@ class TestNormGrowthFit:
         assert mus[0] < mus[1] < mus[2]
 
     def test_constant_data_fits_exactly(self):
-        # y has no variance to explain, so a fit with no residual has r^2 = 1
+        # y has no variance to explain, so a fit with no residual has r^2 = 1,
+        # also where the fit's roundoff leaves y.mean() off y (0.3, 0.1)
         slope, intercept, r2 = _linear_fit(np.arange(1.0, 52.0), np.full(51, 2.5))
         assert abs(slope) < 1e-15
         assert intercept == pytest.approx(2.5, rel=1e-15)
         assert r2 == 1.0
+        assert _linear_fit(np.arange(1.0, 51.0), np.full(50, 0.3))[2] == 1.0
+        assert _linear_fit(np.arange(1.0, 52.0), np.full(51, 0.1))[2] == 1.0
 
     def test_window_too_small_fails(self):
         # the second half, t in [8.5, 17], holds 9 kicks

@@ -19,7 +19,7 @@ from nqkr import (
     record_series,
 )
 import nqkr.phases
-from nqkr.phases import PhaseDiagram, default_jobs, norm_scan, sweep
+from nqkr.phases import LAMBDA_C_TOLERANCE, PhaseDiagram, default_jobs, norm_scan, sweep
 
 HBAR = 2.89
 
@@ -247,7 +247,7 @@ def test_norm_scan_rows_are_hbar_major_with_lambda_ascending():
     assert list(result.lambda_c) == [2.89, 1.5]
     for hbar, crossing in result.lambda_c.items():
         above = [r.lam for r in result.rows
-                 if r.hbar == hbar and r.log_mean_norm > math.log1p(result.tolerance)]
+                 if r.hbar == hbar and r.log_mean_norm > math.log1p(LAMBDA_C_TOLERANCE)]
         assert crossing == (above[0] if above else None)
     assert result.lambda_c[2.89] == 0.2
 
