@@ -193,15 +193,29 @@ def _window_mask(x: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     return (x >= lo) & (x <= hi)
 
 
+def _sum_sq(v: np.ndarray) -> float:
+    """sum(v**2); an overflow gives inf without a warning, for the caller to rescale."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(v**2))
+
+
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares slope, intercept and r^2. Constant data fits exactly."""
+    """Least-squares slope, intercept and r^2. Constant data fits exactly.
+
+    r^2 does not depend on the scale of y, so when ss_tot overflows or falls
+    below the smallest normal double, where its squares have lost digits,
+    both sums of squares are taken of y / ptp(y) instead.
+    """
     design = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    dev = y - y.mean()
+    span = np.ptp(y)
+    ss_res, ss_tot = _sum_sq(resid), _sum_sq(dev)
+    if span > 0.0 and not np.finfo(float).tiny <= ss_tot < np.inf:
+        ss_res, ss_tot = _sum_sq(resid / span), _sum_sq(dev / span)
     # constant y is fitted by a flat line; its ss_tot and ss_res are roundoff
-    r2 = 1.0 if np.ptp(y) == 0.0 else 1.0 - ss_res / ss_tot
+    r2 = 1.0 if span == 0.0 else 1.0 - ss_res / ss_tot
     return float(coef[0]), float(coef[1]), r2
 
 

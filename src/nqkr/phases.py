@@ -3,10 +3,12 @@
 `sweep` evaluates independent tasks in order, serially or in a process pool.
 `phase_diagram` classifies one OTOC series per grid point as freezing or
 scrambling; `norm_scan` fits norm growth over a (hbar, lambda) ladder and
-estimates the non-Hermitian threshold lambda_c per hbar. Each result holds
-only what its runs measured (the rho grid and features, or the per-point fits
-and mean norms); the phase boundary and lambda_c are properties derived from
-that data, so a result cannot contradict itself.
+estimates the non-Hermitian threshold lambda_c per hbar. Both build each grid
+point with `_config_at`, which sets hbar on the lattice and the AXIS_FIELDS
+values on the kick schedule. Each result holds only what its runs measured
+(the rho grid and features, or the per-point fits and mean norms); the phase
+boundary and lambda_c are properties derived from that data, so a result
+cannot contradict itself.
 
 The pool is looked up as `concurrent.futures.ProcessPoolExecutor` only when a
 sweep starts one, and that is what first loads `multiprocessing`: a serial
@@ -48,7 +50,8 @@ MIN_PHASE_KICKS = 500
 # lambda_c is the first lambda whose time-averaged norm exceeds 1 + this
 LAMBDA_C_TOLERANCE = 0.05
 
-# Sweep axes set these scalar parameters on the kick schedule.
+# Phase-diagram axes set these kick-schedule fields; "hbar", which only the
+# norm scan sets, is the lattice's hbar_eff and is no axis.
 AXIS_FIELDS = {"eta": "eta", "lambda": "lam", "K": "K"}
 
 
@@ -152,13 +155,12 @@ def classify(features: Features) -> float:
     return 1.0 / (1.0 + math.exp(-score))
 
 
-def _config_at(
-    base: SimConfig, axis1: AxisSpec, axis2: AxisSpec, v1: float, v2: float
-) -> SimConfig:
-    schedule = base.schedule
-    schedule = replace(schedule, **{AXIS_FIELDS[axis1.name]: float(v1)})
-    schedule = replace(schedule, **{AXIS_FIELDS[axis2.name]: float(v2)})
-    return replace(base, schedule=schedule)
+def _config_at(base: SimConfig, values: dict[str, float]) -> SimConfig:
+    """base with each named value set: "hbar" on the lattice, AXIS_FIELDS on the schedule."""
+    fields = {name: float(v) for name, v in values.items()}
+    lattice = replace(base.lattice, hbar_eff=fields.pop("hbar", base.lattice.hbar_eff))
+    schedule = replace(base.schedule, **{AXIS_FIELDS[name]: v for name, v in fields.items()})
+    return replace(base, lattice=lattice, schedule=schedule)
 
 
 def sweep(
@@ -221,7 +223,7 @@ def phase_diagram(
         raise ValueError(f"phase diagrams need at least {MIN_PHASE_KICKS} kicks")
 
     tasks = [
-        _config_at(base_config, axis1, axis2, v1, v2)
+        _config_at(base_config, {axis1.name: v1, axis2.name: v2})
         for v1 in axis1.values
         for v2 in axis2.values
     ]
@@ -287,14 +289,7 @@ def norm_scan(
     _late_points(kicks, kicks, None, "norm-growth")
     hbars = [float(h) for h in hbars]
     grid = [(hbar, lam) for hbar in hbars for lam in sorted(float(v) for v in lambdas)]
-    tasks = [
-        replace(
-            base_config,
-            lattice=replace(base_config.lattice, hbar_eff=hbar),
-            schedule=replace(base_config.schedule, lam=lam),
-        )
-        for hbar, lam in grid
-    ]
+    tasks = [_config_at(base_config, {"hbar": hbar, "lambda": lam}) for hbar, lam in grid]
     rows = [
         NormScanRow(hbar, lam, fit, lmn)
         for (hbar, lam), (fit, lmn) in zip(grid, sweep(_norm_point, tasks))

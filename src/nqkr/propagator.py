@@ -27,12 +27,13 @@ are fixed by the plastic number kappa (`constants`). Conventions:
   half-wave factor of the last kick is cached (`_half_wave_factor`), so the
   M columns of `spectrum.build_floquet_matrix`, all kicked at one t, compute
   it once, while a modulated evolution computes one per kick;
-* the kick's maximal amplitude gain e^g, g = |lam|*a, is factored out
+* the kick's maximal amplitude gain e^g, g = lam*a, is factored out
   analytically before exponentiation (|lam*a*cos(theta)| <= g), so the
-  pointwise factors never exceed 1 in magnitude, and the stored amplitudes
-  are renormalized to unit norm after every kick with the removed growth
-  accumulated in WaveFunction.log_norm; a kick that would make log_norm
-  non-finite raises NormCollapseError.
+  pointwise factors never exceed 1 in magnitude. g needs no abs: KickSchedule
+  keeps lam >= 0 and eta <= 1, so f >= 0, and MomentumLattice keeps hbar > 0,
+  so a >= 0. The stored amplitudes are renormalized to unit norm after every
+  kick with the removed growth accumulated in WaveFunction.log_norm; a kick
+  that would make log_norm non-finite raises NormCollapseError.
 
 Without that factoring and renormalization a lam=5 run would overflow doubles
 within a few hundred kicks.
@@ -138,8 +139,10 @@ def _free_phases(size: int, hbar: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _half_wave_factor(size: int, lam_a: float, k_a: float, gain_shift: float) -> np.ndarray:
-    """Read-only exp((lam_a - i*k_a)*cos(theta_m) - gain_shift) for m = 0..M/2.
+def _half_wave_factor(size: int, lam_a: float, k_a: float) -> np.ndarray:
+    """Read-only exp((lam_a - i*k_a)*cos(theta_m) - lam_a) for m = 0..M/2.
+
+    lam_a = lam*a >= 0 is the kick's gain g, so no factor exceeds 1 in magnitude.
 
     One complex exponential on the quarter-wave table gives the factor at
     +cos(theta_q), m = q = 0..M//4; the factor at -cos(theta_q), m = M/2 - q,
@@ -150,23 +153,21 @@ def _half_wave_factor(size: int, lam_a: float, k_a: float, gain_shift: float) ->
     cos_q = _quarter_cos(size)
     factor = np.empty(size // 2 + 1, dtype=complex)
     upper = factor[: cos_q.size - 1 : -1]  # upper[q] is the factor at m = M/2 - q
-    np.exp((lam_a - 1j * k_a) * cos_q - gain_shift, out=factor[: cos_q.size])
+    np.exp((lam_a - 1j * k_a) * cos_q - lam_a, out=factor[: cos_q.size])
     np.conjugate(factor[: upper.size], out=upper)
     upper *= np.exp((-2.0 * lam_a) * cos_q[: upper.size])
     factor.flags.writeable = False
     return factor
 
 
-def _multiply_kick_factor(
-    angle: np.ndarray, lam_a: float, k_a: float, gain_shift: float
-) -> None:
-    """Multiply angle samples in place by exp((lam_a - i*k_a)*cos(theta_m) - gain_shift).
+def _multiply_kick_factor(angle: np.ndarray, lam_a: float, k_a: float) -> None:
+    """Multiply angle samples in place by exp((lam_a - i*k_a)*cos(theta_m) - lam_a).
 
     Angles m <= M/2 take the half-wave factor, and angles m > M/2 its
     mirrored slice.
     """
     half = angle.size // 2
-    factor = _half_wave_factor(angle.size, lam_a, k_a, gain_shift)
+    factor = _half_wave_factor(angle.size, lam_a, k_a)
     angle[: half + 1] *= factor
     angle[half + 1 :] *= factor[half - 1 : 0 : -1]
 
@@ -178,14 +179,14 @@ def apply_kick(psi: WaveFunction, schedule: KickSchedule, t: int) -> WaveFunctio
     maximal gain) is added to psi.log_norm.
     """
     a = modulation_factor(schedule, t) / psi.lattice.hbar_eff
-    gain_shift = abs(schedule.lam) * abs(a)
+    lam_a = schedule.lam * a
 
     angle = np.fft.ifft(psi.amps)
-    _multiply_kick_factor(angle, schedule.lam * a, schedule.K * a, gain_shift)
+    _multiply_kick_factor(angle, lam_a, schedule.K * a)
     amps = np.fft.fft(angle, out=angle)
 
     norm_sq = _check_norm(float(np.vdot(amps, amps).real))
-    log_norm = psi.log_norm + math.log(norm_sq) + 2.0 * gain_shift
+    log_norm = psi.log_norm + math.log(norm_sq) + 2.0 * lam_a
     if not math.isfinite(log_norm):
         raise NormCollapseError(f"accumulated log-norm {log_norm} is not finite")
     amps *= 1.0 / math.sqrt(norm_sq)

@@ -34,7 +34,11 @@ straight in sorted order from views of the block eigenvectors and normalized
 in place, plus working blocks of at most (M, M/2+1) while the stack is built
 and (M, _BLOCK) after it. quasi_spectrum's allocations above U peak at
 1.57 x U.nbytes at M = 512 and 1.52 x at M = 1024, and a fidelity profile
-allocates only vectors.
+allocates only vectors. The row-blocked `_max_abs` and the band-at-a-time
+parity-leak reduction in `_parity_blocks` stay because full-matrix passes
+cost memory: on a 2-CPU host, unblocking both kept the ratio at M = 512,
+raised it to 1.53 x at M = 1024, and raised the seed-0 spectrum benchmark's
+peak RSS from 78.1-78.3 to 78.8-78.9 MB over three runs each.
 
 The FFT propagator makes momentum periodic, and the truncated ring supports
 eigenstates pinned to the n = +-M/2 seam whose eps_i can exceed every

@@ -356,6 +356,12 @@ class TestNormGrowthFit:
         assert _linear_fit(np.arange(1.0, 51.0), np.full(50, 0.3))[2] == 1.0
         assert _linear_fit(np.arange(1.0, 52.0), np.full(51, 0.1))[2] == 1.0
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e200])
+    def test_r2_does_not_depend_on_the_scale_of_y(self, scale):
+        # the squares of these y under- or overflow; r^2 = 3/11 at every scale
+        x, y = np.arange(1.0, 11.0), np.array([0.0] * 9 + [1.0])
+        assert _linear_fit(x, scale * y)[2] == pytest.approx(_linear_fit(x, y)[2], rel=1e-14)
+
     def test_window_too_small_fails(self):
         # the second half, t in [8.5, 17], holds 9 kicks
         series = synthetic_series(np.arange(1, 18), np.zeros(17))

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from nqkr import (
     SimConfig,
     classify,
     extract_features,
+    fit_norm_growth,
+    log_mean_norm,
     phase_diagram,
     record_series,
 )
@@ -166,6 +169,12 @@ class TestPhaseDiagram:
         with pytest.raises(ValueError):
             phase_diagram(AxisSpec("volume", np.array([0.1, 0.9])), two, tiny_config())
 
+    def test_hbar_is_no_axis(self):
+        # only the norm scan sets hbar, on the lattice
+        with pytest.raises(ValueError, match="unknown sweep axis 'hbar'"):
+            phase_diagram(AxisSpec("hbar", np.array([1.5, 2.89])),
+                          AxisSpec("K", np.array([1.0, 2.0])), tiny_config())
+
     def test_same_field_on_both_axes_rejected_before_any_point(self, monkeypatch):
         def no_point(config):
             raise AssertionError("a grid point ran")
@@ -250,6 +259,17 @@ def test_norm_scan_rows_are_hbar_major_with_lambda_ascending():
                  if r.hbar == hbar and r.log_mean_norm > math.log1p(LAMBDA_C_TOLERANCE)]
         assert crossing == (above[0] if above else None)
     assert result.lambda_c[2.89] == 0.2
+
+
+def test_norm_scan_fits_each_point_as_its_own_run():
+    base = SimConfig(MomentumLattice(512, HBAR), KickSchedule(K=5.0, lam=0.0), 120)
+    result = norm_scan(base, lambdas=[0.2], hbars=(2.89, 1.5))
+    for row in result.rows:
+        cfg = replace(base, lattice=replace(base.lattice, hbar_eff=row.hbar),
+                      schedule=replace(base.schedule, lam=row.lam))
+        series = record_series(cfg).series
+        assert row.fit == fit_norm_growth(series)
+        assert row.log_mean_norm == log_mean_norm(series)
 
 
 def test_default_jobs_env_override(monkeypatch):

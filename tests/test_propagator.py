@@ -175,17 +175,17 @@ class TestApplyKick:
             apply_kick(psi, KickSchedule(1.0, 0.0), t=1)
 
 
-def direct_multiply_kick_factor(angle, lam_a, k_a, gain_shift):
-    """Reference kick: exp((lam_a - i*k_a)*cos(theta_m) - gain_shift) on all M angles."""
+def direct_multiply_kick_factor(angle, lam_a, k_a):
+    """Reference kick: exp((lam_a - i*k_a)*cos(theta_m) - lam_a) on all M angles."""
     theta = 2.0 * np.pi * np.arange(angle.size) / angle.size
-    angle *= np.exp((lam_a - 1j * k_a) * np.cos(theta) - gain_shift)
+    angle *= np.exp((lam_a - 1j * k_a) * np.cos(theta) - lam_a)
 
 
 def kick_factor(multiply, m, sched, t, hbar):
     """The kick factor as one kick multiplies it onto the angle samples."""
     a = modulation_factor(sched, t) / hbar
     factor = np.ones(m, dtype=complex)
-    multiply(factor, sched.lam * a, sched.K * a, sched.lam * a)
+    multiply(factor, sched.lam * a, sched.K * a)
     return factor
 
 
@@ -216,21 +216,21 @@ class TestKickFactor:
     def test_extreme_gain(self, m, lam_a, k_a):
         mirror = (m - np.arange(m)) % m
         factor = np.ones(m, dtype=complex)
-        propagator._multiply_kick_factor(factor, lam_a, k_a, lam_a)
+        propagator._multiply_kick_factor(factor, lam_a, k_a)
         direct = np.ones(m, dtype=complex)
-        direct_multiply_kick_factor(direct, lam_a, k_a, lam_a)
+        direct_multiply_kick_factor(direct, lam_a, k_a)
         assert np.all(np.isfinite(factor))
         assert np.max(np.abs(factor)) <= 1.0 + np.finfo(float).eps
         assert np.array_equal(factor, factor[mirror])
         assert np.max(np.abs(factor - direct)) <= 1e-13 * np.max(np.abs(factor))
 
 
-def uncached_half_wave_factor(m, lam_a, k_a, gain_shift):
+def uncached_half_wave_factor(m, lam_a, k_a):
     """The half-wave factor as every kick computed it before it was cached."""
     cos_q = np.cos(2.0 * np.pi * np.arange(m // 4 + 1) / m)
     factor = np.empty(m // 2 + 1, dtype=complex)
     upper = factor[: cos_q.size - 1 : -1]
-    np.exp((lam_a - 1j * k_a) * cos_q - gain_shift, out=factor[: cos_q.size])
+    np.exp((lam_a - 1j * k_a) * cos_q - lam_a, out=factor[: cos_q.size])
     np.conjugate(factor[: upper.size], out=upper)
     upper *= np.exp((-2.0 * lam_a) * cos_q[: upper.size])
     return factor
@@ -242,7 +242,7 @@ class TestHalfWaveFactorCache:
         sched = KickSchedule(10.0, 5.0)
         for t in (1, 7, 200):
             a = modulation_factor(sched, t) / HBAR
-            args = (m, sched.lam * a, sched.K * a, sched.lam * a)
+            args = (m, sched.lam * a, sched.K * a)
             factor = propagator._half_wave_factor(*args)
             assert not factor.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -427,7 +427,7 @@ class TestEvolve:
             evolve(cfg)
 
     def test_log_norm_overflow_raises_at_its_kick(self):
-        # each kick adds 2*gain_shift ~ 1e308 to log_norm, which reaches inf at
+        # each kick adds 2*lam*a ~ 1e308 to log_norm, which reaches inf at
         # t=3; the state spreads past the 32-site lattice's edge at t=1
         cfg = config(0.0, 5e307, 3, m=32, hbar=1.0)
         with pytest.warns(WrapAroundWarning), pytest.raises(
