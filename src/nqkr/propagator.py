@@ -20,13 +20,14 @@ are fixed by the plastic number kappa (`constants`). Conventions:
   +cos(theta_q) is F_q = e^((lam*a - i*K*a)*cos(theta_q) - g) and at
   -cos(theta_q) it is conj(F_q)*e^(-2*lam*a*cos(theta_q)). So each kick takes
   one complex and one real exponential on the M//4+1 quarter-wave points
-  q = 0..M//4 instead of a complex one on M points, and the factor on angles
-  m > M/2 is the mirrored slice of angles 0..M/2. The factor is therefore
-  exactly parity-symmetric, F[m] == F[(M-m) % M], and the forward FFT
-  writes into the inverse FFT's output (timings in `BENCH_13.json`). The
-  half-wave factor of the last kick is cached (`_half_wave_factor`), so the
-  M columns of `spectrum.build_floquet_matrix`, all kicked at one t, compute
-  it once, while a modulated evolution computes one per kick;
+  q = 0..M//4 instead of a complex one on M points, and each angle m > M/2
+  copies the factor of angle M - m. The factor is therefore exactly
+  parity-symmetric, F[m] == F[(M-m) % M], a kick multiplies it onto the M
+  angle samples in one pass, and the forward FFT writes into the inverse
+  FFT's output (timings in `BENCH_13.json`). The factor of the last kick is
+  cached (`_kick_factor`), so the M columns of
+  `spectrum.build_floquet_matrix`, all kicked at one t, compute it once,
+  while a modulated evolution computes one per kick;
 * the kick's maximal amplitude gain e^g, g = lam*a, is factored out
   analytically before exponentiation (|lam*a*cos(theta)| <= g), so the
   pointwise factors never exceed 1 in magnitude. g needs no abs: KickSchedule
@@ -139,37 +140,28 @@ def _free_phases(size: int, hbar: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _half_wave_factor(size: int, lam_a: float, k_a: float) -> np.ndarray:
-    """Read-only exp((lam_a - i*k_a)*cos(theta_m) - lam_a) for m = 0..M/2.
+def _kick_factor(size: int, lam_a: float, k_a: float) -> np.ndarray:
+    """Read-only exp((lam_a - i*k_a)*cos(theta_m) - lam_a) for m = 0..M-1.
 
     lam_a = lam*a >= 0 is the kick's gain g, so no factor exceeds 1 in magnitude.
 
     One complex exponential on the quarter-wave table gives the factor at
     +cos(theta_q), m = q = 0..M//4; the factor at -cos(theta_q), m = M/2 - q,
-    is its conjugate times the real e^(-2*lam_a*cos(theta_q)) <= 1. Only the
-    last factor is kept: matrix assembly kicks every column at one t, while
-    each kick of a modulated evolution needs a new one.
+    is its conjugate times the real e^(-2*lam_a*cos(theta_q)) <= 1, and each
+    angle m > M/2 copies the factor of its mirror angle M - m. Only the last
+    factor is kept: matrix assembly kicks every column at one t, while each
+    kick of a modulated evolution needs a new one.
     """
     cos_q = _quarter_cos(size)
-    factor = np.empty(size // 2 + 1, dtype=complex)
-    upper = factor[: cos_q.size - 1 : -1]  # upper[q] is the factor at m = M/2 - q
+    half = size // 2
+    factor = np.empty(size, dtype=complex)
+    upper = factor[half : cos_q.size - 1 : -1]  # upper[q] is the factor at m = M/2 - q
     np.exp((lam_a - 1j * k_a) * cos_q - lam_a, out=factor[: cos_q.size])
     np.conjugate(factor[: upper.size], out=upper)
     upper *= np.exp((-2.0 * lam_a) * cos_q[: upper.size])
+    factor[half + 1 :] = factor[half - 1 : 0 : -1]
     factor.flags.writeable = False
     return factor
-
-
-def _multiply_kick_factor(angle: np.ndarray, lam_a: float, k_a: float) -> None:
-    """Multiply angle samples in place by exp((lam_a - i*k_a)*cos(theta_m) - lam_a).
-
-    Angles m <= M/2 take the half-wave factor, and angles m > M/2 its
-    mirrored slice.
-    """
-    half = angle.size // 2
-    factor = _half_wave_factor(angle.size, lam_a, k_a)
-    angle[: half + 1] *= factor
-    angle[half + 1 :] *= factor[half - 1 : 0 : -1]
 
 
 def apply_kick(psi: WaveFunction, schedule: KickSchedule, t: int) -> WaveFunction:
@@ -182,7 +174,7 @@ def apply_kick(psi: WaveFunction, schedule: KickSchedule, t: int) -> WaveFunctio
     lam_a = schedule.lam * a
 
     angle = np.fft.ifft(psi.amps)
-    _multiply_kick_factor(angle, lam_a, schedule.K * a)
+    angle *= _kick_factor(angle.size, lam_a, schedule.K * a)
     amps = np.fft.fft(angle, out=angle)
 
     norm_sq = _check_norm(float(np.vdot(amps, amps).real))

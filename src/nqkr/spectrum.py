@@ -249,8 +249,10 @@ def _parity_blocks(matrix: np.ndarray, max_abs: float) -> np.ndarray:
 
 
 def _max_abs(matrix: np.ndarray) -> float:
-    """max|U_ij|, taken over blocks of rows."""
-    return max(float(np.abs(matrix[i:i + _BLOCK]).max()) for i in range(0, len(matrix), _BLOCK))
+    """max|U_ij|, taken over blocks of rows; nan or inf if an entry is."""
+    blocks = range(0, len(matrix), _BLOCK)
+    # np.max keeps a nan block maximum, which Python's max drops unless it is first
+    return float(np.max([np.abs(matrix[i:i + _BLOCK]).max() for i in blocks], initial=0.0))
 
 
 def _eps_parts(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +310,9 @@ def quasi_spectrum(
     max(1, max|U|) are flagged with a warning. Raises ValueError if U has
     non-finite entries, or if it couples the two parity sectors by more than
     PARITY_TOLERANCE * max|U|, and SpectrumError if a residual overflows.
-    max|U|, the eig and the residuals run on one BLAS thread.
+    One row-blocked pass reads max|U|, which is nan or inf if an entry is,
+    so the entries are checked one by one only when max|U| is not finite.
+    The eig and the residuals run on one BLAS thread.
 
     t and lattice are carried through for bookkeeping; lattice defaults to
     hbar = 1 if the matrix arrives without context.
@@ -317,16 +321,17 @@ def quasi_spectrum(
     m = matrix.shape[0]
     if matrix.shape != (m, m):
         raise ValueError(f"matrix must be square, got {matrix.shape}")
-    if not np.all(np.isfinite(matrix.view(np.float64))):
+    max_abs = _max_abs(matrix)
+    # a finite entry whose modulus overflows also makes max|U| inf
+    if not np.isfinite(max_abs) and not np.all(np.isfinite(matrix.view(np.float64))):
         raise ValueError("matrix has non-finite entries")
     if lattice is None:
         lattice = MomentumLattice(m, 1.0)
     if lattice.size != m:
         raise ValueError("lattice size does not match matrix dimension")
 
+    scale = max(1.0, max_abs)
     with _blas.one_thread():
-        max_abs = _max_abs(matrix)
-        scale = max(1.0, max_abs)
         try:
             eigvals, vecs = _parity_eig(matrix, max_abs)
         except np.linalg.LinAlgError as exc:

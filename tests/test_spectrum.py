@@ -427,14 +427,20 @@ class TestParityBlocks:
         with pytest.raises(ValueError, match="parity"):
             quasi_spectrum(mat)
 
-    def test_nonfinite_check_fires_first(self):
-        rng = np.random.default_rng(5)
-        bad = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        with pytest.raises(ValueError, match="parity"):
-            quasi_spectrum(bad)
-        bad[3, 3] = np.inf
+    # rows past the first _BLOCK, where a reduction that drops nan misses it
+    @pytest.mark.parametrize("row,col,value", [
+        (200, 3, np.nan), (130, 7, complex(np.inf, np.nan)), (255, 255, complex(1.0, np.nan)),
+    ], ids=["nan", "inf-nan", "nan-imag"])
+    def test_nonfinite_check_fires_first(self, row, col, value):
+        bad = build_floquet_matrix(config(10.0, 5.0, m=256), t=3, m_spec=256)
+        bad[row, col] = value
         with pytest.raises(ValueError, match="non-finite"):
             quasi_spectrum(bad)
+
+    def test_overflowing_modulus_is_no_nonfinite_entry(self):
+        # |U_00| overflows to inf while both its parts are finite
+        with pytest.raises(SpectrumError, match="overflow double range"):
+            quasi_spectrum(np.diag([1.5e308 + 1.5e308j, 1, 1, 1]))
 
     def test_dim2_has_empty_odd_sector(self):
         # at M = 2 parity fixes both sites: every 2x2 matrix commutes with
