@@ -74,8 +74,8 @@ from .fileio import (
 )
 from .lattice import MomentumLattice, NormCollapseError, momentum_distribution
 from .observables import record_series
-from .phases import (AXIS_FIELDS, LAMBDA_C_TOLERANCE, AxisSpec, NormScanResult, default_jobs,
-                     norm_scan, phase_diagram)
+from .phases import (AXIS_FIELDS, LAMBDA_C_TOLERANCE, AxisSpec, NormScanResult, norm_scan,
+                     phase_diagram)
 from .propagator import KickSchedule, SimConfig
 from .recipes import FIGURE_IDS, run_recipe
 from .spectrum import SPECTRUM_DIM_BUDGET, SpectrumError, fidelity_profile, spectrum_at
@@ -235,7 +235,7 @@ def run_phase_diagram(params: dict, outdir: str, jobs: int | None = None) -> Pat
     axis1 = AxisSpec(params["axis1_name"], np.asarray(params["axis1_values"]))
     axis2 = AxisSpec(params["axis2_name"], np.asarray(params["axis2_values"]))
     base = _build_config(params)
-    jobs = default_jobs() if jobs is None else jobs
+    jobs = (os.cpu_count() or 1) if jobs is None else jobs
     with _run(outdir, "phase-diagram", params) as run_dir:
         diagram = phase_diagram(axis1, axis2, base, jobs=jobs, progress=lambda done, total:
                                 click.echo(f"point {done}/{total} done", err=True))
@@ -457,7 +457,7 @@ def spectrum(outdir, **kwargs):
               help="K grid as start:stop:count.")
 @_kicks_option
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
-              help="Worker count [default: NQKR_JOBS or CPU count].")
+              help="Worker count [default: CPU count].")
 @_lattice_option
 @click.option("--gnuplot", is_flag=True, help="Also emit a gnuplot matrix file.")
 @_outdir_option

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
@@ -296,16 +295,3 @@ def norm_scan(
     ]
     return NormScanResult(rows)
 
-
-def default_jobs() -> int:
-    """Worker count: NQKR_JOBS (a positive integer) if set, else the CPU count."""
-    env = os.environ.get("NQKR_JOBS")
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            jobs = 0
-        if jobs < 1:
-            raise ValueError(f"NQKR_JOBS must be a positive integer, got {env!r}")
-        return jobs
-    return os.cpu_count() or 1

@@ -28,6 +28,14 @@ are fixed by the plastic number kappa (`constants`). Conventions:
   cached (`_kick_factor`), so the M columns of
   `spectrum.build_floquet_matrix`, all kicked at one t, compute it once,
   while a modulated evolution computes one per kick;
+* the free phases are exact to double rounding: an error-free product
+  (Dekker, Numer. Math. 18, 224 (1971)) gives hbar*n^2/2 = hi + lo exactly,
+  and the phase is e^(-i*hi)*e^(-i*lo). An argument rounded to double errs
+  by up to hbar*n^2/2 * 2^-53, 8.1e-10 rad at the edge of M = 4096, and by
+  the same amount at every kick. The table is cached per (M, hbar)
+  (`_free_phases`), so this costs nothing per kick. e^(-i*lo) equals
+  1 - i*lo bit for bit while |lo| < 1e-8, that is while hbar*n^2/2 stays
+  below about 9e7, and unlike 1 - i*lo it keeps |phase| = 1 beyond that;
 * the kick's maximal amplitude gain e^g, g = lam*a, is factored out
   analytically before exponentiation (|lam*a*cos(theta)| <= g), so the
   pointwise factors never exceed 1 in magnitude. g needs no abs: KickSchedule
@@ -131,10 +139,33 @@ def _quarter_cos(size: int) -> np.ndarray:
     return cos_q
 
 
+def _split(x):
+    """(hi, lo) with hi + lo == x exactly, each with at most 26 significant bits."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_product(a: float, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi = fl(a*b) and hi + lo == a*b exactly (Dekker 1971)."""
+    hi = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    lo = a_lo * b_lo - (((hi - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    return hi, lo
+
+
 @lru_cache(maxsize=32)
 def _free_phases(size: int, hbar: float) -> np.ndarray:
-    n = np.arange(-size // 2, size // 2)
-    phases = np.exp(-0.5j * hbar * n * n)
+    """Read-only e^(-i*hbar*n^2/2) for n = -M/2..M/2-1, read by every step and U(t) column.
+
+    A rounded argument would err by the same amount at every kick, so the
+    error would add up: hbar/2*n^2 = hi + lo exactly instead (n^2 and hbar/2
+    are exact up to LATTICE_SIZE_BUDGET), and the phase is e^(-i*hi)*e^(-i*lo).
+    """
+    n = np.arange(-size // 2, size // 2, dtype=np.float64)
+    hi, lo = _two_product(0.5 * hbar, n * n)
+    phases = np.exp(-1j * hi) * np.exp(-1j * lo)
     phases.flags.writeable = False
     return phases
 

@@ -15,8 +15,8 @@ M/2 - 1 on (|k> - |-k>)/sqrt(2); `_fold` and its inverse `_unfold` are the
 one definition of that basis. `quasi_spectrum` solves the two blocks in one
 stacked eig, about a quarter of the work of the full matrix, so every
 eigenstate it returns has definite parity. Residuals are still measured
-against the full matrix, and one that overflows double range is a
-SpectrumError.
+against the full matrix. A parity block or a residual that overflows double
+range is a SpectrumError.
 
 `quasi_spectrum` and `fidelity_profile` run on one BLAS thread
 (`_blas.one_thread`): the stacked eig, the blocked residual products
@@ -79,7 +79,8 @@ _BLOCK = 64
 
 
 class SpectrumError(RuntimeError):
-    """The eigensolver failed to converge, or no eigenstate is tail-safe."""
+    """The eigensolver failed to converge, U(t) overflows double range, or no
+    eigenstate is tail-safe."""
 
 
 @dataclass
@@ -309,7 +310,8 @@ def quasi_spectrum(
     blocks of _BLOCK columns; pairs above RESIDUAL_TOLERANCE *
     max(1, max|U|) are flagged with a warning. Raises ValueError if U has
     non-finite entries, or if it couples the two parity sectors by more than
-    PARITY_TOLERANCE * max|U|, and SpectrumError if a residual overflows.
+    PARITY_TOLERANCE * max|U|, and SpectrumError if a parity block or a
+    residual overflows double range.
     One row-blocked pass reads max|U|, which is nan or inf if an entry is,
     so the entries are checked one by one only when max|U| is not finite.
     The eig and the residuals run on one BLAS thread.
@@ -333,7 +335,15 @@ def quasi_spectrum(
     scale = max(1.0, max_abs)
     with _blas.one_thread():
         try:
-            eigvals, vecs = _parity_eig(matrix, max_abs)
+            # a fold of two entries near the top of double range overflows;
+            # raising here keeps it from reaching eig as an inf
+            with np.errstate(over="raise"):
+                eigvals, vecs = _parity_eig(matrix, max_abs)
+        except FloatingPointError as exc:
+            raise SpectrumError(
+                f"parity blocks of U overflow double range (dim {m}, max|U| {scale:.3e}); "
+                "U(t) grows too fast at this lambda, hbar and t"
+            ) from exc
         except np.linalg.LinAlgError as exc:
             norm1 = float(np.linalg.norm(matrix, 1))
             norm_inf = float(np.linalg.norm(matrix, np.inf))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -16,6 +17,7 @@ from nqkr import (KickSchedule, MomentumLattice, OtocSeries, SimConfig, WrapArou
 from nqkr import _blas, cli, phases, propagator
 from nqkr.cli import main, parse_range, rerun_manifest
 from nqkr.constants import OMEGA1, OMEGA2, PLASTIC
+from test_phases import RecordingPool
 
 
 @pytest.fixture
@@ -317,27 +319,6 @@ class TestPhaseDiagramCommand:
         )
         assert result.exit_code == 2
 
-    def test_non_integer_jobs_env_is_usage_error(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
-            ["phase-diagram", "--plane", "lambda-K", "--lambda-range", "0:3:2",
-             "--k-range", "4:8:2", "--kicks", "500", "--lattice", "64",
-             "--outdir", str(tmp_path)],
-            env={"NQKR_JOBS": "two"},
-        )
-        assert result.exit_code == 2
-        assert "NQKR_JOBS" in result.output and "'two'" in result.output
-        assert not list(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_non_positive_jobs_env_is_usage_error(self, runner, tmp_path, jobs):
-        result = runner.invoke(
-            main, PHASE_DIAGRAM_ARGS + ["--outdir", str(tmp_path)], env={"NQKR_JOBS": jobs}
-        )
-        assert result.exit_code == 2
-        assert "NQKR_JOBS" in result.output and f"'{jobs}'" in result.output
-        assert not list(tmp_path.iterdir())
-
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_non_positive_jobs_is_usage_error(self, runner, tmp_path, jobs):
         result = runner.invoke(
@@ -359,6 +340,20 @@ class TestPhaseDiagramCommand:
             again = rerun_manifest(manifest, str(tmp_path / outdir))
             for name in ("phase_diagram.csv", "phase_diagram.json", "phase_diagram.matrix"):
                 assert (orig / name).read_bytes() == (again / name).read_bytes()
+
+    def test_default_worker_count_is_the_cpu_count(self, runner, tmp_path, monkeypatch):
+        # without --jobs the run and its rerun start one worker per CPU; NQKR_JOBS,
+        # an override in earlier releases, is not read
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "created", [])
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("NQKR_JOBS", "1")
+        result = runner.invoke(main, PHASE_DIAGRAM_ARGS + ["--outdir", str(tmp_path / "orig")])
+        assert result.exit_code == 0, result.output
+        manifest = only_run_dir(tmp_path / "orig") / "manifest.json"
+        result = runner.invoke(main, ["rerun", str(manifest), "--outdir", str(tmp_path / "again")])
+        assert result.exit_code == 0, result.output
+        assert RecordingPool.created == [3, 3]
 
     def test_manifest_with_one_field_on_both_axes_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, PHASE_DIAGRAM_ARGS + ["--outdir", str(tmp_path / "orig")])
@@ -571,8 +566,8 @@ def test_unread_manifest_param_exits_2_without_run_dir(runner, tmp_path, args, k
 
 @pytest.mark.parametrize("args", MANIFEST_ARGS, ids=[args[0] for args in MANIFEST_ARGS])
 def test_rerun_prints_what_its_command_printed(runner, tmp_path, monkeypatch, args):
-    # the rerun's phase diagram takes its worker count from NQKR_JOBS; one keeps it serial
-    monkeypatch.setenv("NQKR_JOBS", "1")
+    # the rerun's phase diagram runs on the CPU count; one keeps it serial
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     first = runner.invoke(main, args + ["--outdir", str(tmp_path / "orig")])
     assert first.exit_code == 0, first.output
     manifest = only_run_dir(tmp_path / "orig") / "manifest.json"

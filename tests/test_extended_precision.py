@@ -76,3 +76,16 @@ def test_run_matches_the_reference_over_ten_kicks(K, lam):
     assert np.all(np.abs(series.c_exact - c_exact) <= 1e-13 * np.abs(c_exact))
     assert np.all(np.abs(series.mean_p2 - mean_p2) <= 1e-13 * np.abs(mean_p2))
     assert np.all(np.abs(series.log_norm - log_norm) <= 1e-12)
+
+
+def test_run_matches_the_reference_over_a_thousand_kicks():
+    # The bounds were fixed before the first run: 3e-12 relative on c_exact and
+    # <p^2>, 1e-11 absolute on log_norm. With the free phase hbar*n^2/2 rounded
+    # in one product, a probe saw 4.0e-11 relative and 1.3e-10 absolute here;
+    # the exact phases (propagator._free_phases) bring both under the bounds.
+    cfg = SimConfig(MomentumLattice(1024, 2.89), KickSchedule(K=10.0, lam=2.0), 1000)
+    series = record_series(cfg).series
+    c_exact, mean_p2, log_norm = reference_series(10.0, 2.0, 2.89, 1024, 1000)
+    assert np.all(np.abs(series.c_exact - c_exact) <= 3e-12 * np.abs(c_exact))
+    assert np.all(np.abs(series.mean_p2 - mean_p2) <= 3e-12 * np.abs(mean_p2))
+    assert np.all(np.abs(series.log_norm - log_norm) <= 1e-11)

@@ -22,7 +22,7 @@ from nqkr import (
     record_series,
 )
 import nqkr.phases
-from nqkr.phases import LAMBDA_C_TOLERANCE, PhaseDiagram, default_jobs, norm_scan, sweep
+from nqkr.phases import LAMBDA_C_TOLERANCE, PhaseDiagram, norm_scan, sweep
 
 HBAR = 2.89
 
@@ -270,23 +270,3 @@ def test_norm_scan_fits_each_point_as_its_own_run():
         series = record_series(cfg).series
         assert row.fit == fit_norm_growth(series)
         assert row.log_mean_norm == log_mean_norm(series)
-
-
-def test_default_jobs_env_override(monkeypatch):
-    monkeypatch.setenv("NQKR_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.delenv("NQKR_JOBS")
-    assert default_jobs() >= 1
-
-
-def test_default_jobs_names_a_bad_env_value(monkeypatch):
-    monkeypatch.setenv("NQKR_JOBS", "two")
-    with pytest.raises(ValueError, match="NQKR_JOBS"):
-        default_jobs()
-
-
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_default_jobs_rejects_a_non_positive_env_value(monkeypatch, value):
-    monkeypatch.setenv("NQKR_JOBS", value)
-    with pytest.raises(ValueError, match="NQKR_JOBS must be a positive integer"):
-        default_jobs()

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -289,6 +290,30 @@ class TestApplyFree:
         before = psi.stored_norm_sq()
         apply_free(psi)
         assert psi.stored_norm_sq() == pytest.approx(before, rel=1e-14)
+
+    # n^2 up to the lattice budget's edge, (2**21)**2
+    @pytest.mark.parametrize("hbar", [HBAR, 0.5, 1e-3, 7.3, 8e152])
+    def test_phase_argument_splits_exactly(self, hbar):
+        n = np.array([1, 3, 2047, -2048, 2**20 + 1, -(2**21)], dtype=float)
+        hi, lo = propagator._two_product(0.5 * hbar, n * n)
+        for h, l, k in zip(hi, lo, n):
+            assert Fraction(h) + Fraction(l) == Fraction(0.5 * hbar) * int(k) ** 2
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="longdouble is no wider than double on this platform")
+    def test_phases_match_an_extended_precision_argument(self):
+        # hbar*n^2/2 rounded in one product errs by up to 8.1e-10 rad at the
+        # M = 4096 edge; the longdouble argument itself is rounded by ~2.3e-13
+        n = np.arange(-2048, 2048).astype(np.longdouble)
+        arg = np.longdouble(HBAR) * n * n / 2
+        ref = np.cos(arg) - 1j * np.sin(arg)
+        assert np.max(np.abs(propagator._free_phases(4096, HBAR) - ref)) < 1e-12
+
+    def test_phases_keep_unit_modulus_where_the_low_part_is_not_small(self):
+        # at the M = 65536 edge the low part reaches 1.9e-7 rad, where 1 - i*lo
+        # would be 1.8e-14 too long
+        phases = propagator._free_phases(65536, 7.3)
+        assert np.max(np.abs(np.abs(phases) - 1.0)) < 1e-15
 
 
 def dense_step_matrix(m, hbar, K, lam, eta, t):

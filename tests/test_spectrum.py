@@ -437,10 +437,20 @@ class TestParityBlocks:
         with pytest.raises(ValueError, match="non-finite"):
             quasi_spectrum(bad)
 
-    def test_overflowing_modulus_is_no_nonfinite_entry(self):
-        # |U_00| overflows to inf while both its parts are finite
+    # |U_jj| overflows to inf while both its parts are finite: unpaired at
+    # n = -M/2, where the residual overflows, and paired at n = +-1, where the
+    # parity fold adds two such entries
+    @pytest.mark.parametrize("matrix", [
+        np.diag([1.5e308 + 1.5e308j, 1, 1, 1]), np.eye(4) * (1.5e308 + 1.5e308j),
+    ], ids=["unpaired", "paired"])
+    def test_overflowing_modulus_is_no_nonfinite_entry(self, matrix):
         with pytest.raises(SpectrumError, match="overflow double range"):
-            quasi_spectrum(np.diag([1.5e308 + 1.5e308j, 1, 1, 1]))
+            quasi_spectrum(matrix)
+
+    def test_unpaired_entry_near_the_top_of_double_range_solves(self):
+        spec = quasi_spectrum(np.diag([1e308, 1, 1, 1]))
+        assert spec.eps_i[0] == pytest.approx(np.log(1e308))
+        assert not spec.flagged_mask().any()
 
     def test_dim2_has_empty_odd_sector(self):
         # at M = 2 parity fixes both sites: every 2x2 matrix commutes with
