@@ -18,23 +18,27 @@ from .phases import LAMBDA_C_TOLERANCE, NormScanResult, PhaseDiagram
 from .spectrum import FidelityRecord, QuasiSpectrum
 
 
-_FLOAT_FORMAT = "{:.15g}"
+_FLOAT_FORMAT = "%.15g"
+_BLOCK_ROWS = 1 << 16
 
 
-def _fmt(x: float) -> str:
-    return _FLOAT_FORMAT.format(x)
+def _write_table(path: Path, first_line: str, columns: list, sep: str = ",") -> None:
+    """first_line, then one row per index of the columns.
 
-
-def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    values = [np.asarray(col, dtype=float).tolist() for col in columns]
-    row_format = ",".join([_FLOAT_FORMAT] * len(columns)) + "\n"
+    Each block of at most _BLOCK_ROWS rows is formatted by one `%`, so a large
+    table is never held as Python floats all at once.
+    """
+    table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
+    row = sep.join([_FLOAT_FORMAT] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row_format.format(*row) for row in zip(*values))
+        fh.write(first_line + "\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_distribution_csv(path: str | Path, dist: MomentumDistribution) -> None:
-    _write_table(Path(path), ["p", "prob"], [dist.p, dist.prob])
+    _write_table(Path(path), "p,prob", [dist.p, dist.prob])
 
 
 def read_distribution_csv(path: str | Path) -> MomentumDistribution:
@@ -45,13 +49,13 @@ def read_distribution_csv(path: str | Path) -> MomentumDistribution:
 def write_series_csv(path: str | Path, series: OtocSeries) -> None:
     """One column per `OtocSeries` field, in field order, headed by its name."""
     names = [field.name for field in fields(series)]
-    _write_table(Path(path), names, [getattr(series, name) for name in names])
+    _write_table(Path(path), ",".join(names), [getattr(series, name) for name in names])
 
 
 def write_spectrum_csv(path: str | Path, spec: QuasiSpectrum) -> None:
     _write_table(
         Path(path),
-        ["eps_r", "eps_i", "residual"],
+        "eps_r,eps_i,residual",
         [spec.eps_r, spec.eps_i, spec.residuals],
     )
 
@@ -114,7 +118,7 @@ def write_norm_scan_csv(path: str | Path, result: NormScanResult) -> None:
     rows = result.rows
     _write_table(
         Path(path),
-        ["hbar", "lambda", "mu", "r_squared", "log_mean_norm"],
+        "hbar,lambda,mu,r_squared,log_mean_norm",
         [[r.hbar for r in rows], [r.lam for r in rows], [r.fit.mu for r in rows],
          [r.fit.r_squared for r in rows], [r.log_mean_norm for r in rows]],
     )
@@ -123,7 +127,7 @@ def write_norm_scan_csv(path: str | Path, result: NormScanResult) -> None:
 def write_diagram_csv(path: str | Path, diagram: PhaseDiagram) -> None:
     a1 = np.repeat(diagram.axis1.values, len(diagram.axis2.values))
     a2 = np.tile(diagram.axis2.values, len(diagram.axis1.values))
-    _write_table(Path(path), ["axis1", "axis2", "rho"], [a1, a2, diagram.rho.ravel()])
+    _write_table(Path(path), "axis1,axis2,rho", [a1, a2, diagram.rho.ravel()])
 
 
 def write_diagram_json(path: str | Path, diagram: PhaseDiagram) -> None:
@@ -150,17 +154,14 @@ def write_diagram_json(path: str | Path, diagram: PhaseDiagram) -> None:
 
 def write_diagram_gnuplot(path: str | Path, diagram: PhaseDiagram) -> None:
     """gnuplot nonuniform-matrix format: `plot ... matrix nonuniform`."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        axis2 = [_fmt(float(v)) for v in diagram.axis2.values]
-        fh.write(" ".join([str(len(axis2)), *axis2]) + "\n")
-        for v1, rho_row in zip(diagram.axis1.values, diagram.rho.tolist()):
-            fh.write(" ".join(_fmt(x) for x in [float(v1), *rho_row]) + "\n")
+    axis2 = [_FLOAT_FORMAT % v for v in diagram.axis2.values]
+    first_line = " ".join([str(len(axis2)), *axis2])
+    _write_table(Path(path), first_line, [diagram.axis1.values, *diagram.rho.T], sep=" ")
 
 
 def write_json(path: str | Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def read_json(path: str | Path) -> dict:

@@ -329,7 +329,8 @@ def fit_norm_growth(series: OtocSeries) -> NormGrowthFit:
     """Fit log_norm = mu*t + b over the second half of the run.
 
     log_norm is ln of the true squared norm, so mu is the growth rate of
-    ln N^2 per kick.
+    ln N^2 per kick. At lambda = 0 the kick is unitary and log_norm holds only
+    accumulated roundoff, so mu (~1e-16) and r_squared fit roundoff, not physics.
     """
     t, log_norm, window = _late_points(series.t, series.log_norm, None, "norm-growth")
     mu, intercept, r2 = _linear_fit(t, log_norm)

@@ -193,7 +193,7 @@ def recipe_fig1d(outdir: Path) -> list[Check]:
                 f"D={d:.3e}, theory={theory:.3e}, ratio={d / theory:.3f}",
             )
         )
-    _write_table(outdir / "d_vs_k.csv", ["K", "D", "theory"], list(zip(*rows)))
+    _write_table(outdir / "d_vs_k.csv", "K,D,theory", list(zip(*rows)))
     _emit_plot_script(
         outdir / "plot_fig1d.py",
         "d = np.loadtxt('d_vs_k.csv', delimiter=',', skiprows=1)\n"
@@ -266,7 +266,7 @@ def recipe_fig3a(outdir: Path) -> list[Check]:
     )
     mus = {lam: fit_norm_growth(s).mu for lam, s in series.items()}
     _write_table(
-        outdir / "mu_vs_lambda.csv", ["lambda", "mu"], list(zip(*sorted(mus.items())))
+        outdir / "mu_vs_lambda.csv", "lambda,mu", list(zip(*sorted(mus.items())))
     )
     growing = [mus[lam] for lam in (1.0, 1.5, 2.0)]
     r2 = _linear_fit(np.array([1.0, 1.5, 2.0]), np.array(growing))[2]

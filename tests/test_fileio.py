@@ -12,7 +12,6 @@ from nqkr import (
     OtocSeries,
 )
 from nqkr.fileio import (
-    _fmt,
     _write_table,
     norm_scan_dict,
     read_distribution_csv,
@@ -97,7 +96,7 @@ def row_loop_table(path, header, columns):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(rows):
-            fh.write(",".join(_fmt(float(col[i])) for col in columns) + "\n")
+            fh.write(",".join("{:.15g}".format(float(col[i])) for col in columns) + "\n")
 
 
 class TestWriterBytes:
@@ -136,8 +135,17 @@ class TestTableBytes:
         values = np.array([1e-300, -0.0, 1e15 + 1, np.nan, 0.1 + 0.2, -2.5e-17])
         columns = [t, values, values[::-1].copy()]
         header = ["t", "x", "y"]
-        _write_table(tmp_path / "new.csv", header, columns)
+        _write_table(tmp_path / "new.csv", ",".join(header), columns)
         row_loop_table(tmp_path / "old.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_rows_across_a_block_edge_match_row_loop(self, tmp_path):
+        rows = (1 << 16) + 3
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        columns = [np.arange(rows), x]
+        _write_table(tmp_path / "new.csv", "t,x", columns)
+        row_loop_table(tmp_path / "old.csv", ["t", "x"], columns)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_distribution_matches_row_loop(self, tmp_path):
@@ -145,12 +153,12 @@ class TestTableBytes:
         prob = rng.random(4096) ** 40
         prob /= prob.sum()
         p = np.arange(-2048, 2048) * 2.89
-        _write_table(tmp_path / "new.csv", ["p", "prob"], [p, prob])
+        _write_table(tmp_path / "new.csv", "p,prob", [p, prob])
         row_loop_table(tmp_path / "old.csv", ["p", "prob"], [p, prob])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_empty_table_is_header_only(self, tmp_path):
-        _write_table(tmp_path / "e.csv", ["a", "b"], [np.array([]), np.array([])])
+        _write_table(tmp_path / "e.csv", "a,b", [np.array([]), np.array([])])
         assert (tmp_path / "e.csv").read_text() == "a,b\n"
 
 
@@ -177,6 +185,18 @@ class TestJsonPayloads:
         assert data["t"] == 7
         assert data["best"]["fidelity"] == pytest.approx(0.9)
         assert len(data["overlaps"]) == 2
+
+    def test_one_write_matches_json_dump(self, tmp_path):
+        payload = {
+            "n": 3, "ok": True, "off": False, "none": None,
+            "x": [0.1 + 0.2, -0.0, 1e-300, float("nan"), float("inf"), -float("inf")],
+            "nested": {"rows": [{"a": 1, "b": [2, {"c": "d"}]}, []], "empty": {}},
+        }
+        write_json(tmp_path / "new.json", payload)
+        with open(tmp_path / "old.json", "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
     def test_write_read_json(self, tmp_path):
         path = tmp_path / "x.json"
@@ -229,6 +249,23 @@ class TestDiagramFormats:
         path = tmp_path / "d.matrix"
         write_diagram_gnuplot(path, sample_diagram())
         assert path.read_bytes() == b"3 2 4 6\n0.1 0 0.3 0.25\n0.5 0.1 0.9 0.75\n"
+
+    def test_gnuplot_edge_values_match_cell_loop(self, tmp_path):
+        edges = [np.nan, -0.0, 1e-300, 1e15 + 1, 0.1 + 0.2]
+        axis1 = AxisSpec("eta", np.array([*edges, 0.5]))
+        axis2 = AxisSpec("K", np.array([2.0, *edges]))
+        rho = np.arange(36.0).reshape(6, 6) / 7
+        rho[::2, 1::2] = np.resize(edges, (3, 3))
+        diagram = PhaseDiagram(axis1, axis2, rho, [[None] * 6 for _ in range(6)])
+        write_diagram_gnuplot(tmp_path / "new.matrix", diagram)
+        # the cell-by-cell writer this format had before
+        cell = "{:.15g}".format
+        with open(tmp_path / "old.matrix", "w", encoding="utf-8", newline="\n") as fh:
+            values2 = [cell(float(v)) for v in axis2.values]
+            fh.write(" ".join([str(len(values2)), *values2]) + "\n")
+            for v1, rho_row in zip(axis1.values, rho.tolist()):
+                fh.write(" ".join(cell(x) for x in [float(v1), *rho_row]) + "\n")
+        assert (tmp_path / "new.matrix").read_bytes() == (tmp_path / "old.matrix").read_bytes()
 
 
 class TestNormScanFormats:
