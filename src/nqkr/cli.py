@@ -74,8 +74,8 @@ from .fileio import (
 )
 from .lattice import MomentumLattice, NormCollapseError, momentum_distribution
 from .observables import record_series
-from .phases import (AXIS_FIELDS, LAMBDA_C_TOLERANCE, AxisSpec, NormScanResult, norm_scan,
-                     phase_diagram)
+from .phases import (AXIS_FIELDS, LAMBDA_C_TOLERANCE, SWEEP_POINT_BUDGET, AxisSpec,
+                     NormScanResult, norm_scan, phase_diagram)
 from .propagator import KickSchedule, SimConfig
 from .recipes import FIGURE_IDS, run_recipe
 from .spectrum import SPECTRUM_DIM_BUDGET, SpectrumError, fidelity_profile, spectrum_at
@@ -88,7 +88,8 @@ def parse_range(text: str) -> list[float]:
     """Inclusive start:stop:count grid, e.g. '0:5:11' -> 0, 0.5, ..., 5.
 
     A one-point grid must have start == stop: '2:2:1' -> 2, while '0:5:1'
-    is refused rather than cut to its start.
+    is refused rather than cut to its start. A count above SWEEP_POINT_BUDGET
+    is refused before the grid is made.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -99,6 +100,9 @@ def parse_range(text: str) -> list[float]:
         raise click.BadParameter(f"cannot parse range {text!r}: {exc}") from exc
     if count < 1:
         raise click.BadParameter("range count must be >= 1")
+    if count > SWEEP_POINT_BUDGET:
+        raise click.BadParameter(
+            f"range count {count} exceeds the sweep-point budget {SWEEP_POINT_BUDGET}")
     if count == 1 and start != stop:
         raise click.BadParameter(f"a one-point range must start where it stops, got {text!r}")
     return [float(v) for v in np.linspace(start, stop, count)]

@@ -165,4 +165,4 @@ def _runs(indices: np.ndarray, max_step: int) -> list[tuple[int, int]]:
 def momentum_distribution(psi: WaveFunction) -> MomentumDistribution:
     """Normalized |psi_n|^2 paired with p_n, ready for fitting or file output."""
     prob = _squared_parts(psi).reshape(-1, 2).sum(axis=1)
-    return MomentumDistribution(psi.lattice.momenta.copy(), prob / _check_norm(float(prob.sum())))
+    return MomentumDistribution(psi.lattice.momenta, prob / _check_norm(float(prob.sum())))

@@ -104,9 +104,12 @@ class NormGrowthFit:
     r_squared: float
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _observable_table(lattice: MomentumLattice, epsilon_shift: float) -> np.ndarray:
-    """Rows 1, 2 sin^2(eps*p/2), sin(eps*p), p and p^2, each site twice as in `_squared_parts`."""
+    """Rows 1, 2 sin^2(eps*p/2), sin(eps*p), p and p^2, each site twice as in `_squared_parts`.
+
+    Only the last (lattice, eps) table, 80*M bytes, is kept, as for the free phases.
+    """
     p = np.repeat(lattice.momenta, 2)
     table = np.stack([np.ones_like(p), 2.0 * np.sin(0.5 * epsilon_shift * p) ** 2,
                       np.sin(epsilon_shift * p), p, p * p])
@@ -165,8 +168,9 @@ def record_series(
     """Evolve config from the ground state, recording observables each kick.
 
     snapshot_times lists kick times at which the momentum distribution is
-    captured (useful for profile fits and file output); each must be one of
-    the run's kick times 1..kick_count.
+    captured (`nqkr evolve --snapshot-times` writes them); each must be one
+    of the run's kick times 1..kick_count. The profile at the last kick is
+    momentum_distribution(record.final), bit for bit.
     """
     snap_at = set(snapshot_times)
     outside = sorted(t for t in snap_at if not 1 <= t <= config.kick_count)
@@ -249,7 +253,9 @@ def _profile_points(
     where the profile's cusp (or the initial-state remnant) distorts
     log-linear fits.
     """
-    exclude_core = 2.0 * _grid_spacing(dist)
+    if len(dist.p) < 2:
+        raise FitError("distribution has fewer than 2 momentum sites")
+    exclude_core = 2.0 * (dist.p[1] - dist.p[0])
     p_abs = np.abs(dist.p)
     keep = dist.prob > PROBABILITY_FLOOR
     if window is None:
@@ -289,9 +295,13 @@ def fit_exponential_profile(
 
 def fit_gaussian_profile(
     dist: MomentumDistribution,
-    window: tuple[float, float] | None = None,
+    window: tuple[float, float],
 ) -> ProfileFit:
-    """Fit prob ~ exp(-p^2/sigma); returns sigma and the log-space r^2."""
+    """Fit prob ~ exp(-p^2/sigma) over window; returns sigma and the log-space r^2.
+
+    window has no default: compare_profiles passes the exponential fit's, so
+    both models are scored on the same points (`_default_window` is that one).
+    """
     return _fit_profile(dist, window, "gaussian")
 
 
@@ -301,12 +311,6 @@ def compare_profiles(dist: MomentumDistribution) -> tuple[ProfileFit, ProfileFit
     gauss_fit = fit_gaussian_profile(dist, exp_fit.fit_window)
     winner = "exponential" if exp_fit.r_squared >= gauss_fit.r_squared else "gaussian"
     return exp_fit, gauss_fit, winner
-
-
-def _grid_spacing(dist: MomentumDistribution) -> float:
-    if len(dist.p) < 2:
-        raise FitError("distribution has fewer than 2 momentum sites")
-    return float(dist.p[1] - dist.p[0])
 
 
 def _late_points(

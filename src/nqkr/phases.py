@@ -3,12 +3,13 @@
 `sweep` evaluates independent tasks in order, serially or in a process pool.
 `phase_diagram` classifies one OTOC series per grid point as freezing or
 scrambling; `norm_scan` fits norm growth over a (hbar, lambda) ladder and
-estimates the non-Hermitian threshold lambda_c per hbar. Both build each grid
-point with `_config_at`, which sets hbar on the lattice and the AXIS_FIELDS
-values on the kick schedule. Each result holds only what its runs measured
-(the rho grid and features, or the per-point fits and mean norms); the phase
-boundary and lambda_c are properties derived from that data, so a result
-cannot contradict itself.
+estimates the non-Hermitian threshold lambda_c per hbar. Both build their
+grid with `_grid_configs`, which refuses one of more than SWEEP_POINT_BUDGET
+points before it builds any, and each point with `_config_at`, which sets
+hbar on the lattice and the AXIS_FIELDS values on the kick schedule. Each
+result holds only what its runs measured (the rho grid and features, or the
+per-point fits and mean norms); the phase boundary and lambda_c are
+properties derived from that data, so a result cannot contradict itself.
 
 The pool is looked up as `concurrent.futures.ProcessPoolExecutor` only when a
 sweep starts one, and that is what first loads `multiprocessing`: a serial
@@ -48,6 +49,10 @@ MIN_SERIES_LENGTH = 200
 MIN_PHASE_KICKS = 500
 # lambda_c is the first lambda whose time-averaged norm exceeds 1 + this
 LAMBDA_C_TOLERANCE = 0.05
+# Largest grid a sweep accepts: ~900x the 11 x 10 points of the largest grid
+# that the README, recipes and tests run, so that a mistyped count is an
+# error before any task is built.
+SWEEP_POINT_BUDGET = 10**5
 
 # Phase-diagram axes set these kick-schedule fields; "hbar", which only the
 # norm scan sets, is the lattice's hbar_eff and is no axis.
@@ -162,6 +167,18 @@ def _config_at(base: SimConfig, values: dict[str, float]) -> SimConfig:
     return replace(base, lattice=lattice, schedule=schedule)
 
 
+def _grid_configs(base: SimConfig, name1: str, values1: Sequence[float], name2: str,
+                  values2: Sequence[float]) -> list[SimConfig]:
+    """base at each (v1, v2) of the grid, row-major with name1 outer.
+
+    A grid of more than SWEEP_POINT_BUDGET points is a ValueError before any is built.
+    """
+    if (points := len(values1) * len(values2)) > SWEEP_POINT_BUDGET:
+        raise ValueError(f"a grid of {points} points exceeds the sweep-point budget "
+                         f"{SWEEP_POINT_BUDGET}")
+    return [_config_at(base, {name1: v1, name2: v2}) for v1 in values1 for v2 in values2]
+
+
 def sweep(
     evaluate: Callable,
     tasks: Sequence,
@@ -221,11 +238,7 @@ def phase_diagram(
     if base_config.kick_count < MIN_PHASE_KICKS:
         raise ValueError(f"phase diagrams need at least {MIN_PHASE_KICKS} kicks")
 
-    tasks = [
-        _config_at(base_config, {axis1.name: v1, axis2.name: v2})
-        for v1 in axis1.values
-        for v2 in axis2.values
-    ]
+    tasks = _grid_configs(base_config, axis1.name, axis1.values, axis2.name, axis2.values)
     rhos, features = zip(*sweep(_evaluate_point, tasks, jobs, progress))
     n2 = len(axis2.values)
     rows = [list(features[k:k + n2]) for k in range(0, len(features), n2)]
@@ -276,8 +289,9 @@ def norm_scan(
     Rows run hbar-major with lambdas in ascending order per hbar; the
     threshold estimate is the first value whose long-time mean norm exceeds
     1 + LAMBDA_C_TOLERANCE. Raises ValueError if either list is empty or
-    repeats a value, and FitError before any point runs if the run is too
-    short for its norm-growth fit.
+    repeats a value or the grid exceeds SWEEP_POINT_BUDGET points, and
+    FitError before any point runs if the run is too short for its
+    norm-growth fit.
     """
     if len(lambdas) == 0 or len(hbars) == 0:
         raise ValueError("a norm scan needs at least one lambda and one hbar")
@@ -286,12 +300,9 @@ def norm_scan(
     # a run too short for its norm-growth fit is refused before any point runs
     kicks = np.arange(1, base_config.kick_count + 1)
     _late_points(kicks, kicks, None, "norm-growth")
-    hbars = [float(h) for h in hbars]
-    grid = [(hbar, lam) for hbar in hbars for lam in sorted(float(v) for v in lambdas)]
-    tasks = [_config_at(base_config, {"hbar": hbar, "lambda": lam}) for hbar, lam in grid]
-    rows = [
-        NormScanRow(hbar, lam, fit, lmn)
-        for (hbar, lam), (fit, lmn) in zip(grid, sweep(_norm_point, tasks))
-    ]
-    return NormScanResult(rows)
+    tasks = _grid_configs(base_config, "hbar", hbars, "lambda", sorted(map(float, lambdas)))
+    return NormScanResult([
+        NormScanRow(config.lattice.hbar_eff, config.schedule.lam, fit, lmn)
+        for config, (fit, lmn) in zip(tasks, sweep(_norm_point, tasks))
+    ])
 

@@ -32,7 +32,7 @@ are fixed by the plastic number kappa (`constants`). Conventions:
   (Dekker, Numer. Math. 18, 224 (1971)) gives hbar*n^2/2 = hi + lo exactly,
   and the phase is e^(-i*hi)*e^(-i*lo). An argument rounded to double errs
   by up to hbar*n^2/2 * 2^-53, 8.1e-10 rad at the edge of M = 4096, and by
-  the same amount at every kick. The table is cached per (M, hbar)
+  the same amount at every kick. The last (M, hbar)'s table is cached
   (`_free_phases`), so this costs nothing per kick. e^(-i*lo) equals
   1 - i*lo bit for bit while |lo| < 1e-8, that is while hbar*n^2/2 stays
   below about 9e7, and unlike 1 - i*lo it keeps |phase| = 1 beyond that;
@@ -155,13 +155,16 @@ def _two_product(a: float, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _free_phases(size: int, hbar: float) -> np.ndarray:
     """Read-only e^(-i*hbar*n^2/2) for n = -M/2..M/2-1, read by every step and U(t) column.
 
     A rounded argument would err by the same amount at every kick, so the
     error would add up: hbar/2*n^2 = hi + lo exactly instead (n^2 and hbar/2
     are exact up to LATTICE_SIZE_BUDGET), and the phase is e^(-i*hi)*e^(-i*lo).
+    Only the last lattice's table is kept: a norm scan runs each hbar's points
+    in a row, so it builds one table per hbar, and a larger cache would keep
+    16*M bytes per hbar allocated after the scan.
     """
     n = np.arange(-size // 2, size // 2, dtype=np.float64)
     hi, lo = _two_product(0.5 * hbar, n * n)

@@ -44,7 +44,7 @@ from .constants import (
     SPECTRUM_DIM_DEFAULT,
 )
 from .fileio import _write_table, read_distribution_csv, write_distribution_csv, write_series_csv
-from .lattice import MomentumLattice
+from .lattice import MomentumLattice, momentum_distribution
 from .observables import (
     _linear_fit,
     compare_profiles,
@@ -111,20 +111,18 @@ def _run_ladder(outdir: Path, figure: str, name: str, values: Collection[float],
     """Run config_of(v) for each ladder value v; write each run's file and the plot script.
 
     name's one field is the ladder variable: each run's OTOC series, or with
-    profile its momentum profile at its last kick, is written to name with
-    v filled in. plot_<figure>.py loops that variable over the values and
-    loads each file into d from the same name, so a file and the name its
-    plot reads cannot differ; plot follows, its first line the loop body.
-    Returns the series or profiles keyed by value.
+    profile the momentum profile of its final state (the state after its
+    last kick), is written to name with v filled in. plot_<figure>.py loops
+    that variable over the values and loads each file into d from the same
+    name, so a file and the name its plot reads cannot differ; plot follows,
+    its first line the loop body. Returns the series or profiles keyed by value.
     """
     var = next(field for _, field, _, _ in Formatter().parse(name) if field)
     write = write_distribution_csv if profile else write_series_csv
     runs = {}
     for v in values:
-        config = config_of(v)
-        t = config.kick_count
-        record = record_series(config, snapshot_times=(t,) if profile else ())
-        runs[v] = record.snapshots[t] if profile else record.series
+        record = record_series(config_of(v))
+        runs[v] = momentum_distribution(record.final) if profile else record.series
         write(outdir / name.format(**{var: v}), runs[v])
     _emit_plot_script(
         outdir / f"plot_{figure}.py",

@@ -56,7 +56,11 @@ class TestParseRange:
         "0:5:0": "range count must be >= 1",
         # one point cannot reach the stop, which would be dropped
         "0:0.15:1": "a one-point range must start where it stops, got '0:0.15:1'",
+        "0:1:100001": "range count 100001 exceeds the sweep-point budget 100000",
     }
+
+    def test_count_at_the_budget_accepted(self):
+        assert len(parse_range("0:1:100000")) == 100000
 
     @pytest.mark.parametrize("text", BAD_RANGES)
     def test_bad_syntax_rejected(self, text):
@@ -882,6 +886,14 @@ INVALID_INPUTS = [
     # a one-point range would scan only its start
     (["norm-scan", "--K", "10", "--lambda-range", "0:0.15:1", "--kicks", "20",
       "--lattice", "64"], "a one-point range must start where it stops, got '0:0.15:1'"),
+    # 7.45 GiB of grid values or 10^10 tasks: refused before either is built
+    (["phase-diagram", "--plane", "eta-K", "--k-range", "1:10:1000000000", "--kicks", "500",
+      "--lattice", "64"], "range count 1000000000 exceeds the sweep-point budget 100000"),
+    (["norm-scan", "--K", "3", "--lambda-range", "0:1:1000000000", "--kicks", "20",
+      "--lattice", "64"], "range count 1000000000 exceeds the sweep-point budget 100000"),
+    (["phase-diagram", "--plane", "lambda-K", "--lambda-range", "0:5:100000",
+      "--k-range", "1:10:100000", "--kicks", "500", "--lattice", "64"],
+     "a grid of 10000000000 points exceeds the sweep-point budget 100000"),
 ]
 
 

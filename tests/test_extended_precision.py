@@ -78,14 +78,24 @@ def test_run_matches_the_reference_over_ten_kicks(K, lam):
     assert np.all(np.abs(series.log_norm - log_norm) <= 1e-12)
 
 
-def test_run_matches_the_reference_over_a_thousand_kicks():
+# (K, lambda, M): every `series` point at M = 2048, where none of them
+# reaches the lattice edge in 1000 kicks, and (10, 2) at M = 1024 as well.
+THOUSAND_KICK_POINTS = [(K, lam, 2048) for K, lam in SERIES_POINTS] + [(10.0, 2.0, 1024)]
+
+
+@pytest.mark.filterwarnings("error::nqkr.propagator.WrapAroundWarning")
+@pytest.mark.parametrize("K,lam,m", THOUSAND_KICK_POINTS,
+                         ids=[f"K{K:g}-lam{lam:g}-M{m}" for K, lam, m in THOUSAND_KICK_POINTS])
+def test_run_matches_the_reference_over_a_thousand_kicks(K, lam, m):
     # The bounds were fixed before the first run: 3e-12 relative on c_exact and
     # <p^2>, 1e-11 absolute on log_norm. With the free phase hbar*n^2/2 rounded
-    # in one product, a probe saw 4.0e-11 relative and 1.3e-10 absolute here;
-    # the exact phases (propagator._free_phases) bring both under the bounds.
-    cfg = SimConfig(MomentumLattice(1024, 2.89), KickSchedule(K=10.0, lam=2.0), 1000)
+    # in one product, a probe saw 4.0e-11 relative and 1.3e-10 absolute at
+    # (10, 2), M = 1024; the exact phases (propagator._free_phases) bring both
+    # under the bounds. At M = 2048 the largest gaps measured 1.1e-12 relative
+    # (at (7, 0)) and 3.9e-12 absolute on log_norm (at (10, 2)).
+    cfg = SimConfig(MomentumLattice(m, 2.89), KickSchedule(K=K, lam=lam), 1000)
     series = record_series(cfg).series
-    c_exact, mean_p2, log_norm = reference_series(10.0, 2.0, 2.89, 1024, 1000)
+    c_exact, mean_p2, log_norm = reference_series(K, lam, 2.89, m, 1000)
     assert np.all(np.abs(series.c_exact - c_exact) <= 3e-12 * np.abs(c_exact))
     assert np.all(np.abs(series.mean_p2 - mean_p2) <= 3e-12 * np.abs(mean_p2))
     assert np.all(np.abs(series.log_norm - log_norm) <= 1e-11)

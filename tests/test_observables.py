@@ -197,7 +197,7 @@ class TestProfileFits:
 
     def test_recovers_gaussian_sigma(self):
         dist = synthetic_profile(512, "gaussian", 200.0)
-        fit = fit_gaussian_profile(dist)
+        fit = fit_gaussian_profile(dist, _default_window(dist))
         assert fit.xi_or_sigma == pytest.approx(200.0, rel=0.01)
 
     def test_model_selection_on_gaussian_data(self):
@@ -224,7 +224,7 @@ class TestProfileFits:
         with pytest.raises(FitError):
             fit_exponential_profile(dist)
         with pytest.raises(FitError):
-            fit_gaussian_profile(dist)
+            fit_gaussian_profile(dist, _default_window(dist))
 
     def test_too_few_points_fails(self):
         lattice = MomentumLattice(8, HBAR)

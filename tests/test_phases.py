@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,9 @@ from nqkr import (
     record_series,
 )
 import nqkr.phases
-from nqkr.phases import LAMBDA_C_TOLERANCE, PhaseDiagram, norm_scan, sweep
+from nqkr import observables, propagator
+from nqkr.phases import (LAMBDA_C_TOLERANCE, SWEEP_POINT_BUDGET, PhaseDiagram, norm_scan,
+                         sweep)
 
 HBAR = 2.89
 
@@ -270,3 +273,38 @@ def test_norm_scan_fits_each_point_as_its_own_run():
         series = record_series(cfg).series
         assert row.fit == fit_norm_growth(series)
         assert row.log_mean_norm == log_mean_norm(series)
+
+
+def test_grids_above_the_point_budget_rejected_before_any_task(monkeypatch):
+    def no_task(*args):
+        raise AssertionError("a task was built")
+
+    monkeypatch.setattr(nqkr.phases, "_config_at", no_task)
+    hundred = np.arange(1.0, 101.0)
+    over = np.arange(SWEEP_POINT_BUDGET // 100 + 1, dtype=float)
+    message = (f"^a grid of {len(over) * 100} points exceeds the sweep-point budget "
+               f"{SWEEP_POINT_BUDGET}$")
+    with pytest.raises(ValueError, match=message):
+        phase_diagram(AxisSpec("lambda", over), AxisSpec("K", hundred), tiny_config())
+    with pytest.raises(ValueError, match=message):
+        norm_scan(tiny_config(), lambdas=over, hbars=hundred)
+    # a grid of exactly the budget passes the check and builds its tasks
+    with pytest.raises(AssertionError, match="a task was built"):
+        phase_diagram(AxisSpec("lambda", over[:-1]), AxisSpec("K", hundred), tiny_config())
+
+
+def test_norm_scan_keeps_one_lattice_of_tables():
+    # each hbar is a new lattice, with 16*M bytes of free phases and an
+    # 80*M-byte observable table; after the scan one lattice's tables stay cached
+    m = 2**16
+    propagator._free_phases.cache_clear()
+    observables._observable_table.cache_clear()
+    base = SimConfig(MomentumLattice(m, HBAR), KickSchedule(K=3.0, lam=0.0), 20)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        norm_scan(base, lambdas=[0.0], hbars=(0.5, 1.0, 1.5, 2.0, 2.5, 2.89))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * 96 * m
