@@ -26,8 +26,10 @@ are fixed by the plastic number kappa (`constants`). Conventions:
   angle samples in one pass, and the forward FFT writes into the inverse
   FFT's output (timings in `BENCH_13.json`). The factor of the last kick is
   cached (`_kick_factor`), so the M columns of
-  `spectrum.build_floquet_matrix`, all kicked at one t, compute it once,
-  while a modulated evolution computes one per kick;
+  `spectrum.build_floquet_matrix`, all kicked at one t, compute it once, and
+  `apply_floquet`, which applies the same U(t) to blocks of eigenvectors for
+  their residuals, reads it again, while a modulated evolution computes one
+  per kick;
 * the free phases are exact to double rounding: an error-free product
   (Dekker, Numer. Math. 18, 224 (1971)) gives hbar*n^2/2 = hi + lo exactly,
   and the phase is e^(-i*hi)*e^(-i*lo). An argument rounded to double errs
@@ -224,6 +226,27 @@ def apply_free(psi: WaveFunction) -> WaveFunction:
     """Multiply each psi_n by exp(-i*n^2*hbar/2) in place; norm is preserved."""
     psi.amps *= _free_phases(psi.lattice.size, psi.lattice.hbar_eff)
     return psi
+
+
+def apply_floquet(
+    columns: np.ndarray, lattice: MomentumLattice, schedule: KickSchedule, t: int
+) -> np.ndarray:
+    """U(t) @ columns for an (M, B) block of momentum columns, as a new array.
+
+    The kick at time t and the free phases are applied to every column at
+    once, by one FFT pair along axis 0, with the factors `step` uses and the
+    gain e^(lam*a) put back instead of renormalizing. So column j is, to
+    roundoff, U(t) @ columns[:, j] with U(t) as `spectrum.build_floquet_matrix`
+    assembles it. A gain beyond double range gives inf or nan entries.
+    """
+    a = modulation_factor(schedule, t) / lattice.hbar_eff
+    lam_a = schedule.lam * a
+    factor = _kick_factor(lattice.size, lam_a, schedule.K * a) * np.exp(lam_a)
+    angle = np.fft.ifft(columns, axis=0)
+    angle *= factor[:, np.newaxis]
+    out = np.fft.fft(angle, axis=0, out=angle)
+    out *= _free_phases(lattice.size, lattice.hbar_eff)[:, np.newaxis]
+    return out
 
 
 def step(psi: WaveFunction, config: SimConfig, t: int) -> WaveFunction:

@@ -14,17 +14,21 @@ n = -M/2. U therefore splits into an even block of size M/2 + 1 on the basis
 M/2 - 1 on (|k> - |-k>)/sqrt(2); `_fold` and its inverse `_unfold` are the
 one definition of that basis. `quasi_spectrum` solves the two blocks in one
 stacked eig, about a quarter of the work of the full matrix, so every
-eigenstate it returns has definite parity. Residuals are still measured
-against the full matrix. A parity block or a residual that overflows double
-range is a SpectrumError.
+eigenstate it returns has definite parity. Residuals are still taken in the
+full space. On the `spectrum_at` path U(t) is applied to each block of
+eigenvectors by one FFT pair (`propagator.apply_floquet`), which agrees with
+U @ phi to 1e-14 * max(1, max|U|) and took 16 ms instead of 139 ms at
+M = 1024 on a 2-CPU host; a bare matrix is multiplied in full. A column of
+U(t), a parity block or a residual that overflows double range is a
+SpectrumError.
 
 `quasi_spectrum` and `fidelity_profile` run on one BLAS thread
 (`_blas.one_thread`): the stacked eig, the blocked residual products
-U @ phi and the fidelity overlaps. On a 2-CPU host a second OpenBLAS thread
-cut the dim-1024 eig's wall time by only 5-10% while doubling its CPU time,
-gave nothing at dim 512, and moved the last digits of eps with the thread
-count. Threaded, the residual and fidelity products took about a sixth of the
-spectrum benchmark's CPU time to save about 4% of its wall time
+U @ phi of a bare matrix and the fidelity overlaps. On a 2-CPU host a second
+OpenBLAS thread cut the dim-1024 eig's wall time by only 5-10% while doubling
+its CPU time, gave nothing at dim 512, and moved the last digits of eps with
+the thread count. Threaded, the residual and fidelity products took about a
+sixth of the spectrum benchmark's CPU time to save about 4% of its wall time
 (`BENCH_20.json`). On one thread the spectrum files do not depend on
 OPENBLAS_NUM_THREADS. A BLAS other than OpenBLAS keeps its own threading.
 
@@ -32,13 +36,16 @@ Memory: beside the input U, the spectrum path holds the (2, M/2+1, M/2+1)
 block stack and its eigenvectors, then one (M, M) eigenvector array, built
 straight in sorted order from views of the block eigenvectors and normalized
 in place, plus working blocks of at most (M, M/2+1) while the stack is built
-and (M, _BLOCK) after it. quasi_spectrum's allocations above U peak at
-1.57 x U.nbytes at M = 512 and 1.52 x at M = 1024, and a fidelity profile
-allocates only vectors. The row-blocked `_max_abs` and the band-at-a-time
-parity-leak reduction in `_parity_blocks` stay because full-matrix passes
-cost memory: on a 2-CPU host, unblocking both kept the ratio at M = 512,
-raised it to 1.53 x at M = 1024, and raised the seed-0 spectrum benchmark's
-peak RSS from 78.1-78.3 to 78.8-78.9 MB over three runs each.
+and (M, _BLOCK) after it. The eigenvector array is column-major, so the
+embedding, the per-block normalization and the FFT residual all run on
+contiguous columns. quasi_spectrum's allocations above U peak at 1.57 x
+U.nbytes at M = 512 and 1.52 x at M = 1024, with the FFT residual as with the
+dense one, and a fidelity profile allocates only vectors. The row-blocked
+`_max_abs` and the band-at-a-time parity-leak reduction in `_parity_blocks`
+stay because full-matrix passes cost memory: on a 2-CPU host, unblocking both
+kept the ratio at M = 512, raised it to 1.53 x at M = 1024, and raised the
+seed-0 spectrum benchmark's peak RSS from 78.1-78.3 to 78.8-78.9 MB over three
+runs each.
 
 The FFT propagator makes momentum periodic, and the truncated ring supports
 eigenstates pinned to the n = +-M/2 seam whose eps_i can exceed every
@@ -59,7 +66,7 @@ import numpy as np
 from . import _blas
 from .lattice import MomentumLattice, WaveFunction, _runs, ground_state
 from .lattice import TAIL_PROBABILITY_LIMIT, tail_probability
-from .propagator import SimConfig, step
+from .propagator import KickSchedule, SimConfig, apply_floquet, step
 
 SPECTRUM_DIM_BUDGET = 2048
 RESIDUAL_TOLERANCE = 1e-8
@@ -87,13 +94,14 @@ class SpectrumError(RuntimeError):
 class QuasiSpectrum:
     """Complex quasienergies and quasi-eigenstates of one instantaneous operator.
 
-    eigenstates holds one unit-norm column per quasienergy, phase-fixed so the
-    largest-magnitude component is real positive. residuals are ||U phi - u phi||
-    per pair; tail_weights the probability each state puts on the two edge
-    bands, `lattice.tail_probability`. Entries are sorted by descending eps_i
-    rounded to a multiple of EPS_I_TIE, then by ascending eps_r, so roundoff in
-    eps_i does not reorder states. residual_scale is max(1, max|U|), the scale
-    of the roundoff any eigensolver leaves in U.
+    eigenstates holds one unit-norm column per quasienergy, stored
+    column-major, phase-fixed so the largest-magnitude component is real
+    positive. residuals are ||U phi - u phi|| per pair; tail_weights the
+    probability each state puts on the two edge bands,
+    `lattice.tail_probability`. Entries are sorted by descending eps_i rounded
+    to a multiple of EPS_I_TIE, then by ascending eps_r, so roundoff in eps_i
+    does not reorder states. residual_scale is max(1, max|U|), the scale of
+    the roundoff any eigensolver leaves in U.
     """
 
     t: int
@@ -163,7 +171,8 @@ def build_floquet_matrix(config: SimConfig, t: int, m_spec: int) -> np.ndarray:
     Column j is one propagator step applied to basis vector |n_j>, with the
     step's renormalization undone analytically via its log_norm bookkeeping.
     Raises ValueError if m_spec exceeds SPECTRUM_DIM_BUDGET or is not a valid
-    lattice size.
+    lattice size, and SpectrumError if a column's gain overflows double range,
+    so every entry of the matrix it returns is finite.
     """
     if m_spec > SPECTRUM_DIM_BUDGET:
         raise ValueError(
@@ -174,12 +183,21 @@ def build_floquet_matrix(config: SimConfig, t: int, m_spec: int) -> np.ndarray:
     cfg = replace(config, lattice=lattice)
     matrix = np.empty((m_spec, m_spec), dtype=np.complex128)
     basis = ground_state(lattice)
-    for j in range(m_spec):
-        basis.amps = np.zeros(m_spec, dtype=np.complex128)
-        basis.amps[j] = 1.0
-        basis.log_norm = 0.0
-        step(basis, cfg, t)
-        matrix[:, j] = basis.amps * np.exp(basis.log_norm / 2.0)
+    # an overflowing gain is raised below; the unit-norm amplitudes times a
+    # finite gain stay finite
+    with np.errstate(over="ignore"):
+        for j in range(m_spec):
+            basis.amps = np.zeros(m_spec, dtype=np.complex128)
+            basis.amps[j] = 1.0
+            basis.log_norm = 0.0
+            step(basis, cfg, t)
+            gain = np.exp(basis.log_norm / 2.0)
+            if gain == np.inf:
+                raise SpectrumError(
+                    f"U(t) overflows double range (dim {m_spec}, column {j}); "
+                    "U(t) grows too fast at this lambda, hbar and t"
+                )
+            matrix[:, j] = basis.amps * gain
     return matrix
 
 
@@ -271,9 +289,9 @@ def _parity_eig(matrix: np.ndarray, max_abs: float) -> tuple[np.ndarray, np.ndar
     check. The odd slice's two padding pairs are dropped by their support on
     the padded coordinates. The pairs come out sorted by descending eps_i (to
     EPS_I_TIE), then eps_r: each block eigenvector is embedded once, straight
-    into its sorted column of the M x M output. The odd slice's kept columns
-    are embedded as views, one per run of consecutive columns (at most three
-    around the two padding pairs), so no copy of them is made.
+    into its sorted column of the column-major M x M output. The odd slice's
+    kept columns are embedded as views, one per run of consecutive columns (at
+    most three around the two padding pairs), so no copy of them is made.
     """
     m = matrix.shape[0]
     h = m // 2
@@ -286,7 +304,7 @@ def _parity_eig(matrix: np.ndarray, max_abs: float) -> tuple[np.ndarray, np.ndar
     order = np.lexsort((eps_r, np.round(-eps_i / EPS_I_TIE)))
     column = np.argsort(order)  # the sorted column of each pair
 
-    out = np.zeros((m, m), dtype=np.complex128)
+    out = np.zeros((m, m), dtype=np.complex128, order="F")
     _unfold(vecs[0], 1, out, column[:h + 1])
     done = h + 1
     for start, stop in _runs(keep, 1):
@@ -299,6 +317,8 @@ def quasi_spectrum(
     matrix: np.ndarray,
     t: int = 0,
     lattice: MomentumLattice | None = None,
+    *,
+    schedule: KickSchedule | None = None,
 ) -> QuasiSpectrum:
     """Eigendecomposition of a parity-symmetric U, sorted by descending eps_i.
 
@@ -306,18 +326,21 @@ def quasi_spectrum(
     blocks in one stacked eig, and each eigenvector is embedded back into
     the M-dimensional storage basis, so it is exactly even or odd in n.
     Eigenvectors are normalized and phase-fixed in place, and residuals
-    ||U phi - u phi|| are measured against the full input matrix, both in
-    blocks of _BLOCK columns; pairs above RESIDUAL_TOLERANCE *
-    max(1, max|U|) are flagged with a warning. Raises ValueError if U has
-    non-finite entries, or if it couples the two parity sectors by more than
-    PARITY_TOLERANCE * max|U|, and SpectrumError if a parity block or a
-    residual overflows double range.
+    ||U phi - u phi|| are taken, both in blocks of _BLOCK columns. Given the
+    kick schedule, U must be that schedule's U(t) on lattice, as `spectrum_at`
+    passes it, and U phi is applied by `propagator.apply_floquet`; without
+    it, U phi is the product with the full input matrix. Pairs above
+    RESIDUAL_TOLERANCE * max(1, max|U|) are flagged with a warning. Raises
+    ValueError if U has non-finite entries, or if it couples the two parity
+    sectors by more than PARITY_TOLERANCE * max|U|, and SpectrumError if a
+    parity block or a residual overflows double range.
     One row-blocked pass reads max|U|, which is nan or inf if an entry is,
     so the entries are checked one by one only when max|U| is not finite.
     The eig and the residuals run on one BLAS thread.
 
-    t and lattice are carried through for bookkeeping; lattice defaults to
-    hbar = 1 if the matrix arrives without context.
+    t and lattice are carried through for bookkeeping and, given the
+    schedule, name the operator; lattice defaults to hbar = 1 if the matrix
+    arrives without context, and a schedule needs it.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
     m = matrix.shape[0]
@@ -328,6 +351,8 @@ def quasi_spectrum(
     if not np.isfinite(max_abs) and not np.all(np.isfinite(matrix.view(np.float64))):
         raise ValueError("matrix has non-finite entries")
     if lattice is None:
+        if schedule is not None:
+            raise ValueError("a schedule needs the lattice U(t) was built on")
         lattice = MomentumLattice(m, 1.0)
     if lattice.size != m:
         raise ValueError("lattice size does not match matrix dimension")
@@ -361,9 +386,12 @@ def quasi_spectrum(
             # deterministic phase: largest-magnitude component real positive
             lead = np.argmax(np.abs(block), axis=0)
             block *= np.exp(-1j * np.angle(block[lead, np.arange(block.shape[1])]))
-            defect = matrix @ block
             # an overflowing residual is reported below, not warned about here
             with np.errstate(over="ignore", invalid="ignore"):
+                if schedule is None:
+                    defect = matrix @ block
+                else:
+                    defect = apply_floquet(block, lattice, schedule, t)
                 defect -= block * eigvals[cols]
                 residuals[cols] = np.linalg.norm(defect, axis=0)
     if not np.all(np.isfinite(residuals)):
@@ -385,10 +413,10 @@ def quasi_spectrum(
 
 
 def spectrum_at(config: SimConfig, t: int, m_spec: int) -> QuasiSpectrum:
-    """Build U(t) on an m_spec lattice and decompose it."""
+    """Build U(t) on an m_spec lattice and decompose it, residuals applied by FFT."""
     matrix = build_floquet_matrix(config, t, m_spec)
     lattice = MomentumLattice(m_spec, config.lattice.hbar_eff)
-    return quasi_spectrum(matrix, t=t, lattice=lattice)
+    return quasi_spectrum(matrix, t=t, lattice=lattice, schedule=config.schedule)
 
 
 def mean_abs_imag(spec: QuasiSpectrum) -> float:

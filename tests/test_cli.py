@@ -962,6 +962,23 @@ def test_residual_overflow_exits_1_without_run_dir(runner, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("lam,message", [
+    # U(1) is finite, max|U| 9.1e306, but the gain e^(lam*a) = e^710.9 is not
+    ("726", "eigenpair residuals overflow double range"),
+    # every column's gain overflows while U(1) is assembled
+    ("727", "U(t) overflows double range"),
+])
+def test_operator_overflow_exits_1_without_run_dir(runner, tmp_path, lam, message):
+    result = runner.invoke(
+        main,
+        ["spectrum", "--K", "1", "--lambda", lam, "--hbar", "1", "--t", "1",
+         "--dim", "64", "--outdir", str(tmp_path)],
+    )
+    assert result.exit_code == 1, result.output
+    assert f"numerical failure: {message}" in result.output
+    assert not list(tmp_path.iterdir())
+
+
 def test_every_command_is_rerunnable():
     assert set(main.commands) - {"rerun"} == set(cli._COMMANDS)
 

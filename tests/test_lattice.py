@@ -168,6 +168,8 @@ class TestTailProbability:
         assert weights.shape == (96,)
         assert np.array_equal(weights, [tail_probability(vecs[:, j].copy()) for j in range(96)])
         assert np.array_equal(weights, [tail_probability(vecs[:, j]) for j in range(96)])
+        # the spectrum's eigenvectors are stored column-major
+        assert np.array_equal(weights, tail_probability(np.asfortranarray(vecs)))
 
 
 class TestInvariants:

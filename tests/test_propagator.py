@@ -26,6 +26,7 @@ from nqkr import (
     step,
 )
 from nqkr import propagator
+from nqkr.propagator import apply_floquet
 
 HBAR = 2.89
 PLASTIC = 1.3247179572447460
@@ -371,6 +372,52 @@ class TestStep:
             warnings.simplefilter("error", WrapAroundWarning)
             final = evolve(cfg)
         assert abs(math.exp(final.log_norm) - 1.0) < 1e-10
+
+
+class TestApplyFloquet:
+    """U(t) @ V for a block of columns, by one FFT pair, with no renormalization."""
+
+    @staticmethod
+    def columns(m, count=5):
+        rng = np.random.default_rng(17)
+        block = rng.normal(size=(m, count)) + 1j * rng.normal(size=(m, count))
+        return block / np.linalg.norm(block, axis=0)
+
+    @pytest.mark.parametrize("m", [8, 16])
+    @pytest.mark.parametrize("K,lam", [(3.0, 0.0), (5.0, 1.2), (0.0, 0.8)])
+    def test_dense_matrix_oracle(self, m, K, lam):
+        cfg = config(K, lam, 1, m=m)
+        block = self.columns(m)
+        image = apply_floquet(block, cfg.lattice, cfg.schedule, 4)
+        oracle = dense_step_matrix(m, HBAR, K, lam, 0.75, 4) @ block
+        assert np.max(np.abs(image - oracle)) < 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_assembled_matrix(self, order):
+        cfg = config(10.0, 5.0, 1, m=64, hbar=0.5)
+        matrix = build_floquet_matrix(cfg, t=7, m_spec=64)
+        block = np.asarray(self.columns(64, 9), order=order)
+        before = block.copy()
+        image = apply_floquet(block, cfg.lattice, cfg.schedule, 7)
+        assert np.array_equal(block, before)
+        # the bound of the spectrum's residuals, for unit columns
+        assert np.max(np.abs(image - matrix @ block)) <= 1e-14 * max(1.0, np.abs(matrix).max())
+
+    def test_runs_no_step(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("apply_floquet went through a single step")
+
+        for name in ("step", "apply_kick", "apply_free"):
+            monkeypatch.setattr(propagator, name, refuse)
+        cfg = config(10.0, 2.0, 1)
+        apply_floquet(self.columns(64), cfg.lattice, cfg.schedule, 3)
+
+    def test_gain_beyond_double_range_is_not_finite(self):
+        # lam*a = 710.9 at t = 1: U(1) itself stays finite, e^(lam*a) does not
+        cfg = config(1.0, 726.0, 1, hbar=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            image = apply_floquet(self.columns(64), cfg.lattice, cfg.schedule, 1)
+        assert not np.all(np.isfinite(image))
 
 
 class TestEvolve:

@@ -69,6 +69,17 @@ class TestBuildFloquetMatrix:
         with pytest.raises(ValueError):
             build_floquet_matrix(config(1.0, 0.0), t=1, m_spec=7)
 
+    def test_overflowing_column_is_a_numerical_failure(self):
+        # lam*a = 710.9 at lam 726 leaves U(1) finite, max|U| 9.1e306; at
+        # lam 727, lam*a = 711.9 and every column's gain overflows
+        def cfg(lam):
+            return SimConfig(MomentumLattice(64, 1.0), KickSchedule(K=1.0, lam=lam), 1)
+
+        assert np.all(np.isfinite(build_floquet_matrix(cfg(726.0), 1, 64)))
+        for build in (build_floquet_matrix, spectrum_at):
+            with pytest.raises(SpectrumError, match=r"U\(t\) overflows double range"):
+                build(cfg(727.0), 1, 64)
+
     def test_budget_enforced(self):
         with pytest.raises(ValueError, match="budget"):
             build_floquet_matrix(config(1.0, 0.0), t=1, m_spec=4096)
@@ -128,6 +139,30 @@ class TestQuasiSpectrum:
     def test_nonfinite_matrix_rejected(self, matrix, lattice, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             quasi_spectrum(matrix, lattice=lattice)
+
+    def test_a_schedule_needs_the_lattice(self):
+        cfg = config(10.0, 2.0, m=8)
+        with pytest.raises(ValueError, match="needs the lattice"):
+            quasi_spectrum(build_floquet_matrix(cfg, 1, 8), 1, schedule=cfg.schedule)
+
+    def test_eigenstates_are_column_major(self):
+        assert spectrum_at(config(10.0, 2.0), t=5, m_spec=64).eigenstates.flags.f_contiguous
+
+    def test_only_spectrum_at_applies_u_by_fft(self, monkeypatch):
+        applied = nqkr.spectrum.apply_floquet
+        blocks = []
+
+        def recorded(columns, *args):
+            blocks.append((columns.shape, columns.flags.f_contiguous))
+            return applied(columns, *args)
+
+        monkeypatch.setattr(nqkr.spectrum, "apply_floquet", recorded)
+        cfg = config(10.0, 2.0, m=128)
+        spectrum_at(cfg, t=5, m_spec=128)
+        assert blocks == [((128, nqkr.spectrum._BLOCK), True)] * (128 // nqkr.spectrum._BLOCK)
+        blocks.clear()
+        quasi_spectrum(build_floquet_matrix(cfg, 5, 128), 5, cfg.lattice)
+        assert blocks == []
 
 
 class TestMeanAbsImag:
@@ -284,15 +319,19 @@ def reference_id(case):
 REFERENCE_PARAMS = [pytest.param(*case, id=reference_id(case)) for case in REFERENCE_CASES]
 
 
-@functools.lru_cache(maxsize=None)
-def reference_case(dim, K, lam, hbar):
-    """U(200) on dim sites, its quasi_spectrum, the warnings that call
-    raised, and the state evolved from |0> to t=200."""
-    cfg = SimConfig(
+def reference_config(dim, K, lam, hbar):
+    return SimConfig(
         lattice=MomentumLattice(dim, hbar),
         schedule=KickSchedule(K=K, lam=lam),
         kick_count=REFERENCE_T,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def reference_case(dim, K, lam, hbar):
+    """U(200) on dim sites, its quasi_spectrum, the warnings that call
+    raised, and the state evolved from |0> to t=200."""
+    cfg = reference_config(dim, K, lam, hbar)
     matrix = build_floquet_matrix(cfg, REFERENCE_T, dim)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -368,10 +407,12 @@ class TestDenseReference:
 
     @pytest.mark.parametrize("dim,K,lam,hbar", REFERENCE_PARAMS)
     def test_residuals_are_taken_against_the_full_matrix(self, dim, K, lam, hbar, monkeypatch):
-        # the blocked residual pass equals one dense U @ E - E * u; the
+        # the blocked residual pass equals one dense U @ E - E * u, both for
+        # the bare matrix and for spectrum_at's FFT-applied U(t); the
         # eigenvectors are shifted off parity and off U's eigenvectors, so a
         # residual taken on part of U or on its parity blocks would show
         matrix, _, _, _ = reference_case(dim, K, lam, hbar)
+        cfg = reference_config(dim, K, lam, hbar)
         exact = nqkr.spectrum._parity_eig
         eigvals = []
 
@@ -381,13 +422,16 @@ class TestDenseReference:
             return vals, vecs + 1e-6
 
         monkeypatch.setattr(nqkr.spectrum, "_parity_eig", recorded)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # the shifted pairs are flagged
-            spec = quasi_spectrum(matrix, REFERENCE_T, MomentumLattice(dim, hbar))
-        states = spec.eigenstates
-        dense = np.linalg.norm(matrix @ states - states * eigvals[0], axis=0)
         bound = 1e-14 * max(1.0, float(np.abs(matrix).max()))
-        assert np.abs(spec.residuals - dense).max() <= bound
+        for entry in (lambda: quasi_spectrum(matrix, REFERENCE_T, cfg.lattice),
+                      lambda: spectrum_at(cfg, REFERENCE_T, dim)):
+            eigvals.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # the shifted pairs are flagged
+                spec = entry()
+            states = spec.eigenstates
+            dense = np.linalg.norm(matrix @ states - states * eigvals[0], axis=0)
+            assert np.abs(spec.residuals - dense).max() <= bound
 
     @pytest.mark.parametrize("dim", [8, 64, 256])
     def test_high_gain_roundoff_is_not_flagged(self, dim):
@@ -405,6 +449,7 @@ class TestDenseReference:
 
     def test_perturbed_eigenvector_is_still_flagged(self, monkeypatch):
         matrix, _, _, _ = reference_case(64, 10.0, 5.0, 0.5)
+        cfg = reference_config(64, 10.0, 5.0, 0.5)
         exact = nqkr.spectrum._parity_eig
 
         def perturbed(*args):
@@ -414,9 +459,11 @@ class TestDenseReference:
             return vals, vecs
 
         monkeypatch.setattr(nqkr.spectrum, "_parity_eig", perturbed)
-        with pytest.warns(UserWarning, match="^1 eigenpairs"):
-            spec = quasi_spectrum(matrix, REFERENCE_T, MomentumLattice(64, 0.5))
-        assert np.count_nonzero(spec.flagged_mask()) == 1
+        for entry in (lambda: quasi_spectrum(matrix, REFERENCE_T, cfg.lattice),
+                      lambda: spectrum_at(cfg, REFERENCE_T, 64)):
+            with pytest.warns(UserWarning, match="^1 eigenpairs"):
+                spec = entry()
+            assert np.count_nonzero(spec.flagged_mask()) == 1
 
 
 class TestParityBlocks:
@@ -745,18 +792,19 @@ class TestAllocationPeaks:
     @pytest.fixture(scope="class")
     def frozen_matrix(self):
         cfg = config(10.0, 5.0, m=self.DIM)
-        return build_floquet_matrix(cfg, 200, self.DIM), cfg.lattice
+        return build_floquet_matrix(cfg, 200, self.DIM), cfg.lattice, cfg.schedule
 
     def test_quasi_spectrum_peak(self, frozen_matrix):
-        matrix, lattice = frozen_matrix
-        peak = traced_peak(quasi_spectrum, matrix, 200, lattice)
+        matrix, lattice, schedule = frozen_matrix
         # 1.76x before the odd slice was embedded from views, 1.57x after;
         # reducing the parity leak one band at a time does not move this
-        # ratio at M = 512, it lowers the process's peak RSS
-        assert peak <= 1.65 * matrix.nbytes
+        # ratio at M = 512, it lowers the process's peak RSS. The FFT
+        # residuals of spectrum_at's path peak as the dense ones do
+        for solve in (quasi_spectrum, functools.partial(quasi_spectrum, schedule=schedule)):
+            assert traced_peak(solve, matrix, 200, lattice) <= 1.65 * matrix.nbytes
 
     def test_fidelity_profile_peak(self, frozen_matrix):
-        matrix, lattice = frozen_matrix
+        matrix, lattice, _ = frozen_matrix
         spec = quasi_spectrum(matrix, 200, lattice)
         rng = np.random.default_rng(11)
         psi = WaveFunction(lattice, rng.normal(size=self.DIM) + 1j * rng.normal(size=self.DIM))
