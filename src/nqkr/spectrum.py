@@ -32,20 +32,32 @@ sixth of the spectrum benchmark's CPU time to save about 4% of its wall time
 (`BENCH_20.json`). On one thread the spectrum files do not depend on
 OPENBLAS_NUM_THREADS. A BLAS other than OpenBLAS keeps its own threading.
 
-Memory: beside the input U, the spectrum path holds the (2, M/2+1, M/2+1)
-block stack and its eigenvectors, then one (M, M) eigenvector array, built
-straight in sorted order from views of the block eigenvectors and normalized
-in place, plus working blocks of at most (M, M/2+1) while the stack is built
-and (M, _BLOCK) after it. The eigenvector array is column-major, so the
-embedding, the per-block normalization and the FFT residual all run on
-contiguous columns. quasi_spectrum's allocations above U peak at 1.57 x
-U.nbytes at M = 512 and 1.52 x at M = 1024, with the FFT residual as with the
-dense one, and a fidelity profile allocates only vectors. The row-blocked
-`_max_abs` and the band-at-a-time parity-leak reduction in `_parity_blocks`
-stay because full-matrix passes cost memory: on a 2-CPU host, unblocking both
-kept the ratio at M = 512, raised it to 1.53 x at M = 1024, and raised the
-seed-0 spectrum benchmark's peak RSS from 78.1-78.3 to 78.8-78.9 MB over three
-runs each.
+Memory: the spectrum path runs in three stages of about 1.5 x U.nbytes each.
+Building the block stack holds U, the (2, M/2+1, M/2+1) stack (half of U) and
+(M, _BLOCK) bands: `_parity_blocks` folds _BLOCK columns of U at a time into
+one band and that band's rows into the stack. eig holds the stack, its
+eigenvectors and LAPACK's copy of one block. The embedding holds the block
+eigenvectors and the (M, M) eigenvector array, built straight in sorted order
+from views of them and normalized in place; it is column-major, so the
+embedding, the per-block normalization and the FFT residual run on contiguous
+columns. The stack is freed once eig returns. On the `schedule=` path, which
+`spectrum_at` takes holding no reference to U, U is freed once the stack is
+built; a bare matrix stays for its dense residuals. CPython 3.10 keeps a
+call's arguments alive in the caller's frame until the call returns, so there
+U lives through eig and the path peaks at about 2.5 x U, as it did with an
+(M, M/2+1) fold buffer. Traced allocations of spectrum_at, U included, peak at
+1.79 x U.nbytes at M = 512 and 1.62 x at M = 1024 (2.58 x and 2.52 x with U
+alive through eig beside that buffer; tracemalloc sees numpy's arrays, not
+LAPACK's work space), and the seed-0 spectrum benchmark's peak RSS fell from
+78.3 to 63.1 MB on a 2-CPU host (`BENCH_35.json`). With U held by the caller,
+quasi_spectrum's allocations above U peak at 1.58 x at M = 512 and 1.52 x at
+M = 1024, and a fidelity profile allocates only vectors. Folding one column at
+a time instead of _BLOCK took 43 ms, not 16 ms, at M = 1024 on that host. The
+row-blocked `_max_abs` and the band-at-a-time parity-leak reduction stay
+because full-matrix passes cost memory: on that host, unblocking both kept
+quasi_spectrum's ratio at M = 512, raised it to 1.53 x at M = 1024, and raised
+the seed-0 spectrum benchmark's peak RSS from 78.1-78.3 to 78.8-78.9 MB over
+three runs each.
 
 The FFT propagator makes momentum periodic, and the truncated ring supports
 eigenstates pinned to the n = +-M/2 seam whose eps_i can exceed every
@@ -201,19 +213,26 @@ def build_floquet_matrix(config: SimConfig, t: int, m_spec: int) -> np.ndarray:
     return matrix
 
 
-def _fold(x: np.ndarray, sign: int, out: np.ndarray) -> None:
+def _fold(x: np.ndarray, sign: int, out: np.ndarray, start: int = 0) -> None:
     """out = x in the parity basis of one sector, along axis 0 (row j is n = j - M/2).
 
     sign = +1 is the even basis |0>, |-M/2>, (|k> + |-k>)/sqrt(2) for
-    k = 1..M/2-1, and sign = -1 the odd basis (|k> - |-k>)/sqrt(2); out has
-    M/2 + 1 or M/2 - 1 rows. Folding x.T into out.T folds columns instead.
+    k = 1..M/2-1, and sign = -1 the odd basis (|k> - |-k>)/sqrt(2); out's rows
+    are the sector coordinates start, start + 1, ..., all M/2 + 1 or M/2 - 1
+    of them from the default start 0. start is 0 or a multiple of _BLOCK,
+    which is at least 2, so the even sector's unpaired coordinates 0 and 1
+    fold in one call. Folding x.T into out.T folds columns instead.
     """
     h = x.shape[0] // 2
-    if sign > 0:
+    # coordinate c pairs n = +-k with k = c - sign; the even sector's first
+    # two coordinates are the unpaired n = 0 and n = -M/2
+    k0, k1 = start - sign, start + len(out) - sign
+    if sign > 0 and start == 0:
         out[0] = x[h]
         out[1] = x[0]
         out = out[2:]
-    (np.add if sign > 0 else np.subtract)(x[h + 1:], x[h - 1:0:-1], out=out)
+        k0 = 1
+    (np.add if sign > 0 else np.subtract)(x[h + k0:h + k1], x[h - k0:h - k1:-1], out=out)
     out *= _SQRT_HALF
 
 
@@ -237,27 +256,30 @@ def _unfold(y: np.ndarray, sign: int, out: np.ndarray, columns: np.ndarray) -> N
 def _parity_blocks(matrix: np.ndarray, max_abs: float) -> np.ndarray:
     """The (2, M/2+1, M/2+1) stack of U's even block and zero-padded odd block.
 
-    One sector at a time, U's columns are folded into a reused (M, M/2+1)
-    buffer, and its rows are folded straight into the stack. The coupling to
-    the other sector is folded _BLOCK columns at a time into a reused band,
-    reduced to its max and dropped. Raises ValueError if
-    that coupling exceeds PARITY_TOLERANCE * max_abs, where max_abs = max|U|.
+    One sector at a time, _BLOCK columns of U are folded into a reused
+    (M, _BLOCK) band, whose rows are folded straight into the stack and, with
+    the other sector's sign, into a reused coupling band that is reduced to
+    its max and dropped. No (M, M/2+1) fold buffer is made, and each entry
+    takes the same operations as in a fold of all columns, then all rows.
+    Raises ValueError if that coupling exceeds PARITY_TOLERANCE * max_abs,
+    where max_abs = max|U|.
     """
     m = matrix.shape[0]
     h = m // 2
     limit = PARITY_TOLERANCE * max_abs
     stack = np.zeros((2, h + 1, h + 1), dtype=np.complex128)
-    buffer = np.empty((m, h + 1), dtype=np.complex128)
-    band = np.empty((h + 1, _BLOCK), dtype=np.complex128)
+    band = np.empty((m, _BLOCK), dtype=np.complex128)
+    leak_band = np.empty((h + 1, _BLOCK), dtype=np.complex128)
     leak = 0.0
     for sector, sign in enumerate((1, -1)):
         size = h + sign
-        cols = buffer[:, :size]
-        _fold(matrix.T, sign, cols.T)
-        _fold(cols, sign, stack[sector, :size, :size])
         for start in range(0, size, _BLOCK):
-            coupling = band[:m - size, :min(_BLOCK, size - start)]
-            _fold(cols[:, start:start + _BLOCK], -sign, coupling)
+            stop = min(start + _BLOCK, size)
+            cols = band[:, :stop - start]
+            _fold(matrix.T, sign, cols.T, start)
+            _fold(cols, sign, stack[sector, :size, start:stop])
+            coupling = leak_band[:m - size, :stop - start]
+            _fold(cols, -sign, coupling)
             leak = max(leak, float(np.abs(coupling).max(initial=0.0)))
     if leak > limit:
         raise ValueError(
@@ -282,21 +304,19 @@ def _eps_parts(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eps_r, np.log(np.abs(vals))
 
 
-def _parity_eig(matrix: np.ndarray, max_abs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and storage-basis eigenvectors of U from its parity blocks.
+def _embed_pairs(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and storage-basis eigenvectors of U from the eig of its block stack.
 
-    One eig call solves the block stack; max_abs is max|U|, for the parity
-    check. The odd slice's two padding pairs are dropped by their support on
-    the padded coordinates. The pairs come out sorted by descending eps_i (to
+    vals and vecs are np.linalg.eig's output for `_parity_blocks`' stack. The
+    odd slice's two padding pairs are dropped by their support on the padded
+    coordinates. The pairs come out sorted by descending eps_i (to
     EPS_I_TIE), then eps_r: each block eigenvector is embedded once, straight
     into its sorted column of the column-major M x M output. The odd slice's
     kept columns are embedded as views, one per run of consecutive columns (at
     most three around the two padding pairs), so no copy of them is made.
     """
-    m = matrix.shape[0]
-    h = m // 2
-    vals, vecs = np.linalg.eig(_parity_blocks(matrix, max_abs))
-
+    h = vecs.shape[1] - 1
+    m = 2 * h
     padding_support = np.sum(np.abs(vecs[1, h - 1:]) ** 2, axis=0)
     keep = np.sort(np.argsort(padding_support, kind="stable")[:h - 1])
     vals = np.concatenate((vals[0], vals[1, keep]))
@@ -328,12 +348,16 @@ def quasi_spectrum(
     Eigenvectors are normalized and phase-fixed in place, and residuals
     ||U phi - u phi|| are taken, both in blocks of _BLOCK columns. Given the
     kick schedule, U must be that schedule's U(t) on lattice, as `spectrum_at`
-    passes it, and U phi is applied by `propagator.apply_floquet`; without
-    it, U phi is the product with the full input matrix. Pairs above
+    passes it; U phi is then applied by `propagator.apply_floquet`, and U is
+    released once its parity blocks are built, so it is freed before eig when
+    the caller keeps no other reference (see the module's memory notes).
+    Without it, U phi is the product with the full input matrix. The block
+    stack is released once eig returns. Pairs above
     RESIDUAL_TOLERANCE * max(1, max|U|) are flagged with a warning. Raises
     ValueError if U has non-finite entries, or if it couples the two parity
     sectors by more than PARITY_TOLERANCE * max|U|, and SpectrumError if a
-    parity block or a residual overflows double range.
+    parity block or a residual overflows double range or eig fails to
+    converge.
     One row-blocked pass reads max|U|, which is nan or inf if an entry is,
     so the entries are checked one by one only when max|U| is not finite.
     The eig and the residuals run on one BLAS thread.
@@ -363,18 +387,22 @@ def quasi_spectrum(
             # a fold of two entries near the top of double range overflows;
             # raising here keeps it from reaching eig as an inf
             with np.errstate(over="raise"):
-                eigvals, vecs = _parity_eig(matrix, max_abs)
+                blocks = _parity_blocks(matrix, max_abs)
+                if schedule is not None:
+                    # apply_floquet stands in for U from here on, so U is
+                    # freed here when the caller holds no reference to it
+                    del matrix
+                vals, vecs = np.linalg.eig(blocks)
+                del blocks  # before the (M, M) eigenvector array is allocated
+                eigvals, vecs = _embed_pairs(vals, vecs)
         except FloatingPointError as exc:
             raise SpectrumError(
                 f"parity blocks of U overflow double range (dim {m}, max|U| {scale:.3e}); "
                 "U(t) grows too fast at this lambda, hbar and t"
             ) from exc
         except np.linalg.LinAlgError as exc:
-            norm1 = float(np.linalg.norm(matrix, 1))
-            norm_inf = float(np.linalg.norm(matrix, np.inf))
             raise SpectrumError(
-                f"eigensolver failed to converge (dim {m}, 1-norm {norm1:.3e}, "
-                f"inf-norm {norm_inf:.3e}): {exc}"
+                f"eigensolver failed to converge (dim {m}, max|U| {scale:.3e}): {exc}"
             ) from exc
         eps_r, eps_i = _eps_parts(eigvals)
 
@@ -414,9 +442,10 @@ def quasi_spectrum(
 
 def spectrum_at(config: SimConfig, t: int, m_spec: int) -> QuasiSpectrum:
     """Build U(t) on an m_spec lattice and decompose it, residuals applied by FFT."""
-    matrix = build_floquet_matrix(config, t, m_spec)
-    lattice = MomentumLattice(m_spec, config.lattice.hbar_eff)
-    return quasi_spectrum(matrix, t=t, lattice=lattice, schedule=config.schedule)
+    # no name here holds U, so quasi_spectrum can free it before eig
+    return quasi_spectrum(build_floquet_matrix(config, t, m_spec), t=t,
+                          lattice=MomentumLattice(m_spec, config.lattice.hbar_eff),
+                          schedule=config.schedule)
 
 
 def mean_abs_imag(spec: QuasiSpectrum) -> float:

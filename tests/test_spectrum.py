@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -413,7 +414,7 @@ class TestDenseReference:
         # residual taken on part of U or on its parity blocks would show
         matrix, _, _, _ = reference_case(dim, K, lam, hbar)
         cfg = reference_config(dim, K, lam, hbar)
-        exact = nqkr.spectrum._parity_eig
+        exact = nqkr.spectrum._embed_pairs
         eigvals = []
 
         def recorded(*args):
@@ -421,7 +422,7 @@ class TestDenseReference:
             eigvals.append(vals)
             return vals, vecs + 1e-6
 
-        monkeypatch.setattr(nqkr.spectrum, "_parity_eig", recorded)
+        monkeypatch.setattr(nqkr.spectrum, "_embed_pairs", recorded)
         bound = 1e-14 * max(1.0, float(np.abs(matrix).max()))
         for entry in (lambda: quasi_spectrum(matrix, REFERENCE_T, cfg.lattice),
                       lambda: spectrum_at(cfg, REFERENCE_T, dim)):
@@ -450,7 +451,7 @@ class TestDenseReference:
     def test_perturbed_eigenvector_is_still_flagged(self, monkeypatch):
         matrix, _, _, _ = reference_case(64, 10.0, 5.0, 0.5)
         cfg = reference_config(64, 10.0, 5.0, 0.5)
-        exact = nqkr.spectrum._parity_eig
+        exact = nqkr.spectrum._embed_pairs
 
         def perturbed(*args):
             vals, vecs = exact(*args)
@@ -458,7 +459,7 @@ class TestDenseReference:
             vecs[:, 0] += 1e-8
             return vals, vecs
 
-        monkeypatch.setattr(nqkr.spectrum, "_parity_eig", perturbed)
+        monkeypatch.setattr(nqkr.spectrum, "_embed_pairs", perturbed)
         for entry in (lambda: quasi_spectrum(matrix, REFERENCE_T, cfg.lattice),
                       lambda: spectrum_at(cfg, REFERENCE_T, 64)):
             with pytest.warns(UserWarning, match="^1 eigenpairs"):
@@ -466,11 +467,43 @@ class TestDenseReference:
             assert np.count_nonzero(spec.flagged_mask()) == 1
 
 
+def two_pass_fold(x, sign, out):
+    """_fold over all of axis 0, as first written."""
+    h = x.shape[0] // 2
+    if sign > 0:
+        out[0] = x[h]
+        out[1] = x[0]
+        out = out[2:]
+    (np.add if sign > 0 else np.subtract)(x[h + 1:], x[h - 1:0:-1], out=out)
+    out *= math.sqrt(0.5)
+
+
+def two_pass_blocks(matrix):
+    """_parity_blocks' stack as first folded: every column of U into an
+    (M, M/2+1) buffer, then the buffer's rows into the stack."""
+    h = matrix.shape[0] // 2
+    stack = np.zeros((2, h + 1, h + 1), dtype=np.complex128)
+    buffer = np.empty((2 * h, h + 1), dtype=np.complex128)
+    for sector, sign in enumerate((1, -1)):
+        cols = buffer[:, :h + sign]
+        two_pass_fold(matrix.T, sign, cols.T)
+        two_pass_fold(cols, sign, stack[sector, :h + sign, :h + sign])
+    return stack
+
+
 class TestParityBlocks:
     def test_parity_breaking_matrix_rejected(self):
         mat = build_floquet_matrix(config(10.0, 5.0, m=8), t=3, m_spec=8)
         quasi_spectrum(mat)
         mat[1, 2] += 1e-9 * np.abs(mat).max()
+        with pytest.raises(ValueError, match="parity"):
+            quasi_spectrum(mat)
+        # at M = 130 the even sector's last column block holds two columns,
+        # k = 63 and 64; a coupling added to both columns of the k = 64 pair
+        # cancels in the odd sector's columns, so only that block can see it
+        mat = build_floquet_matrix(config(10.0, 5.0, m=130), t=3, m_spec=130)
+        quasi_spectrum(mat)
+        mat[3, [1, 129]] += 1e-9 * np.abs(mat).max()
         with pytest.raises(ValueError, match="parity"):
             quasi_spectrum(mat)
 
@@ -498,6 +531,13 @@ class TestParityBlocks:
         spec = quasi_spectrum(np.diag([1e308, 1, 1, 1]))
         assert spec.eps_i[0] == pytest.approx(np.log(1e308))
         assert not spec.flagged_mask().any()
+
+    @pytest.mark.parametrize("m", [2, 8, 130, 512])
+    def test_banded_fold_matches_a_two_pass_fold(self, m):
+        # M = 130's even sector ends in a partial block of two columns
+        matrix = build_floquet_matrix(config(10.0, 5.0, m=m), t=7, m_spec=m)
+        stack = nqkr.spectrum._parity_blocks(matrix, float(np.abs(matrix).max()))
+        assert stack.tobytes() == two_pass_blocks(matrix).tobytes()
 
     def test_dim2_has_empty_odd_sector(self):
         # at M = 2 parity fixes both sites: every 2x2 matrix commutes with
@@ -585,7 +625,7 @@ def two_blas_threads():
 
 
 def embed_by_copy(vals, vecs):
-    """_parity_eig's embedding with the odd slice's kept columns copied, as first written.
+    """_embed_pairs' embedding with the odd slice's kept columns copied, as first written.
 
     Returns the eigenvalues, the eigenvectors and the kept odd columns.
     """
@@ -629,7 +669,8 @@ class TestOddSliceEmbedding:
             return vals, vecs
 
         monkeypatch.setattr(np.linalg, "eig", reordered)
-        vals, vecs = nqkr.spectrum._parity_eig(matrix, float(np.abs(matrix).max()))
+        blocks = nqkr.spectrum._parity_blocks(matrix, float(np.abs(matrix).max()))
+        vals, vecs = nqkr.spectrum._embed_pairs(*np.linalg.eig(blocks))
         expected_vals, expected_vecs, keep = embed_by_copy(*solved[0])
         assert len(_runs(keep, 1)) == runs
         assert vals.tobytes() == expected_vals.tobytes()
@@ -684,10 +725,14 @@ class TestOneBlasThread:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eig", failing)
-        with pytest.raises(SpectrumError, match="Eigenvalues did not converge"):
-            quasi_spectrum(self.matrix())
-        assert seen == [[1] * len(blas_counts())]
-        assert set(blas_counts()) == {2}
+        # on spectrum_at's path quasi_spectrum holds no reference to U when eig runs
+        for solve in (lambda: quasi_spectrum(self.matrix()),
+                      lambda: spectrum_at(config(10.0, 5.0), t=3, m_spec=64)):
+            seen.clear()
+            with pytest.raises(SpectrumError, match=r"dim 64, max\|U\| .*Eigenvalues did not"):
+                solve()
+            assert seen == [[1] * len(blas_counts())]
+            assert set(blas_counts()) == {2}
 
     def test_no_openblas_found_gives_the_same_eigenvalues(self, monkeypatch):
         matrix = self.matrix()
@@ -785,7 +830,14 @@ def traced_peak(func, *args):
 
 
 class TestAllocationPeaks:
-    """The spectrum path holds U, one eigenvector array and bounded blocks."""
+    """The spectrum path holds about 1.5 x U at a time, in three stages.
+
+    U, its parity block stack and (M, _BLOCK) bands while the stack is built
+    (there is no fold buffer); the stack, its eigenvectors and LAPACK's
+    buffers in eig; the block eigenvectors and the (M, M) eigenvector array
+    while they are embedded. On spectrum_at's path U is freed before eig
+    (CPython 3.11 and later).
+    """
 
     DIM = 512
 
@@ -799,9 +851,20 @@ class TestAllocationPeaks:
         # 1.76x before the odd slice was embedded from views, 1.57x after;
         # reducing the parity leak one band at a time does not move this
         # ratio at M = 512, it lowers the process's peak RSS. The FFT
-        # residuals of spectrum_at's path peak as the dense ones do
+        # residuals of spectrum_at's path peak as the dense ones do. The
+        # fixture holds U, so neither path can free it: the peak above U is
+        # the embedding stage's, 1.576x with the banded fold
         for solve in (quasi_spectrum, functools.partial(quasi_spectrum, schedule=schedule)):
             assert traced_peak(solve, matrix, 200, lattice) <= 1.65 * matrix.nbytes
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps a call's "
+                        "arguments, U here, alive in the caller's frame until the call returns")
+    def test_spectrum_at_peak(self):
+        # U included: 2.58x while U lived through eig beside an (M, M/2+1)
+        # fold buffer, 1.79x with U freed before eig and the fold in bands
+        cfg = config(10.0, 5.0, m=self.DIM)
+        nbytes = self.DIM * self.DIM * np.dtype(np.complex128).itemsize
+        assert traced_peak(spectrum_at, cfg, 200, self.DIM) <= 2.0 * nbytes
 
     def test_fidelity_profile_peak(self, frozen_matrix):
         matrix, lattice, _ = frozen_matrix
