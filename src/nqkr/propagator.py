@@ -24,12 +24,26 @@ are fixed by the plastic number kappa (`constants`). Conventions:
   copies the factor of angle M - m. The factor is therefore exactly
   parity-symmetric, F[m] == F[(M-m) % M], a kick multiplies it onto the M
   angle samples in one pass, and the forward FFT writes into the inverse
-  FFT's output (timings in `BENCH_13.json`). The factor of the last kick is
-  cached (`_kick_factor`), so the M columns of
-  `spectrum.build_floquet_matrix`, all kicked at one t, compute it once, and
-  `apply_floquet`, which applies the same U(t) to blocks of eigenvectors for
-  their residuals, reads it again, while a modulated evolution computes one
-  per kick;
+  FFT's output (timings in `BENCH_13.json`);
+* the gains and factors of a modulated run on up to M = 2048 sites come in
+  tables of B = 16 consecutive kicks t0..t0+B-1 (`_kick_table`), each step
+  built by one numpy call over all B rows, with t0 the multiple of B at or
+  below t. A table saves numpy's per-call cost, which only small lattices
+  feel (`BENCH_36.json`: a kick's factor took 9.8 us at M = 1024 and 17.8 us
+  at M = 2048, against 14.3 and 20.7 us built alone; at M = 4096 tables of
+  4 to 32 rows took 32.2-34.3 us per row, against 32.5 us alone). Each row
+  equals the factor built alone bit for bit, so no factor depends on B or
+  on the order of the calls. Above M = 2048, and when eta = 0 makes every
+  kick alike, each factor is built alone and the last one is cached by its
+  value (`_kick_factor`): an unmodulated run builds one, and a modulated
+  run on a large lattice one per kick. The last table is cached too, so the
+  M columns of `spectrum.build_floquet_matrix`, all kicked at one t, build
+  one table or factor, `apply_floquet`, which applies the same U(t) to
+  blocks of eigenvectors for their residuals, reads it again, and an
+  evolution builds one table per B kicks. The two FFTs of a kick stay 1-D
+  calls, whose per-call cost only batching configs can amortize: one
+  inverse FFT took 14.7 us at M = 1024 and 45.1 us at M = 4096, against 6.4
+  and 25.4 us per row of an 8-row batch;
 * the free phases are exact to double rounding: an error-free product
   (Dekker, Numer. Math. 18, 224 (1971)) gives hbar*n^2/2 = hi + lo exactly,
   and the phase is e^(-i*hi)*e^(-i*lo). An argument rounded to double errs
@@ -175,29 +189,94 @@ def _free_phases(size: int, hbar: float) -> np.ndarray:
     return phases
 
 
-@lru_cache(maxsize=1)
-def _kick_factor(size: int, lam_a: float, k_a: float) -> np.ndarray:
-    """Read-only exp((lam_a - i*k_a)*cos(theta_m) - lam_a) for m = 0..M-1.
+# Kicks per kick table, by lattice size. One table's numpy calls serve
+# _TABLE_ROWS kicks, which pays where their per-call cost is as large as the
+# arithmetic: at M = 1024 a 16-row table cut the cost per factor from 14.3 to
+# 9.8 us, while at M = 4096, where the exponentials dominate, tables of 4 to
+# 32 rows cost 32.2-34.3 us per row against 32.5 us for a factor built alone
+# (`BENCH_36.json`); more rows there would only hold more memory. The table's
+# arithmetic on one row took 21.5 us at M = 1024 and 38.7 us at M = 4096, so a
+# one-row rule builds each factor alone (`_kick_factor`). A table's factors
+# take at most 16*_TABLE_ROWS*_TABLE_MAX_SIZE bytes, 512 KiB.
+_TABLE_ROWS = 16
+_TABLE_MAX_SIZE = 2048
 
-    lam_a = lam*a >= 0 is the kick's gain g, so no factor exceeds 1 in magnitude.
+
+def _table_rows(size: int) -> int:
+    """Kicks per kick table on an M-site lattice: 16 up to M = 2048, else 1."""
+    return _TABLE_ROWS if size <= _TABLE_MAX_SIZE else 1
+
+
+def _write_factors(out: np.ndarray, gain, k_a) -> None:
+    """Write exp((gain - i*k_a)*cos(theta_m) - gain), m = 0..M-1, along out's last axis.
+
+    gain = lam*a and k_a = K*a are floats for one factor, or (rows, 1) columns
+    for a table of rows factors. gain is the kick's maximal gain, so no factor
+    exceeds 1 in magnitude.
 
     One complex exponential on the quarter-wave table gives the factor at
     +cos(theta_q), m = q = 0..M//4; the factor at -cos(theta_q), m = M/2 - q,
-    is its conjugate times the real e^(-2*lam_a*cos(theta_q)) <= 1, and each
-    angle m > M/2 copies the factor of its mirror angle M - m. Only the last
-    factor is kept: matrix assembly kicks every column at one t, while each
-    kick of a modulated evolution needs a new one.
+    is its conjugate times the real e^(-2*gain*cos(theta_q)) <= 1, and each
+    angle m > M/2 copies the factor of its mirror angle M - m. A table takes
+    every step in one numpy call over all rows with the same per-element
+    arithmetic, so each row equals the factor written alone bit for bit.
     """
+    size = out.shape[-1]
     cos_q = _quarter_cos(size)
     half = size // 2
+    upper = out[..., half : cos_q.size - 1 : -1]  # upper[..., q] is the factor at m = M/2 - q
+    np.exp((gain - 1j * k_a) * cos_q - gain, out=out[..., : cos_q.size])
+    np.conjugate(out[..., : upper.shape[-1]], out=upper)
+    upper *= np.exp((-2.0 * gain) * cos_q[: upper.shape[-1]])
+    out[..., half + 1 :] = out[..., half - 1 : 0 : -1]
+
+
+@lru_cache(maxsize=1)
+def _kick_factor(size: int, lam_a: float, k_a: float) -> np.ndarray:
+    """Read-only factor of one kick with gain lam_a = lam*a and k_a = K*a.
+
+    Keyed by value, so the kicks of an unmodulated run (eta = 0), which all
+    have one key, build it once.
+    """
     factor = np.empty(size, dtype=complex)
-    upper = factor[half : cos_q.size - 1 : -1]  # upper[q] is the factor at m = M/2 - q
-    np.exp((lam_a - 1j * k_a) * cos_q - lam_a, out=factor[: cos_q.size])
-    np.conjugate(factor[: upper.size], out=upper)
-    upper *= np.exp((-2.0 * lam_a) * cos_q[: upper.size])
-    factor[half + 1 :] = factor[half - 1 : 0 : -1]
+    _write_factors(factor, lam_a, k_a)
     factor.flags.writeable = False
     return factor
+
+
+@lru_cache(maxsize=1)
+def _kick_table(
+    size: int, hbar: float, schedule: KickSchedule, t0: int, rows: int
+) -> tuple[tuple[float, ...], np.ndarray]:
+    """Gains lam*a and read-only (rows, M) factors of the kicks at t = t0..t0+rows-1."""
+    f = np.array([modulation_factor(schedule, t) for t in range(t0, t0 + rows)])
+    a = f[:, np.newaxis] / hbar
+    gain = schedule.lam * a
+    table = np.empty((rows, size), dtype=complex)
+    _write_factors(table, gain, schedule.K * a)
+    table.flags.writeable = False
+    return tuple(gain.ravel().tolist()), table
+
+
+def _kick_row(
+    lattice: MomentumLattice, schedule: KickSchedule, t: int
+) -> tuple[float, np.ndarray]:
+    """Gain lam*a and read-only factor of the kick at time t, a = f(t)/hbar.
+
+    Where the size rule gives one row, or eta = 0 makes every kick alike, the
+    factor is built alone and cached by value (`_kick_factor`). Otherwise it
+    is row t - t0 of a table (`_kick_table`), with t0 the multiple of the row
+    count at or below t: t0 depends on t alone, and the order of the calls
+    never changes a factor. Only the last factor and the last table are kept.
+    """
+    rows = _table_rows(lattice.size)
+    if rows == 1 or schedule.eta == 0.0:
+        a = modulation_factor(schedule, t) / lattice.hbar_eff
+        lam_a = schedule.lam * a
+        return lam_a, _kick_factor(lattice.size, lam_a, schedule.K * a)
+    row = t % rows
+    gains, factors = _kick_table(lattice.size, lattice.hbar_eff, schedule, t - row, rows)
+    return gains[row], factors[row]
 
 
 def apply_kick(psi: WaveFunction, schedule: KickSchedule, t: int) -> WaveFunction:
@@ -206,11 +285,9 @@ def apply_kick(psi: WaveFunction, schedule: KickSchedule, t: int) -> WaveFunctio
     The removed squared-norm factor (including the analytically factored
     maximal gain) is added to psi.log_norm.
     """
-    a = modulation_factor(schedule, t) / psi.lattice.hbar_eff
-    lam_a = schedule.lam * a
-
+    lam_a, factor = _kick_row(psi.lattice, schedule, t)
     angle = np.fft.ifft(psi.amps)
-    angle *= _kick_factor(angle.size, lam_a, schedule.K * a)
+    angle *= factor
     amps = np.fft.fft(angle, out=angle)
 
     norm_sq = _check_norm(float(np.vdot(amps, amps).real))
@@ -239,9 +316,8 @@ def apply_floquet(
     roundoff, U(t) @ columns[:, j] with U(t) as `spectrum.build_floquet_matrix`
     assembles it. A gain beyond double range gives inf or nan entries.
     """
-    a = modulation_factor(schedule, t) / lattice.hbar_eff
-    lam_a = schedule.lam * a
-    factor = _kick_factor(lattice.size, lam_a, schedule.K * a) * np.exp(lam_a)
+    lam_a, factor = _kick_row(lattice, schedule, t)
+    factor = factor * np.exp(lam_a)
     angle = np.fft.ifft(columns, axis=0)
     angle *= factor[:, np.newaxis]
     out = np.fft.fft(angle, axis=0, out=angle)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,10 @@ from nqkr import (
     step,
 )
 from nqkr import propagator
+from nqkr.lattice import LATTICE_SIZE_BUDGET
+from nqkr.observables import OtocSeries
 from nqkr.propagator import apply_floquet
+from nqkr.spectrum import spectrum_at
 
 HBAR = 2.89
 PLASTIC = 1.3247179572447460
@@ -183,43 +187,101 @@ def direct_kick_factor(m, lam_a, k_a):
     return np.exp((lam_a - 1j * k_a) * np.cos(theta) - lam_a)
 
 
+def table_args(m, hbar, schedule, t):
+    """`_kick_table`'s arguments for the table that holds the kick at time t."""
+    rows = propagator._table_rows(m)
+    return m, hbar, schedule, t - t % rows, rows
+
+
+def direct_kick_table(m, hbar, schedule, t0, rows):
+    """Reference table: gains and direct_kick_factor rows of the kicks t0..t0+rows-1."""
+    a = [modulation_factor(schedule, t) / hbar for t in range(t0, t0 + rows)]
+    gains = tuple(schedule.lam * a_t for a_t in a)
+    return gains, np.array([direct_kick_factor(m, g, schedule.K * a_t) for g, a_t in zip(gains, a)])
+
+
 class TestKickFactor:
     # bounds fixed beforehand: roundoff of one complex exponential relative
-    # to the largest factor; M = 2 and both residues mod 4 are covered
+    # to the largest factor; M = 2 and both residues mod 4 are covered. Every
+    # kick of the table that holds t is checked, and at M = 4096 the factor
+    # built alone
     @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 14, 64, 1024, 4096])
     @pytest.mark.parametrize("hbar", [0.5, HBAR])
     def test_matches_direct_formula(self, m, hbar):
         mirror = (m - np.arange(m)) % m
+        lattice = MomentumLattice(m, hbar)
+        rows = propagator._table_rows(m)
         # each (lam, K) and its halves
         strengths = [*itertools.product((0.0, 2.0, 5.0), (0.0, 4.0, 10.0)),
                      *itertools.product((0.0, 1.0, 2.5), (0.0, 2.0, 5.0))]
         for (lam, K), t in itertools.product(strengths, (1, 7, 200)):
             sched = KickSchedule(K, lam)
-            a = modulation_factor(sched, t) / hbar
-            factor = propagator._kick_factor(m, sched.lam * a, sched.K * a)
-            direct = direct_kick_factor(m, sched.lam * a, sched.K * a)
-            peak = np.max(np.abs(factor))
-            assert np.max(np.abs(factor - direct)) <= 1e-13 * peak
-            assert np.array_equal(factor, factor[mirror])
-            # |e^(-i*phi)| = hypot(cos, sin) rounds to at most one ulp above 1
-            assert peak <= 1.0 + np.finfo(float).eps
+            for s in range(t - t % rows, t - t % rows + rows):
+                gain, factor = propagator._kick_row(lattice, sched, s)
+                a = modulation_factor(sched, s) / hbar
+                assert gain == sched.lam * a
+                direct = direct_kick_factor(m, sched.lam * a, sched.K * a)
+                peak = np.max(np.abs(factor))
+                assert np.max(np.abs(factor - direct)) <= 1e-13 * peak
+                assert np.array_equal(factor, factor[mirror])
+                # |e^(-i*phi)| = hypot(cos, sin) rounds to at most one ulp above 1
+                assert peak <= 1.0 + np.finfo(float).eps
 
-    # same bounds; at lam*a = 1e4 all but the angles next to theta = 0 underflow to 0
+    # same bounds; at lam*a = 1e4 all but the angles next to theta = 0
+    # underflow to 0. The factor built alone, and every row of a 16-row
+    # table, where eta = 0 and hbar = 1 make a = 1
     @pytest.mark.parametrize("m", [2, 6, 8, 1024, 4096])
     @pytest.mark.parametrize("lam_a", np.geomspace(1.0, 1e4, 9))
     @pytest.mark.parametrize("k_a", [0.0, 3.5])
     def test_extreme_gain(self, m, lam_a, k_a):
         mirror = (m - np.arange(m)) % m
-        factor = propagator._kick_factor(m, lam_a, k_a)
+        gains, table = propagator._kick_table(m, 1.0, KickSchedule(k_a, lam_a, eta=0.0), 0, 16)
         direct = direct_kick_factor(m, lam_a, k_a)
-        assert np.all(np.isfinite(factor))
-        assert np.max(np.abs(factor)) <= 1.0 + np.finfo(float).eps
-        assert np.array_equal(factor, factor[mirror])
-        assert np.max(np.abs(factor - direct)) <= 1e-13 * np.max(np.abs(factor))
+        assert gains == (lam_a,) * 16
+        for factor in (propagator._kick_factor(m, lam_a, k_a), *table):
+            assert np.all(np.isfinite(factor))
+            assert np.max(np.abs(factor)) <= 1.0 + np.finfo(float).eps
+            assert np.array_equal(factor, factor[mirror])
+            assert np.max(np.abs(factor - direct)) <= 1e-13 * np.max(np.abs(factor))
+
+    @pytest.mark.parametrize("m", [2, 6, 64, 1024, 2048, 4096])
+    @pytest.mark.parametrize("hbar", [0.5, HBAR])
+    def test_each_row_equals_a_one_row_build(self, m, hbar):
+        # every kick time from two before a block edge to two after it, at
+        # t = 0 and at the first positive edge
+        sched = KickSchedule(10.0, 2.0)
+        lattice = MomentumLattice(m, hbar)
+        rows = propagator._table_rows(m)
+        for t in [*range(-2, 3), *range(rows - 2, rows + 3)]:
+            gain, factor = propagator._kick_row(lattice, sched, t)
+            a = modulation_factor(sched, t) / hbar
+            assert gain == sched.lam * a, t
+            alone = propagator._kick_factor.__wrapped__(m, sched.lam * a, sched.K * a)
+            assert factor.tobytes() == alone.tobytes(), t
+
+    def test_table_size_is_bounded(self):
+        # the size rule for every lattice the budget allows, no table built:
+        # a table's factors take at most 512 KiB (16 rows of M = 2048) or one
+        # row, the factor a kick needs anyway. From M = 4096 on, where more
+        # rows made a kick slower, a table is that one row
+        cap = 2**19
+        row_bytes = np.dtype(complex).itemsize
+        for m in range(2, LATTICE_SIZE_BUDGET + 1, 2):
+            rows = propagator._table_rows(m)
+            assert rows >= 1 and rows * m * row_bytes <= max(cap, m * row_bytes), m
+            assert rows == 1 or m < 4096, m
+
+
+def kick_caches():
+    """Cleared `_kick_factor` and `_kick_table` caches, by name."""
+    caches = {"_kick_factor": propagator._kick_factor, "_kick_table": propagator._kick_table}
+    for cache in caches.values():
+        cache.cache_clear()
+    return caches
 
 
 class TestKickFactorCache:
-    @pytest.mark.parametrize("m", [2, 4, 6, 64])
+    @pytest.mark.parametrize("m", [2, 4, 6, 64, 4096])
     def test_cached_factor_is_read_only_and_unchanged(self, m):
         sched = KickSchedule(10.0, 5.0)
         for t in (1, 7, 200):
@@ -232,18 +294,74 @@ class TestKickFactorCache:
             assert np.array_equal(factor, propagator._kick_factor.__wrapped__(*args))
             assert propagator._kick_factor(*args) is factor
 
-    def test_matrix_assembly_computes_it_once(self):
-        propagator._kick_factor.cache_clear()
-        build_floquet_matrix(config(10.0, 5.0, 1), t=3, m_spec=64)
-        info = propagator._kick_factor.cache_info()
-        assert (info.misses, info.hits) == (1, 63)
+    @pytest.mark.parametrize("m", [2, 4, 6, 64])
+    def test_cached_table_is_read_only_and_unchanged(self, m):
+        sched = KickSchedule(10.0, 5.0)
+        lattice = MomentumLattice(m, HBAR)
+        for t in (1, 7, 200):
+            args = table_args(m, HBAR, sched, t)
+            entry = propagator._kick_table(*args)
+            gains, table = entry
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+            _, factor = propagator._kick_row(lattice, sched, t)
+            assert not factor.flags.writeable
+            fresh_gains, fresh = propagator._kick_table.__wrapped__(*args)
+            assert gains == fresh_gains and np.array_equal(table, fresh)
+            assert propagator._kick_table(*args) is entry
 
-    def test_evolution_computes_it_every_kick(self):
-        # the modulation gives each kick time its own factor
-        propagator._kick_factor.cache_clear()
-        evolve(config(10.0, 5.0, 10))
-        info = propagator._kick_factor.cache_info()
-        assert (info.misses, info.hits) == (10, 0)
+    # a modulated operator reads a table, an unmodulated one its one factor
+    @pytest.mark.parametrize("eta,built,unused", [(0.75, "_kick_table", "_kick_factor"),
+                                                  (0.0, "_kick_factor", "_kick_table")])
+    def test_matrix_assembly_builds_one_table(self, eta, built, unused):
+        caches = kick_caches()
+        build_floquet_matrix(config(10.0, 5.0, 1, eta=eta), t=3, m_spec=64)
+        info = caches[built].cache_info()
+        assert (info.misses, info.hits) == (1, 63)
+        assert caches[unused].cache_info().currsize == 0
+
+    # 40 modulated kicks read 16-row tables from t0 = 0, 16 and 32 at
+    # M = 64, and build each factor alone at M = 4096
+    @pytest.mark.parametrize("m,built,misses", [(64, "_kick_table", 3), (4096, "_kick_factor", 40)])
+    def test_evolution_builds_one_table_per_block(self, m, built, misses):
+        caches = kick_caches()
+        evolve(config(3.0, 1.0, 40, m=m))
+        info = caches[built].cache_info()
+        assert (info.misses, info.hits) == (misses, 40 - misses)
+
+    # eta = 0 gives every kick the factor of f = 1, on any lattice
+    @pytest.mark.parametrize("m", [64, 4096])
+    def test_unmodulated_evolution_builds_one_factor(self, m):
+        caches = kick_caches()
+        evolve(config(3.0, 1.0, 40, m=m, eta=0.0))
+        info = caches["_kick_factor"].cache_info()
+        assert (info.misses, info.hits) == (1, 39)
+        assert caches["_kick_table"].cache_info().currsize == 0
+
+    def test_a_spectrum_leaves_no_factor_behind(self):
+        # U(200) built and applied first must not change a later evolution's
+        # bytes: its table starts at t0 = 192 and the evolution's at t0 = 0
+        cfg = config(4.0, 2.0, 200)
+        kick_caches()
+        fresh = record_series(cfg)
+        spectrum_at(cfg, t=200, m_spec=cfg.lattice.size)
+        after = record_series(cfg)
+        assert after.final.amps.tobytes() == fresh.final.amps.tobytes()
+        for field in fields(OtocSeries):
+            new, old = getattr(after.series, field.name), getattr(fresh.series, field.name)
+            assert new.tobytes() == old.tobytes(), field.name
+
+
+class TestFloquetMatrixAtAnyTime:
+    # the CLI accepts any integer --t; t <= 0 falls in a table that starts
+    # at a multiple of the row count at or below t. Bound as TestStep's oracle
+    @pytest.mark.parametrize("t", [0, -1, -17])
+    def test_matches_the_dense_oracle(self, t):
+        cfg = config(5.0, 1.2, 1, m=16)
+        matrix = build_floquet_matrix(cfg, t=t, m_spec=16)
+        oracle = dense_step_matrix(16, HBAR, 5.0, 1.2, 0.75, t)
+        assert np.max(np.abs(matrix - oracle)) < 1e-12 * np.max(np.abs(oracle))
 
 
 class TestEvolutionAgainstDirectKick:
@@ -252,7 +370,7 @@ class TestEvolutionAgainstDirectKick:
     def test_record_series_matches(self, monkeypatch, K, lam):
         cfg = config(K, lam, 200, m=1024)
         series = record_series(cfg).series
-        monkeypatch.setattr(propagator, "_kick_factor", direct_kick_factor)
+        monkeypatch.setattr(propagator, "_kick_table", direct_kick_table)
         reference = record_series(cfg).series
         for name in ("c_exact", "mean_p2"):
             new, ref = getattr(series, name), getattr(reference, name)
@@ -392,13 +510,15 @@ class TestApplyFloquet:
         oracle = dense_step_matrix(m, HBAR, K, lam, 0.75, 4) @ block
         assert np.max(np.abs(image - oracle)) < 1e-12 * np.max(np.abs(oracle))
 
+    # t = 15 and 16 are the last row of one factor table and the first of the next
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_matches_the_assembled_matrix(self, order):
+    @pytest.mark.parametrize("t", [7, 15, 16])
+    def test_matches_the_assembled_matrix(self, order, t):
         cfg = config(10.0, 5.0, 1, m=64, hbar=0.5)
-        matrix = build_floquet_matrix(cfg, t=7, m_spec=64)
+        matrix = build_floquet_matrix(cfg, t=t, m_spec=64)
         block = np.asarray(self.columns(64, 9), order=order)
         before = block.copy()
-        image = apply_floquet(block, cfg.lattice, cfg.schedule, 7)
+        image = apply_floquet(block, cfg.lattice, cfg.schedule, t)
         assert np.array_equal(block, before)
         # the bound of the spectrum's residuals, for unit columns
         assert np.max(np.abs(image - matrix @ block)) <= 1e-14 * max(1.0, np.abs(matrix).max())
