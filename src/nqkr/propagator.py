@@ -30,10 +30,10 @@ are fixed by the plastic number kappa (`constants`). Conventions:
   built by one numpy call over all B rows, with t0 the multiple of B at or
   below t. A table saves numpy's per-call cost, which only small lattices
   feel (`BENCH_36.json`: a kick's factor took 9.8 us at M = 1024 and 17.8 us
-  at M = 2048, against 14.3 and 20.7 us built alone; at M = 4096 tables of
-  4 to 32 rows took 32.2-34.3 us per row, against 32.5 us alone). Each row
-  equals the factor built alone bit for bit, so no factor depends on B or
-  on the order of the calls. Above M = 2048, and when eta = 0 makes every
+  at M = 2048, against 14.3 and 20.7 us built alone); why larger lattices
+  build no table is stated above `_TABLE_ROWS`. Each row equals the factor
+  built alone bit for bit, so no factor depends on B or on the order of the
+  calls. Above M = 2048, and when eta = 0 makes every
   kick alike, each factor is built alone and the last one is cached by its
   value (`_kick_factor`): an unmodulated run builds one, and a modulated
   run on a large lattice one per kick. The last table is cached too, so the
@@ -114,9 +114,11 @@ class KickSchedule:
 class SimConfig:
     """Everything a single deterministic run needs.
 
-    The kick phase is V/hbar. A literal half-phase reading, V/(2*hbar), is
-    the run with K and lam halved, bit for bit: halving is exact in binary
-    floating point, so both give the same K*a and lam*a.
+    A run evolves kick_count kicks; a spectrum (`spectrum.quasi_spectrum`)
+    reads kick_count as the t of its operator U(t). The kick phase is V/hbar.
+    A literal half-phase reading, V/(2*hbar), is the run with K and lam
+    halved, bit for bit: halving is exact in binary floating point, so both
+    give the same K*a and lam*a.
     """
 
     lattice: MomentumLattice
@@ -192,12 +194,14 @@ def _free_phases(size: int, hbar: float) -> np.ndarray:
 # Kicks per kick table, by lattice size. One table's numpy calls serve
 # _TABLE_ROWS kicks, which pays where their per-call cost is as large as the
 # arithmetic: at M = 1024 a 16-row table cut the cost per factor from 14.3 to
-# 9.8 us, while at M = 4096, where the exponentials dominate, tables of 4 to
-# 32 rows cost 32.2-34.3 us per row against 32.5 us for a factor built alone
-# (`BENCH_36.json`); more rows there would only hold more memory. The table's
-# arithmetic on one row took 21.5 us at M = 1024 and 38.7 us at M = 4096, so a
-# one-row rule builds each factor alone (`_kick_factor`). A table's factors
-# take at most 16*_TABLE_ROWS*_TABLE_MAX_SIZE bytes, 512 KiB.
+# 9.8 us (`BENCH_36.json`). At M = 4096, where the exponentials dominate,
+# tables make runs slower end to end: with 8-row and with 16-row tables there,
+# the `series` benchmark (five 1000-kick runs at M = 4096) took 1.36 and
+# 1.40 s against 1.32 s with each factor built alone, slower in 5 and in 6 of
+# 6 pairs, and its peak RSS rose by 1.0 and 2.3 MB (`BENCH_37.json`). The
+# table's arithmetic on one row took 21.5 us at M = 1024 and 38.7 us at
+# M = 4096, so a one-row rule builds each factor alone (`_kick_factor`). A
+# table's factors take at most 16*_TABLE_ROWS*_TABLE_MAX_SIZE bytes, 512 KiB.
 _TABLE_ROWS = 16
 _TABLE_MAX_SIZE = 2048
 

@@ -15,12 +15,11 @@ M/2 - 1 on (|k> - |-k>)/sqrt(2); `_fold` and its inverse `_unfold` are the
 one definition of that basis. `quasi_spectrum` solves the two blocks in one
 stacked eig, about a quarter of the work of the full matrix, so every
 eigenstate it returns has definite parity. Residuals are still taken in the
-full space. On the `spectrum_at` path U(t) is applied to each block of
-eigenvectors by one FFT pair (`propagator.apply_floquet`), which agrees with
-U @ phi to 1e-14 * max(1, max|U|) and took 16 ms instead of 139 ms at
-M = 1024 on a 2-CPU host; a bare matrix is multiplied in full. A column of
-U(t), a parity block or a residual that overflows double range is a
-SpectrumError.
+full space. A config's U(t) is applied to each block of eigenvectors by one
+FFT pair (`propagator.apply_floquet`), which agrees with U @ phi to
+1e-14 * max(1, max|U|) and took 16 ms instead of 139 ms at M = 1024 on a
+2-CPU host; a bare matrix is multiplied in full. A column of U(t), a parity
+block or a residual that overflows double range is a SpectrumError.
 
 `quasi_spectrum` and `fidelity_profile` run on one BLAS thread
 (`_blas.one_thread`): the stacked eig, the blocked residual products
@@ -32,27 +31,24 @@ sixth of the spectrum benchmark's CPU time to save about 4% of its wall time
 (`BENCH_20.json`). On one thread the spectrum files do not depend on
 OPENBLAS_NUM_THREADS. A BLAS other than OpenBLAS keeps its own threading.
 
-Memory: the spectrum path runs in three stages of about 1.5 x U.nbytes each.
-Building the block stack holds U, the (2, M/2+1, M/2+1) stack (half of U) and
-(M, _BLOCK) bands: `_parity_blocks` folds _BLOCK columns of U at a time into
-one band and that band's rows into the stack. eig holds the stack, its
-eigenvectors and LAPACK's copy of one block. The embedding holds the block
-eigenvectors and the (M, M) eigenvector array, built straight in sorted order
-from views of them and normalized in place; it is column-major, so the
-embedding, the per-block normalization and the FFT residual run on contiguous
-columns. The stack is freed once eig returns. On the `schedule=` path, which
-`spectrum_at` takes holding no reference to U, U is freed once the stack is
-built; a bare matrix stays for its dense residuals. CPython 3.10 keeps a
-call's arguments alive in the caller's frame until the call returns, so there
-U lives through eig and the path peaks at about 2.5 x U, as it did with an
-(M, M/2+1) fold buffer. Traced allocations of spectrum_at, U included, peak at
-1.79 x U.nbytes at M = 512 and 1.62 x at M = 1024 (2.58 x and 2.52 x with U
-alive through eig beside that buffer; tracemalloc sees numpy's arrays, not
-LAPACK's work space), and the seed-0 spectrum benchmark's peak RSS fell from
-78.3 to 63.1 MB on a 2-CPU host (`BENCH_35.json`). With U held by the caller,
-quasi_spectrum's allocations above U peak at 1.58 x at M = 512 and 1.52 x at
-M = 1024, and a fidelity profile allocates only vectors. Folding one column at
-a time instead of _BLOCK took 43 ms, not 16 ms, at M = 1024 on that host. The
+Memory: the spectrum path holds about 1.5 x U.nbytes at a time, in three
+stages, whoever holds the config. Building the block stack holds U, the
+(2, M/2+1, M/2+1) stack (half of U) and (M, _BLOCK) bands: `_parity_blocks`
+folds _BLOCK columns of U at a time into one band and that band's rows into
+the stack. eig holds the stack, its eigenvectors and LAPACK's copy of one
+block. The embedding holds the block eigenvectors and the (M, M) eigenvector
+array, built straight in sorted order from views of them and normalized in
+place; it is column-major, so the embedding, the per-block normalization and
+the FFT residual run on contiguous columns. A config's U(t) lives only in
+quasi_spectrum's frame and is freed once the stack is built; the stack is
+freed once eig returns. Traced allocations of quasi_spectrum(config), U
+included, peak at 1.79 x U.nbytes at M = 512 and 1.62 x at M = 1024
+(tracemalloc sees numpy's arrays, not LAPACK's work space), and the seed-0
+spectrum benchmark peaks at 63 MB RSS on a 2-CPU host (`BENCH_35.json`). A
+bare matrix stays alive for its dense residuals; quasi_spectrum's
+allocations above it peak at 1.58 x at M = 512 and 1.52 x at M = 1024. A
+fidelity profile allocates only vectors. Folding one column at a time
+instead of _BLOCK took 43 ms, not 16 ms, at M = 1024 on that host. The
 row-blocked `_max_abs` and the band-at-a-time parity-leak reduction stay
 because full-matrix passes cost memory: on that host, unblocking both kept
 quasi_spectrum's ratio at M = 512, raised it to 1.53 x at M = 1024, and raised
@@ -70,6 +66,7 @@ tail-safe states.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -78,7 +75,7 @@ import numpy as np
 from . import _blas
 from .lattice import MomentumLattice, WaveFunction, _runs, ground_state
 from .lattice import TAIL_PROBABILITY_LIMIT, tail_probability
-from .propagator import KickSchedule, SimConfig, apply_floquet, step
+from .propagator import SimConfig, apply_floquet, step
 
 SPECTRUM_DIM_BUDGET = 2048
 RESIDUAL_TOLERANCE = 1e-8
@@ -333,40 +330,40 @@ def _embed_pairs(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.nda
     return vals[order], out
 
 
-def quasi_spectrum(
-    matrix: np.ndarray,
-    t: int = 0,
-    lattice: MomentumLattice | None = None,
-    *,
-    schedule: KickSchedule | None = None,
-) -> QuasiSpectrum:
+def quasi_spectrum(operator: np.ndarray | SimConfig) -> QuasiSpectrum:
     """Eigendecomposition of a parity-symmetric U, sorted by descending eps_i.
+
+    operator is either U itself, an (M, M) array read as U at t = 0 on an
+    hbar = 1 lattice, or a SimConfig, which names U(t) at t = kick_count on
+    its lattice. A config's U(t) is built here (`build_floquet_matrix`),
+    applied by `propagator.apply_floquet` for the residuals, and freed once
+    its parity blocks are built, before eig, whoever holds the config; a
+    bare matrix is multiplied in full for them.
 
     U is solved as its even (M/2 + 1) and odd (M/2 - 1) momentum-parity
     blocks in one stacked eig, and each eigenvector is embedded back into
     the M-dimensional storage basis, so it is exactly even or odd in n.
     Eigenvectors are normalized and phase-fixed in place, and residuals
-    ||U phi - u phi|| are taken, both in blocks of _BLOCK columns. Given the
-    kick schedule, U must be that schedule's U(t) on lattice, as `spectrum_at`
-    passes it; U phi is then applied by `propagator.apply_floquet`, and U is
-    released once its parity blocks are built, so it is freed before eig when
-    the caller keeps no other reference (see the module's memory notes).
-    Without it, U phi is the product with the full input matrix. The block
+    ||U phi - u phi|| are taken, both in blocks of _BLOCK columns. The block
     stack is released once eig returns. Pairs above
     RESIDUAL_TOLERANCE * max(1, max|U|) are flagged with a warning. Raises
     ValueError if U has non-finite entries, or if it couples the two parity
-    sectors by more than PARITY_TOLERANCE * max|U|, and SpectrumError if a
-    parity block or a residual overflows double range or eig fails to
+    sectors by more than PARITY_TOLERANCE * max|U|, and SpectrumError if U(t),
+    a parity block or a residual overflows double range or eig fails to
     converge.
     One row-blocked pass reads max|U|, which is nan or inf if an entry is,
     so the entries are checked one by one only when max|U| is not finite.
     The eig and the residuals run on one BLAS thread.
-
-    t and lattice are carried through for bookkeeping and, given the
-    schedule, name the operator; lattice defaults to hbar = 1 if the matrix
-    arrives without context, and a schedule needs it.
     """
-    matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
+    if isinstance(operator, SimConfig):
+        t, lattice = operator.kick_count, operator.lattice
+        matrix = build_floquet_matrix(operator, t, lattice.size)
+        apply_u = functools.partial(apply_floquet, lattice=lattice,
+                                    schedule=operator.schedule, t=t)
+    else:
+        t, lattice = 0, None
+        matrix = np.ascontiguousarray(operator, dtype=np.complex128)
+        apply_u = matrix.__matmul__
     m = matrix.shape[0]
     if matrix.shape != (m, m):
         raise ValueError(f"matrix must be square, got {matrix.shape}")
@@ -375,11 +372,7 @@ def quasi_spectrum(
     if not np.isfinite(max_abs) and not np.all(np.isfinite(matrix.view(np.float64))):
         raise ValueError("matrix has non-finite entries")
     if lattice is None:
-        if schedule is not None:
-            raise ValueError("a schedule needs the lattice U(t) was built on")
         lattice = MomentumLattice(m, 1.0)
-    if lattice.size != m:
-        raise ValueError("lattice size does not match matrix dimension")
 
     scale = max(1.0, max_abs)
     with _blas.one_thread():
@@ -388,10 +381,9 @@ def quasi_spectrum(
             # raising here keeps it from reaching eig as an inf
             with np.errstate(over="raise"):
                 blocks = _parity_blocks(matrix, max_abs)
-                if schedule is not None:
-                    # apply_floquet stands in for U from here on, so U is
-                    # freed here when the caller holds no reference to it
-                    del matrix
+                # apply_u stands in for U from here on: a bare matrix stays
+                # alive in it, a built U(t) is freed here
+                del matrix
                 vals, vecs = np.linalg.eig(blocks)
                 del blocks  # before the (M, M) eigenvector array is allocated
                 eigvals, vecs = _embed_pairs(vals, vecs)
@@ -416,10 +408,7 @@ def quasi_spectrum(
             block *= np.exp(-1j * np.angle(block[lead, np.arange(block.shape[1])]))
             # an overflowing residual is reported below, not warned about here
             with np.errstate(over="ignore", invalid="ignore"):
-                if schedule is None:
-                    defect = matrix @ block
-                else:
-                    defect = apply_floquet(block, lattice, schedule, t)
+                defect = apply_u(block)
                 defect -= block * eigvals[cols]
                 residuals[cols] = np.linalg.norm(defect, axis=0)
     if not np.all(np.isfinite(residuals)):
@@ -441,11 +430,9 @@ def quasi_spectrum(
 
 
 def spectrum_at(config: SimConfig, t: int, m_spec: int) -> QuasiSpectrum:
-    """Build U(t) on an m_spec lattice and decompose it, residuals applied by FFT."""
-    # no name here holds U, so quasi_spectrum can free it before eig
-    return quasi_spectrum(build_floquet_matrix(config, t, m_spec), t=t,
-                          lattice=MomentumLattice(m_spec, config.lattice.hbar_eff),
-                          schedule=config.schedule)
+    """`quasi_spectrum` of config's U(t) on an m_spec lattice; t < 0 is config's ValueError."""
+    lattice = MomentumLattice(m_spec, config.lattice.hbar_eff)
+    return quasi_spectrum(replace(config, lattice=lattice, kick_count=t))
 
 
 def mean_abs_imag(spec: QuasiSpectrum) -> float:

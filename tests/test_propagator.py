@@ -354,8 +354,9 @@ class TestKickFactorCache:
 
 
 class TestFloquetMatrixAtAnyTime:
-    # the CLI accepts any integer --t; t <= 0 falls in a table that starts
-    # at a multiple of the row count at or below t. Bound as TestStep's oracle
+    # build_floquet_matrix accepts any integer t, though a spectrum reads t as
+    # a kick_count, which is >= 0; t <= 0 falls in a table that starts at a
+    # multiple of the row count at or below t. Bound as TestStep's oracle
     @pytest.mark.parametrize("t", [0, -1, -17])
     def test_matches_the_dense_oracle(self, t):
         cfg = config(5.0, 1.2, 1, m=16)

@@ -2,9 +2,9 @@ import functools
 import itertools
 import math
 import re
-import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -132,19 +132,35 @@ class TestQuasiSpectrum:
         assert np.max(np.abs(lead_vals.imag)) < 1e-12
         assert np.all(lead_vals.real > 0)
 
-    @pytest.mark.parametrize("matrix,lattice,message", [
-        (np.diag([np.nan, 1, 1, 1]), None, "matrix has non-finite entries"),
-        (np.ones((4, 3)), None, "matrix must be square, got (4, 3)"),
-        (np.eye(4), MomentumLattice(8, 1.0), "lattice size does not match matrix dimension"),
-    ], ids=["nonfinite", "non-square", "lattice-size"])
-    def test_nonfinite_matrix_rejected(self, matrix, lattice, message):
+    @pytest.mark.parametrize("matrix,message", [
+        (np.diag([np.nan, 1, 1, 1]), "matrix has non-finite entries"),
+        (np.ones((4, 3)), "matrix must be square, got (4, 3)"),
+    ], ids=["nonfinite", "non-square"])
+    def test_nonfinite_matrix_rejected(self, matrix, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            quasi_spectrum(matrix, lattice=lattice)
+            quasi_spectrum(matrix)
 
-    def test_a_schedule_needs_the_lattice(self):
-        cfg = config(10.0, 2.0, m=8)
-        with pytest.raises(ValueError, match="needs the lattice"):
-            quasi_spectrum(build_floquet_matrix(cfg, 1, 8), 1, schedule=cfg.schedule)
+    def test_a_config_names_u_at_its_kick_count(self):
+        # spectrum_at is that call; the bare matrix gives the same stack and
+        # eig, so the same eps and eigenvectors, with dense residuals
+        cfg = replace(config(10.0, 2.0, m=128), kick_count=5)
+        spec = quasi_spectrum(cfg)
+        at = spectrum_at(cfg, cfg.kick_count, cfg.lattice.size)
+        for name in ("quasienergies", "eigenstates", "residuals", "tail_weights"):
+            assert getattr(spec, name).tobytes() == getattr(at, name).tobytes(), name
+        assert (spec.t, spec.lattice, spec.residual_scale) == (at.t, at.lattice, at.residual_scale)
+        assert (spec.t, spec.lattice) == (5, cfg.lattice)
+        bare = quasi_spectrum(build_floquet_matrix(cfg, 5, 128))
+        assert spec.quasienergies.tobytes() == bare.quasienergies.tobytes()
+        assert spec.eigenstates.tobytes() == bare.eigenstates.tobytes()
+        assert (bare.t, bare.lattice) == (0, MomentumLattice(128, 1.0))
+
+    def test_a_negative_time_is_the_configs_error(self):
+        # build_floquet_matrix takes any t; a spectrum reads t as a kick_count
+        cfg = config(10.0, 2.0, m=16)
+        assert np.all(np.isfinite(build_floquet_matrix(cfg, -1, 16)))
+        with pytest.raises(ValueError, match=re.escape("kick_count must be >= 0, got -1")):
+            spectrum_at(cfg, -1, 16)
 
     def test_eigenstates_are_column_major(self):
         assert spectrum_at(config(10.0, 2.0), t=5, m_spec=64).eigenstates.flags.f_contiguous
@@ -153,16 +169,16 @@ class TestQuasiSpectrum:
         applied = nqkr.spectrum.apply_floquet
         blocks = []
 
-        def recorded(columns, *args):
+        def recorded(columns, **kwargs):
             blocks.append((columns.shape, columns.flags.f_contiguous))
-            return applied(columns, *args)
+            return applied(columns, **kwargs)
 
         monkeypatch.setattr(nqkr.spectrum, "apply_floquet", recorded)
         cfg = config(10.0, 2.0, m=128)
         spectrum_at(cfg, t=5, m_spec=128)
         assert blocks == [((128, nqkr.spectrum._BLOCK), True)] * (128 // nqkr.spectrum._BLOCK)
         blocks.clear()
-        quasi_spectrum(build_floquet_matrix(cfg, 5, 128), 5, cfg.lattice)
+        quasi_spectrum(build_floquet_matrix(cfg, 5, 128))
         assert blocks == []
 
 
@@ -336,7 +352,7 @@ def reference_case(dim, K, lam, hbar):
     matrix = build_floquet_matrix(cfg, REFERENCE_T, dim)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        spec = quasi_spectrum(matrix, REFERENCE_T, cfg.lattice)
+        spec = quasi_spectrum(matrix)
     with warnings.catch_warnings():
         # most of these lattices are far too small for 200 kicks; the state
         # only serves as a vector to take fidelities against
@@ -424,7 +440,7 @@ class TestDenseReference:
 
         monkeypatch.setattr(nqkr.spectrum, "_embed_pairs", recorded)
         bound = 1e-14 * max(1.0, float(np.abs(matrix).max()))
-        for entry in (lambda: quasi_spectrum(matrix, REFERENCE_T, cfg.lattice),
+        for entry in (lambda: quasi_spectrum(matrix),
                       lambda: spectrum_at(cfg, REFERENCE_T, dim)):
             eigvals.clear()
             with warnings.catch_warnings():
@@ -460,7 +476,7 @@ class TestDenseReference:
             return vals, vecs
 
         monkeypatch.setattr(nqkr.spectrum, "_embed_pairs", perturbed)
-        for entry in (lambda: quasi_spectrum(matrix, REFERENCE_T, cfg.lattice),
+        for entry in (lambda: quasi_spectrum(matrix),
                       lambda: spectrum_at(cfg, REFERENCE_T, 64)):
             with pytest.warns(UserWarning, match="^1 eigenpairs"):
                 spec = entry()
@@ -835,41 +851,43 @@ class TestAllocationPeaks:
     U, its parity block stack and (M, _BLOCK) bands while the stack is built
     (there is no fold buffer); the stack, its eigenvectors and LAPACK's
     buffers in eig; the block eigenvectors and the (M, M) eigenvector array
-    while they are embedded. On spectrum_at's path U is freed before eig
-    (CPython 3.11 and later).
+    while they are embedded. A config's U(t) is freed before eig.
     """
 
     DIM = 512
 
     @pytest.fixture(scope="class")
     def frozen_matrix(self):
-        cfg = config(10.0, 5.0, m=self.DIM)
-        return build_floquet_matrix(cfg, 200, self.DIM), cfg.lattice, cfg.schedule
+        return build_floquet_matrix(config(10.0, 5.0, m=self.DIM), 200, self.DIM)
 
     def test_quasi_spectrum_peak(self, frozen_matrix):
-        matrix, lattice, schedule = frozen_matrix
         # 1.76x before the odd slice was embedded from views, 1.57x after;
         # reducing the parity leak one band at a time does not move this
-        # ratio at M = 512, it lowers the process's peak RSS. The FFT
-        # residuals of spectrum_at's path peak as the dense ones do. The
-        # fixture holds U, so neither path can free it: the peak above U is
-        # the embedding stage's, 1.576x with the banded fold
-        for solve in (quasi_spectrum, functools.partial(quasi_spectrum, schedule=schedule)):
-            assert traced_peak(solve, matrix, 200, lattice) <= 1.65 * matrix.nbytes
+        # ratio at M = 512, it lowers the process's peak RSS. The fixture
+        # holds U, which the dense residuals need: the peak above U is the
+        # embedding stage's, 1.576x with the banded fold
+        assert traced_peak(quasi_spectrum, frozen_matrix) <= 1.65 * frozen_matrix.nbytes
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps a call's "
-                        "arguments, U here, alive in the caller's frame until the call returns")
-    def test_spectrum_at_peak(self):
+    @pytest.mark.parametrize("dim", [512, 1024])
+    def test_spectrum_at_peak(self, dim, monkeypatch):
         # U included: 2.58x while U lived through eig beside an (M, M/2+1)
-        # fold buffer, 1.79x with U freed before eig and the fold in bands
-        cfg = config(10.0, 5.0, m=self.DIM)
-        nbytes = self.DIM * self.DIM * np.dtype(np.complex128).itemsize
-        assert traced_peak(spectrum_at, cfg, 200, self.DIM) <= 2.0 * nbytes
+        # fold buffer, 1.79x with U freed before eig and the fold in bands.
+        # A wrapper that keeps quasi_spectrum's arguments alive until it
+        # returns, as a tracing span does, held U through eig (2.58x at
+        # M = 512, 2.52x at M = 1024) while U was built by the caller
+        cfg = config(10.0, 5.0, m=dim)
+        nbytes = dim * dim * np.dtype(np.complex128).itemsize
+        assert traced_peak(spectrum_at, cfg, 200, dim) <= 2.0 * nbytes
+        assert traced_peak(quasi_spectrum, replace(cfg, kick_count=200)) <= 2.0 * nbytes
+        solve = nqkr.spectrum.quasi_spectrum
+        monkeypatch.setattr(nqkr.spectrum, "quasi_spectrum",
+                            lambda *args, **kwargs: solve(*args, **kwargs))
+        assert traced_peak(spectrum_at, cfg, 200, dim) <= 2.0 * nbytes
 
     def test_fidelity_profile_peak(self, frozen_matrix):
-        matrix, lattice, _ = frozen_matrix
-        spec = quasi_spectrum(matrix, 200, lattice)
+        spec = quasi_spectrum(frozen_matrix)
         rng = np.random.default_rng(11)
-        psi = WaveFunction(lattice, rng.normal(size=self.DIM) + 1j * rng.normal(size=self.DIM))
+        amps = rng.normal(size=self.DIM) + 1j * rng.normal(size=self.DIM)
+        psi = WaveFunction(MomentumLattice(self.DIM, HBAR), amps)
         peak = traced_peak(fidelity_profile, psi, spec)
-        assert peak <= 0.1 * matrix.nbytes
+        assert peak <= 0.1 * frozen_matrix.nbytes
