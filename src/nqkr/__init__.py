@@ -60,7 +60,6 @@ from .spectrum import (
     SpectrumError,
     build_floquet_matrix,
     fidelity_profile,
-    mean_abs_imag,
     quasi_spectrum,
     spectrum_at,
 )

@@ -31,29 +31,33 @@ sixth of the spectrum benchmark's CPU time to save about 4% of its wall time
 (`BENCH_20.json`). On one thread the spectrum files do not depend on
 OPENBLAS_NUM_THREADS. A BLAS other than OpenBLAS keeps its own threading.
 
-Memory: the spectrum path holds about 1.5 x U.nbytes at a time, in three
-stages, whoever holds the config. Building the block stack holds U, the
+Memory: the spectrum path holds at most about 1.8 x U.nbytes at a time, in
+three stages, whoever holds the config. Building the block stack holds U, the
 (2, M/2+1, M/2+1) stack (half of U) and (M, _BLOCK) bands: `_parity_blocks`
 folds _BLOCK columns of U at a time into one band and that band's rows into
-the stack. eig holds the stack, its eigenvectors and LAPACK's copy of one
-block. The embedding holds the block eigenvectors and the (M, M) eigenvector
-array, built straight in sorted order from views of them and normalized in
-place; it is column-major, so the embedding, the per-block normalization and
-the FFT residual run on contiguous columns. A config's U(t) lives only in
+the stack, and reduces the parity leak band by band in the same loop. eig
+holds the stack, its eigenvectors and LAPACK's copy of one block. The
+embedding holds the block eigenvectors and the (M, M) eigenvector array,
+built straight in sorted order from views of them and normalized in place;
+it is column-major, so the embedding, the per-block normalization and the
+FFT residual run on contiguous columns. A config's U(t) lives only in
 quasi_spectrum's frame and is freed once the stack is built; the stack is
 freed once eig returns. Traced allocations of quasi_spectrum(config), U
-included, peak at 1.79 x U.nbytes at M = 512 and 1.62 x at M = 1024
-(tracemalloc sees numpy's arrays, not LAPACK's work space), and the seed-0
-spectrum benchmark peaks at 63 MB RSS on a 2-CPU host (`BENCH_35.json`). A
-bare matrix stays alive for its dense residuals; quasi_spectrum's
-allocations above it peak at 1.58 x at M = 512 and 1.52 x at M = 1024. A
-fidelity profile allocates only vectors. Folding one column at a time
-instead of _BLOCK took 43 ms, not 16 ms, at M = 1024 on that host. The
-row-blocked `_max_abs` and the band-at-a-time parity-leak reduction stay
-because full-matrix passes cost memory: on that host, unblocking both kept
-quasi_spectrum's ratio at M = 512, raised it to 1.53 x at M = 1024, and raised
-the seed-0 spectrum benchmark's peak RSS from 78.1-78.3 to 78.8-78.9 MB over
-three runs each.
+included, peak at M = 512 / M = 1024 at 1.00 / 1.00 x U.nbytes while U is
+built, 1.79 / 1.62 x while it is folded, 1.01 / 1.01 x in eig and
+1.58 / 1.52 x in the embedding (tracemalloc sees numpy's arrays, not
+LAPACK's work space; a process's first call also fills the propagator's
+kick-table and free-phase caches, 0.06 / 0.02 x more). The one pass for
+max|U| holds U and |U|, 1.5 x, below the fold's peak. The seed-0 spectrum
+benchmark peaks at 63 MB RSS on a 2-CPU host (`BENCH_38.json`). A bare
+matrix stays alive for its dense residuals; quasi_spectrum's allocations
+above it peak in the embedding, at 1.58 x at M = 512 and 1.52 x at
+M = 1024. A fidelity profile allocates only vectors. Three devices still
+bind, each measured against its plain form on that host: the fold takes
+_BLOCK columns at a time, where one column at a time took 43 ms, not 16 ms,
+at M = 1024; `_unfold` scales y in place, where scaling a copy raised the
+embedding to 1.79 / 1.76 x; and the odd slice is embedded from views, where
+copying its kept columns raised the embedding to 1.76 / 1.76 x.
 
 The FFT propagator makes momentum periodic, and the truncated ring supports
 eigenstates pinned to the n = +-M/2 seam whose eps_i can exceed every
@@ -89,8 +93,9 @@ PARITY_TOLERANCE = 1e-12
 # eps_i across an odd multiple of EPS_I_TIE / 2.
 EPS_I_TIE = 1e-10
 _SQRT_HALF = np.sqrt(0.5)
-# Rows or columns per pass of the blocked loops over U and its eigenvectors;
-# their temporaries are a few (M, _BLOCK) arrays, 1 MB each at M = 1024.
+# Columns per pass of the banded fold of U and the blocked loop over its
+# eigenvectors; their temporaries are a few (M, _BLOCK) arrays, 1 MB each at
+# M = 1024.
 _BLOCK = 64
 
 
@@ -287,10 +292,8 @@ def _parity_blocks(matrix: np.ndarray, max_abs: float) -> np.ndarray:
 
 
 def _max_abs(matrix: np.ndarray) -> float:
-    """max|U_ij|, taken over blocks of rows; nan or inf if an entry is."""
-    blocks = range(0, len(matrix), _BLOCK)
-    # np.max keeps a nan block maximum, which Python's max drops unless it is first
-    return float(np.max([np.abs(matrix[i:i + _BLOCK]).max() for i in blocks], initial=0.0))
+    """max|U_ij|; nan or inf if an entry is."""
+    return float(np.abs(matrix).max(initial=0.0))
 
 
 def _eps_parts(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +354,7 @@ def quasi_spectrum(operator: np.ndarray | SimConfig) -> QuasiSpectrum:
     sectors by more than PARITY_TOLERANCE * max|U|, and SpectrumError if U(t),
     a parity block or a residual overflows double range or eig fails to
     converge.
-    One row-blocked pass reads max|U|, which is nan or inf if an entry is,
+    One pass reads max|U|, which is nan or inf if an entry is,
     so the entries are checked one by one only when max|U| is not finite.
     The eig and the residuals run on one BLAS thread.
     """
@@ -433,11 +436,6 @@ def spectrum_at(config: SimConfig, t: int, m_spec: int) -> QuasiSpectrum:
     """`quasi_spectrum` of config's U(t) on an m_spec lattice; t < 0 is config's ValueError."""
     lattice = MomentumLattice(m_spec, config.lattice.hbar_eff)
     return quasi_spectrum(replace(config, lattice=lattice, kick_count=t))
-
-
-def mean_abs_imag(spec: QuasiSpectrum) -> float:
-    """Arithmetic mean of |eps_i| over all eigenvalues."""
-    return float(np.mean(np.abs(spec.eps_i)))
 
 
 def fidelity_profile(psi: WaveFunction, spec: QuasiSpectrum) -> FidelityRecord:
